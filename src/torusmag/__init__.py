@@ -9,16 +9,8 @@ orientation.
 
 from .basis import BasisSet, ThetaFunction, gram_schmidt_basis, weighted_inner_product
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla, tesla_from_tau
-from .geometry import (
-    CurvatureData,
-    SurfaceProfile,
-    TorusGeometry,
-    curvatures,
-    geometric_potential_vc,
-    metric_factor_f,
-    torus_curvatures,
-)
-from .hamiltonian import HamiltonianMatrix, assemble, matrix_element
+from .geometry import CurvatureData, TorusGeometry, metric_factor_f, torus_curvatures
+from .hamiltonian import HamiltonianMatrix, assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
     SpectrumResult,
@@ -38,15 +30,11 @@ __all__ = [
     "tau_from_tesla",
     "tesla_from_tau",
     "CurvatureData",
-    "SurfaceProfile",
     "TorusGeometry",
-    "curvatures",
-    "geometric_potential_vc",
     "metric_factor_f",
     "torus_curvatures",
     "HamiltonianMatrix",
     "assemble",
-    "matrix_element",
     "GridSpec",
     "grid_solve",
     "SpectrumResult",

@@ -146,10 +146,6 @@ class BasisSet:
                 out.append(("g", n + 1, nu))
         return out
 
-    def theta_function(self, label: Label) -> ThetaFunction:
-        kind, n, _ = label
-        return self.even_funcs[n] if kind == "f" else self.odd_funcs[n - 1]
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -31,9 +31,10 @@ from pathlib import Path
 from .basis import BasisSet, DegeneracyError, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .geometry import DomainError, TorusGeometry
-from .hamiltonian import HamiltonianMatrix, assemble
+from .hamiltonian import assemble
 from .oracle import AccuracyError, GridSpec, grid_solve
 from .solver import (
+    ComplexGroundError,
     HermiticityError,
     SpectrumResult,
     eigensolve,
@@ -47,6 +48,11 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 VARIANTS = (("off-off", False, False), ("on-off", True, False), ("on-on", True, True))
+
+#: Largest sweep length and basis dimension a run may ask for; the basis
+#: bound is the size of the default verification grid.
+MAX_TAU_POINTS = 10_001
+MAX_BASIS_DIM = 2048
 
 
 class ConfigError(ValueError):
@@ -75,13 +81,24 @@ class RunConfig:
             raise ConfigError(f"unknown orientation {self.orientation!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.tau_step <= 0 or self.tau_stop < self.tau_start:
+        sweep = (self.tau_start, self.tau_stop, self.tau_step)
+        if (
+            not all(math.isfinite(x) for x in sweep)
+            or self.tau_step <= 0
+            or self.tau_stop < self.tau_start
+        ):
             raise ConfigError(
                 f"bad tau sweep [{self.tau_start}, {self.tau_stop}] "
                 f"step {self.tau_step}"
             )
+        span = (self.tau_stop - self.tau_start) / self.tau_step
+        if not math.isfinite(span) or round(span) + 1 > MAX_TAU_POINTS:
+            raise ConfigError(f"tau sweep has more than {MAX_TAU_POINTS} points")
         if self.nu_min > self.nu_max:
             raise ConfigError(f"empty nu range [{self.nu_min}, {self.nu_max}]")
+        dim = (self.n_even + self.n_odd) * (self.nu_max - self.nu_min + 1)
+        if dim > MAX_BASIS_DIM:
+            raise ConfigError(f"basis dimension {dim} exceeds {MAX_BASIS_DIM}")
 
     def geometry(self) -> TorusGeometry:
         return TorusGeometry(self.major_radius, self.alpha * self.major_radius)
@@ -191,36 +208,34 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _solve(h: HamiltonianMatrix) -> SpectrumResult:
-    field = h.toggles
+def _solve(
+    geom: TorusGeometry, basis: BasisSet, field: FieldConfig
+) -> SpectrumResult:
+    """Assemble H and diagonalize it.
+
+    The general solver runs only where H is non-Hermitian: magnetic
+    coupling off at tau1 != 0.
+    """
+    h = assemble(geom, field, basis)
     if not field.vmag_on and field.tau1 != 0.0:
         return eigensolve_general(h)
     return eigensolve(h)
 
 
-def _ground_point(
-    cfg: RunConfig, basis: BasisSet, tau: float, vc: bool, vmag: bool
-) -> tuple[float, int]:
-    t0, t1 = cfg.split_tau(tau)
-    h = assemble(
-        cfg.geometry(), FieldConfig(t0, t1, vc_on=vc, vmag_on=vmag), basis
-    )
-    spectrum = _solve(h)
-    eps0, _ = spectrum.ground()
-    comp = ground_state_composition(spectrum)
-    return eps0, comp.dominant_nu()
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    geom = cfg.geometry()
     basis = _build_basis(cfg)
-    scale = energy_scale_mev(cfg.geometry()) if args.mev else None
+    scale = energy_scale_mev(geom) if args.mev else None
     lines = ["tau,variant,eps0,eps0_physical,nu_dominant"]
     if scale is not None:
         lines[0] += ",e_mev"
     for tau in cfg.taus():
         for name, vc, vmag in VARIANTS:
-            eps0, nu = _ground_point(cfg, basis, tau, vc, vmag)
+            field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
+            spectrum = _solve(geom, basis, field)
+            eps0, _ = spectrum.ground()
+            nu = ground_state_composition(spectrum).dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
             if scale is not None:
                 row += f",{-eps0 * scale:.12g}"
@@ -234,17 +249,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    geom = cfg.geometry()
     basis = _build_basis(cfg)
     taus = args.tau if args.tau else [0.0, 1.0, 2.0]
     report: dict = {"orientation": cfg.orientation, "rows": []}
     text_lines = []
     for name, vc, vmag in VARIANTS:
         for tau in taus:
-            t0, t1 = cfg.split_tau(tau)
-            h = assemble(
-                cfg.geometry(), FieldConfig(t0, t1, vc_on=vc, vmag_on=vmag), basis
-            )
-            spectrum = _solve(h)
+            field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
+            spectrum = _solve(geom, basis, field)
             eps0, _ = spectrum.ground()
             comp = ground_state_composition(spectrum)
             report["rows"].append(
@@ -277,10 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for orientation in ("axial", "tilted", "in_plane"):
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
-            t0, t1 = ocfg.split_tau(tau)
-            field = FieldConfig(t0, t1, vc_on=True, vmag_on=True)
-            spectrum = eigensolve(assemble(geom, field, basis))
-            eps_basis, _ = spectrum.ground()
+            field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
+            eps_basis, _ = _solve(geom, basis, field).ground()
             result = grid_solve(geom, field, grid, k=1, refine=args.refine)
             eps_grid = float(result.eigenvalues[0])
             tol = max(1e-3, 1e-3 * abs(eps_basis))
@@ -326,15 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI config file")
+
+    def orientation(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--orientation", choices=["axial", "tilted", "in_plane"]
         )
-        p.add_argument("--tau-max", type=float, dest="tau_max")
-        p.add_argument("--tau-step", type=float, dest="tau_step")
-        p.add_argument("--out", help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="ground eigenvalue vs tau, CSV")
     common(p_sweep)
+    orientation(p_sweep)
+    p_sweep.add_argument("--tau-max", type=float, dest="tau_max")
+    p_sweep.add_argument("--tau-step", type=float, dest="tau_step")
+    p_sweep.add_argument("--out", help="output directory")
     p_sweep.add_argument(
         "--mev", action="store_true", help="append a meV energy column"
     )
@@ -342,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="ground-state composition grid")
     common(p_table)
+    orientation(p_table)
     p_table.add_argument("--tau", type=float, action="append")
     p_table.add_argument("--json-out", dest="json_out")
     p_table.set_defaults(func=cmd_table)
@@ -376,7 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, HermiticityError, DegeneracyError) as exc:
+    except (
+        AccuracyError, HermiticityError, ComplexGroundError, DegeneracyError
+    ) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,28 +1,14 @@
-"""Differential geometry of azimuthally symmetric surfaces and the torus.
+"""Geometry of the ring torus: metric factor and principal curvatures.
 
-A surface of revolution is described in Monge form,
-
-    r(rho, phi) = rho e_rho + S(rho) e_z,
-
-by a height profile S over the cylindrical radius.  The metric factor,
-principal curvatures, mean and Gaussian curvatures follow from S and its
-first two radial derivatives.  The ring torus gets a dedicated
-parameterization by the poloidal angle theta, with closed-form curvatures.
-
-Sign convention: for Monge profiles the unit normal is
-e_n = (-S_rho e_rho + e_z)/Z (upward for a flat profile); for the torus,
-e_n = cos(theta) e_rho + sin(theta) e_z points away from the tube axis.
-On the upper half of the torus (0 < theta < pi) the two conventions agree,
-so the local-Monge cross-check of the toroidal curvatures needs no sign
-reconciliation there; the curvature-only potential h^2 - k is independent
-of the normal orientation in any case.
+The torus is parameterized by the poloidal angle theta and the azimuth
+phi; the unit normal e_n = cos(theta) e_rho + sin(theta) e_z points away
+from the tube axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,88 +18,17 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class SurfaceProfile:
-    """Height profile S(rho) of a surface of revolution with derivatives.
-
-    Parameters
-    ----------
-    shape:
-        The profile S(rho), in length units.
-    d1, d2:
-        First and second radial derivatives of the profile.  Derivatives
-        are supplied analytically; nothing here differentiates symbolically.
-    """
-
-    shape: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-
-    @staticmethod
-    def flat() -> "SurfaceProfile":
-        """The plane S(rho) = 0."""
-        return SurfaceProfile(lambda r: 0.0, lambda r: 0.0, lambda r: 0.0)
-
-    @staticmethod
-    def sphere(radius: float) -> "SurfaceProfile":
-        """Upper hemisphere of radius `radius`, valid for 0 < rho < radius."""
-        def s(r: float) -> float:
-            return math.sqrt(radius * radius - r * r)
-
-        def s1(r: float) -> float:
-            return -r / s(r)
-
-        def s2(r: float) -> float:
-            return -(radius * radius) / s(r) ** 3
-
-        return SurfaceProfile(s, s1, s2)
-
-
-@dataclass(frozen=True)
 class CurvatureData:
-    """Pointwise curvature bundle of a surface of revolution.
+    """Pointwise curvatures of the torus.
 
-    z is the Monge metric factor sqrt(1 + S_rho^2) (dimensionless, >= 1);
     k1, k2 are the principal curvatures (1/length); h = (k1 + k2)/2 and
     k = k1*k2 are the mean and Gaussian curvatures.
     """
 
-    z: float
     k1: float
     k2: float
     h: float
     k: float
-
-
-def curvatures(profile: SurfaceProfile, rho: float) -> CurvatureData:
-    """Evaluate metric factor and curvatures of a Monge profile at rho.
-
-    k1 = -S_rhorho / Z^3 and k2 = -S_rho / (rho Z) with Z = sqrt(1 + S_rho^2).
-
-    Raises
-    ------
-    DomainError
-        If rho <= 0 or a profile derivative is not finite at rho.
-    """
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    s1 = float(profile.d1(rho))
-    s2 = float(profile.d2(rho))
-    if not (math.isfinite(s1) and math.isfinite(s2)):
-        raise DomainError(f"profile derivatives not finite at rho={rho}")
-    z = math.sqrt(1.0 + s1 * s1)
-    k1 = -s2 / z**3
-    k2 = -s1 / (rho * z)
-    return CurvatureData(z=z, k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
-
-
-def geometric_potential_vc(profile: SurfaceProfile, rho: float) -> float:
-    """Curvature-only potential h^2 - k at rho, in 1/length^2.
-
-    Computed as (k1 - k2)^2 / 4, which is manifestly >= 0 and independent
-    of the normal orientation.
-    """
-    c = curvatures(profile, rho)
-    return 0.25 * (c.k1 - c.k2) ** 2
 
 
 @dataclass(frozen=True)
@@ -151,35 +66,11 @@ def torus_curvatures(geom: TorusGeometry, theta: float) -> CurvatureData:
     """Curvatures of the torus at poloidal angle theta.
 
     k1 = 1/a (around the tube) and k2 = cos(theta)/W(theta); the normal
-    points away from the tube axis.  The z field is the metric factor of
-    the local Monge representation, 1/|sin(theta)| (infinite on the
-    equators where the surface has a vertical tangent).
+    points away from the tube axis.
     """
     a = geom.minor_radius
     w = float(geom.w(theta))
     k1 = 1.0 / a
     k2 = math.cos(theta) / w
-    s = abs(math.sin(theta))
-    z = 1.0 / s if s > 0.0 else math.inf
-    return CurvatureData(z=z, k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
+    return CurvatureData(k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
 
-
-def torus_profile(geom: TorusGeometry) -> SurfaceProfile:
-    """Local Monge profile of the upper half of the torus.
-
-    S(rho) = sqrt(a^2 - (rho - R)^2) for rho in (R - a, R + a); used by the
-    cross-check between `curvatures` and `torus_curvatures`.
-    """
-    r0 = geom.major_radius
-    a = geom.minor_radius
-
-    def s(r: float) -> float:
-        return math.sqrt(a * a - (r - r0) ** 2)
-
-    def s1(r: float) -> float:
-        return -(r - r0) / s(r)
-
-    def s2(r: float) -> float:
-        return -(a * a) / s(r) ** 3
-
-    return SurfaceProfile(s, s1, s2)

@@ -30,12 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, Label
-from .field import FieldConfig
-from .geometry import TorusGeometry, metric_factor_f, torus_curvatures
-
-#: Sign of the imaginary unit carried by the magnetic curvature coupling.
-#: -1 is the self-adjoint choice (see module docstring).
-VMAG_SIGN = -1.0
+from .field import FieldConfig, vmag_potential
+from .geometry import TorusGeometry, metric_factor_f
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
 _ONE = {0: 1.0}
@@ -61,29 +57,15 @@ class HamiltonianMatrix:
     block_index: dict[Label, int]
     toggles: FieldConfig
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def hermiticity_defect(self) -> float:
         """max |H - H^dagger| over all entries."""
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def to_csv(self) -> str:
-        """Plain-text dump, one line per entry: row, col, re, im."""
-        lines = ["row,col,re,im"]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                z = self.entries[i, j]
-                lines.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def _term_table(
     geom: TorusGeometry,
     field: FieldConfig,
     theta: np.ndarray,
-    vc_form: str,
 ) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
     """List of (C(theta) samples, phi harmonics, d/dtheta order, d/dphi order)."""
     al = geom.alpha
@@ -105,24 +87,11 @@ def _term_table(
         (0.5 * t0 * t1 * al**3 * f * st + 0j, _COS, 0, 0),
     ]
     if field.vc_on:
-        if vc_form == "metric":
-            vc = 0.25 / f**2
-        elif vc_form == "curvature":
-            a = geom.minor_radius
-            vc = np.array(
-                [
-                    a**2 * (c.h**2 - c.k)
-                    for c in (torus_curvatures(geom, t) for t in theta)
-                ]
-            )
-        else:
-            raise ConfigurationError(
-                f"vc_form must be 'metric' or 'curvature', got {vc_form!r}"
-            )
-        terms.append((vc + 0j, _ONE, 0, 0))
+        terms.append((0.25 / f**2 + 0j, _ONE, 0, 0))
     if field.vmag_on:
-        amp = 0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f
-        terms.append((VMAG_SIGN * 1j * amp, _SIN, 0, 0))
+        # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
+        vmag = vmag_potential(geom, field, theta, np.pi / 2)
+        terms.append((-1j * vmag, _SIN, 0, 0))
     return terms
 
 
@@ -131,15 +100,11 @@ def assemble(
     field: FieldConfig,
     basis: BasisSet,
     n_quad: int = 512,
-    vc_form: str = "metric",
 ) -> HamiltonianMatrix:
     """Dense matrix of the surface Hamiltonian in the given basis.
 
-    vc_form selects how the curvature potential is evaluated when vc_on:
-    'metric' uses 1/(4 F^2); 'curvature' uses a^2 (h^2 - k) from the
-    principal curvatures.  On the torus the two are algebraically identical
-    (a (1/a - cos(theta)/W) = 1/F exactly), so this is a sensitivity knob,
-    not a physics switch.
+    The curvature potential enters as 1/(4 F^2), which is a^2 (h^2 - k)
+    on the torus.
     """
     if abs(basis.alpha - geom.alpha) > 1e-12:
         raise ConfigurationError(
@@ -161,7 +126,7 @@ def assemble(
     dim = nb * nnu
     h = np.zeros((dim, dim), dtype=complex)
     dtheta = 2.0 * np.pi / n_quad
-    for coeff, harm, jt, jp in _term_table(geom, field, theta, vc_form):
+    for coeff, harm, jt, jp in _term_table(geom, field, theta):
         # theta integrals for all basis-function pairs at once
         tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
         for bc, nu in enumerate(nus):
@@ -180,29 +145,3 @@ def assemble(
         toggles=field,
     )
 
-
-def matrix_element(
-    geom: TorusGeometry,
-    field: FieldConfig,
-    basis: BasisSet,
-    row_label: Label,
-    col_label: Label,
-    n_quad: int = 512,
-    vc_form: str = "metric",
-) -> complex:
-    """Single entry <chi_row | H | chi_col>, for property checks."""
-    theta = np.arange(n_quad) * 2.0 * np.pi / n_quad
-    f = metric_factor_f(geom, theta)
-    u_row = basis.theta_function(row_label)(theta)
-    col_fn = basis.theta_function(col_label)
-    nu_row, nu_col = row_label[2], col_label[2]
-    dtheta = 2.0 * np.pi / n_quad
-    out = 0.0 + 0.0j
-    for coeff, harm, jt, jp in _term_table(geom, field, theta, vc_form):
-        m = nu_row - nu_col
-        if m not in harm:
-            continue
-        u_col = col_fn(theta) if jt == 0 else col_fn.derivative(theta, jt)
-        phase = (1j * nu_col) ** jp if jp else 1.0
-        out += np.sum(u_row * coeff * f * u_col) * dtheta * harm[m] * phase
-    return complex(out)

@@ -39,22 +39,15 @@ class UnsupportedVariantError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid sizes in theta and phi, plus the stencil.
-
-    stencil selects the derivative discretization: 'spectral' (Fourier
-    differentiation matrices) or 'fd4' (4th-order central differences).
-    """
+    """Uniform periodic grid sizes in theta and phi."""
 
     n_theta: int = 64
     n_phi: int = 32
-    stencil: str = "spectral"
 
     def __post_init__(self) -> None:
         for name, n in (("n_theta", self.n_theta), ("n_phi", self.n_phi)):
             if n < 16 or n % 2:
                 raise ValueError(f"{name} must be even and >= 16, got {n}")
-        if self.stencil not in ("spectral", "fd4"):
-            raise ValueError(f"unknown stencil {self.stencil!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,8 @@ class GridResult:
     """Top raw eigenvalues (ground first) and grid eigenfunctions.
 
     eigenfunctions[i] is the i-th state sampled on the (theta, phi) grid in
-    the original (unweighted) frame; metadata records the stencil choice.
+    the original (unweighted) frame; metadata records the Hermiticity
+    defect of the grid operator and whether refinement was checked.
     """
 
     eigenvalues: np.ndarray
@@ -92,29 +86,6 @@ def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
     return np.real(np.fft.ifft(spec[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
 
 
-def fd4_diff_matrix(n: int, order: int) -> np.ndarray:
-    """Periodic 4th-order central-difference matrix on n points."""
-    h = 2.0 * np.pi / n
-    m = np.zeros((n, n))
-    if order == 1:
-        stencil = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
-        scale = 1.0 / h
-    elif order == 2:
-        stencil = {
-            -2: -1.0 / 12.0,
-            -1: 16.0 / 12.0,
-            0: -30.0 / 12.0,
-            1: 16.0 / 12.0,
-            2: -1.0 / 12.0,
-        }
-        scale = 1.0 / h**2
-    else:
-        raise ValueError(f"unsupported derivative order {order}")
-    for off, c in stencil.items():
-        m += c * np.roll(np.eye(n), off, axis=1)
-    return m * scale
-
-
 def _build_operator(
     geom: TorusGeometry, field: FieldConfig, grid: GridSpec
 ) -> np.ndarray:
@@ -125,11 +96,10 @@ def _build_operator(
     phi = np.arange(np_) * 2.0 * np.pi / np_
     f = metric_factor_f(geom, theta)
 
-    diff = fourier_diff_matrix if grid.stencil == "spectral" else fd4_diff_matrix
-    d1t = diff(nt, 1)
-    d2t = diff(nt, 2)
-    d1p = diff(np_, 1)
-    d2p = diff(np_, 2)
+    d1t = fourier_diff_matrix(nt, 1)
+    d2t = fourier_diff_matrix(nt, 2)
+    d1p = fourier_diff_matrix(np_, 1)
+    d2p = fourier_diff_matrix(np_, 2)
     eye_t, eye_p = np.eye(nt), np.eye(np_)
 
     # theta kinetic block: the similarity transform turns the
@@ -202,7 +172,7 @@ def grid_solve(
         fine = grid_solve(
             geom,
             field,
-            GridSpec(2 * grid.n_theta, grid.n_phi, grid.stencil),
+            GridSpec(2 * grid.n_theta, grid.n_phi),
             k=1,
             refine=False,
         )
@@ -225,9 +195,5 @@ def grid_solve(
         eigenvalues=w,
         eigenfunctions=funcs,
         grid=grid,
-        metadata={
-            "stencil": grid.stencil,
-            "hermiticity_defect": herm,
-            "refined": refine,
-        },
+        metadata={"hermiticity_defect": herm, "refined": refine},
     )

@@ -1,19 +1,29 @@
 """CLI behaviour: config handling, sweep output, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from torusmag import cli
 from torusmag.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
+    MAX_BASIS_DIM,
+    MAX_TAU_POINTS,
     ConfigError,
     RunConfig,
     main,
     parse_config,
     serialize_config,
 )
+from torusmag.solver import ComplexGroundError
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 class TestRunConfig:
@@ -55,6 +65,33 @@ class TestRunConfig:
     def test_tau_grid(self):
         cfg = RunConfig(tau_start=0.0, tau_stop=1.0, tau_step=0.5)
         assert cfg.taus() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "field,value", [("tau_start", -math.inf), ("tau_stop", math.inf),
+                        ("tau_stop", math.nan), ("tau_step", math.nan),
+                        ("tau_step", math.inf)],
+    )
+    def test_rejects_nonfinite_sweep(self, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig(**{field: value})
+
+    def test_sweep_length_bounded(self):
+        step = 1.0 / (MAX_TAU_POINTS - 1)
+        assert len(RunConfig(tau_stop=1.0, tau_step=step).taus()) == MAX_TAU_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            RunConfig(tau_stop=1.0, tau_step=step * 0.999)
+        with pytest.raises(ConfigError, match="more than"):
+            RunConfig(tau_stop=3.0, tau_step=1e-9)
+        with pytest.raises(ConfigError, match="more than"):
+            RunConfig(tau_start=-1e308, tau_stop=1e308, tau_step=1.0)
+
+    def test_basis_dimension_bounded(self):
+        # 12 functions x 170 nu values = 2040 fits; one nu more does not
+        RunConfig(nu_min=-85, nu_max=84)
+        with pytest.raises(ConfigError, match=str(MAX_BASIS_DIM)):
+            RunConfig(nu_min=-85, nu_max=85)
+        with pytest.raises(ConfigError, match="dimension"):
+            RunConfig(n_even=10**6)
 
 
 class TestSweepCommand:
@@ -126,6 +163,40 @@ class TestErrorPaths:
     def test_unknown_subcommand_exits_config_code(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--orientation", "axial"],
+         ["basis-dump", "--tau-max", "1"],
+         ["basis-dump", "--orientation", "tilted", "--tau-step", "7",
+          "--out", "/nonexistent"],
+         ["table", "--tau-step", "0.5"],
+         ["tesla", "--out", "x", "1.0"]],
+    )
+    def test_flags_only_where_read(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags", [["--tau-max", "inf"], ["--tau-step", "1e-9"],
+                  ["--tau-step", "nan"]],
+    )
+    def test_unrunnable_sweep_exits_config_code(self, flags, tmp_path, capsys):
+        assert main(["sweep", "--out", str(tmp_path)] + flags) == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_basis_exits_config_code(self, tmp_path, capsys):
+        ini = tmp_path / "big.ini"
+        ini.write_text("[basis]\nnu_min = -1000\nnu_max = 1000\n")
+        assert main(["basis-dump", "--config", str(ini)]) == EXIT_CONFIG
+
+    def test_complex_ground_exits_numeric_code(self, monkeypatch, capsys):
+        def refuse(h):
+            raise ComplexGroundError("ground eigenvalue has imaginary part")
+
+        monkeypatch.setattr(cli, "eigensolve_general", refuse)
+        argv = ["table", "--orientation", "in_plane", "--tau", "1"]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numerical error" in capsys.readouterr().err
+
     def test_config_file_with_overrides(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -144,3 +215,16 @@ class TestTeslaConversion:
         assert main(["tesla", "1.0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "3.79" in out or "3.80" in out
+
+
+class TestTraceTargets:
+    def test_every_traced_layer_resolves_to_a_callable(self):
+        # the benchmark wraps these names to time each layer; one that no
+        # longer resolves silently drops that layer from the trace
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.TARGETS
+        for module_name, attr, _ in spans.TARGETS:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

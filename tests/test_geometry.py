@@ -1,6 +1,15 @@
-"""Surface geometry: curvatures, the curvature potential, torus forms."""
+"""Surface geometry: torus forms and the curvature potential.
+
+The Monge formulas for a surface of revolution, kept here as an
+independent reference, cross-check the torus curvatures that the vmag
+reference in test_field rests on; TestCurvatures and
+TestGeometricPotential check the reference itself on surfaces with known
+answers.
+"""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,14 +17,70 @@ from hypothesis import given, strategies as st
 
 from torusmag.geometry import (
     DomainError,
-    SurfaceProfile,
     TorusGeometry,
-    curvatures,
-    geometric_potential_vc,
     metric_factor_f,
     torus_curvatures,
-    torus_profile,
 )
+
+
+@dataclass(frozen=True)
+class SurfaceProfile:
+    """Height S(rho) of a surface of revolution, with analytic S', S''."""
+
+    shape: Callable[[float], float]
+    d1: Callable[[float], float]
+    d2: Callable[[float], float]
+
+    @staticmethod
+    def flat() -> "SurfaceProfile":
+        return SurfaceProfile(lambda r: 0.0, lambda r: 0.0, lambda r: 0.0)
+
+    @staticmethod
+    def sphere(radius: float) -> "SurfaceProfile":
+        """Upper hemisphere, valid for 0 < rho < radius."""
+        return circle_profile(0.0, radius)
+
+
+@dataclass(frozen=True)
+class MongeCurvatures:
+    z: float
+    k1: float
+    k2: float
+    h: float
+    k: float
+
+
+def circle_profile(center: float, radius: float) -> SurfaceProfile:
+    """Upper half of the circle of the given radius centred at rho = center."""
+
+    def s(r):
+        return math.sqrt(radius * radius - (r - center) ** 2)
+
+    return SurfaceProfile(
+        s, lambda r: -(r - center) / s(r), lambda r: -(radius * radius) / s(r) ** 3
+    )
+
+
+def curvatures(profile: SurfaceProfile, rho: float) -> MongeCurvatures:
+    """k1 = -S''/Z^3 and k2 = -S'/(rho Z) with Z = sqrt(1 + S'^2)."""
+    if not rho > 0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    s1, s2 = float(profile.d1(rho)), float(profile.d2(rho))
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise DomainError(f"profile derivatives not finite at rho={rho}")
+    z = math.sqrt(1.0 + s1 * s1)
+    k1, k2 = -s2 / z**3, -s1 / (rho * z)
+    return MongeCurvatures(z=z, k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
+
+
+def geometric_potential_vc(profile: SurfaceProfile, rho: float) -> float:
+    c = curvatures(profile, rho)
+    return c.h**2 - c.k
+
+
+def torus_profile(geom: TorusGeometry) -> SurfaceProfile:
+    """Local Monge profile of the upper half of the torus."""
+    return circle_profile(geom.major_radius, geom.minor_radius)
 
 
 def catenoid_profile(c: float = 1.0) -> SurfaceProfile:

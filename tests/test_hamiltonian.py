@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
 from torusmag.geometry import TorusGeometry
-from torusmag.hamiltonian import (
-    ConfigurationError,
-    _term_table,
-    assemble,
-    matrix_element,
-)
+from torusmag.hamiltonian import ConfigurationError, _term_table, assemble
 from torusmag.solver import eigensolve
 
 
@@ -65,35 +59,28 @@ class TestBlockStructure:
         assert np.max(np.abs(h.entries[:, i])) < 1e-12
 
 
-class TestSingleElements:
-    def test_matches_assembled_entry(self, geom, basis, h_tilted):
-        field = h_tilted.toggles
-        for row, col in [(("f", 0, 0), ("f", 1, 0)),
-                         (("f", 0, 0), ("g", 1, 1)),
-                         (("g", 2, -1), ("f", 1, -2))]:
-            i, j = h_tilted.block_index[row], h_tilted.block_index[col]
-            direct = matrix_element(geom, field, basis, row, col)
-            assert direct == pytest.approx(h_tilted.entries[i, j], abs=1e-12)
+def element(h, row, col):
+    return h.entries[h.block_index[row], h.block_index[col]]
 
+
+class TestSingleElements:
     def test_centrifugal_diagonal_closed_form(self, geom, basis):
         # f0 diagonal of the azimuthal kinetic term: -nu^2 alpha^2/sqrt(1-alpha^2)
-        field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
+        h = assemble(geom, FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
         al = geom.alpha
         for nu in (-2, 1, 2):
-            value = matrix_element(geom, field, basis, ("f", 0, nu), ("f", 0, nu))
+            value = element(h, ("f", 0, nu), ("f", 0, nu))
             expected = -(nu**2) * al**2 / math.sqrt(1.0 - al**2)
             assert value.real == pytest.approx(expected, rel=1e-12)
             assert value.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_delta_nu_three_vanishes(self, geom, basis):
-        field = FieldConfig(1.0, 1.0)
-        value = matrix_element(geom, field, basis, ("f", 0, 1), ("f", 0, -2))
-        assert value == 0.0
+        h = assemble(geom, FieldConfig(1.0, 1.0), basis)
+        assert element(h, ("f", 0, 1), ("f", 0, -2)) == 0.0
 
     def test_parity_decoupling_at_axial_field(self, geom, basis):
-        field = FieldConfig(1.3, 0.0)
-        value = matrix_element(geom, field, basis, ("f", 0, 0), ("g", 1, 0))
-        assert abs(value) < 1e-13
+        h = assemble(geom, FieldConfig(1.3, 0.0), basis)
+        assert abs(element(h, ("f", 0, 0), ("g", 1, 0))) < 1e-13
 
 
 class TestToggles:
@@ -111,16 +98,6 @@ class TestToggles:
             for j, (kj, nj, nuj) in enumerate(on.labels):
                 if nui != nuj or ki != kj:
                     assert abs(diff[i, j]) < 1e-13
-
-    def test_curvature_form_equals_metric_form(self, geom, basis):
-        field = FieldConfig(0.8, 1.1)
-        a = assemble(geom, field, basis, vc_form="metric")
-        b = assemble(geom, field, basis, vc_form="curvature")
-        assert np.max(np.abs(a.entries - b.entries)) < 1e-12
-
-    def test_unknown_vc_form_rejected(self, geom, basis):
-        with pytest.raises(ConfigurationError):
-            assemble(geom, FieldConfig(0.0, 0.0), basis, vc_form="other")
 
 
 class TestSymmetries:
@@ -197,7 +174,7 @@ class TestOperatorAudit:
         assert np.max(np.abs(identity)) < 1e-12
         field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
         got = np.zeros_like(tt, dtype=complex)
-        for coeff, harm, jt, jp in _term_table(geom, field, theta, "metric"):
+        for coeff, harm, jt, jp in _term_table(geom, field, theta):
             p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
             dpsi = sp.lambdify((th, ph), psi.diff(th, jt, ph, jp), "numpy")(tt, pp)
             got += coeff[:, None] * p_phi[None, :] * dpsi
@@ -209,12 +186,3 @@ class TestInterface:
         other = TorusGeometry(500.0, 150.0)
         with pytest.raises(ConfigurationError):
             assemble(other, FieldConfig(0.0, 0.0), basis)
-
-    def test_csv_export_round_trips_entries(self, geom):
-        small = gram_schmidt_basis(geom, n_even=2, n_odd=1, nu_range=(0, 1))
-        h = assemble(geom, FieldConfig(0.5, 0.5), small)
-        lines = h.to_csv().strip().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == 1 + h.dim**2
-        i, j, re, im = lines[1].split(",")
-        assert complex(float(re), float(im)) == h.entries[int(i), int(j)]

@@ -6,6 +6,7 @@ import pytest
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import HamiltonianMatrix, assemble
 from torusmag.solver import (
+    ComplexGroundError,
     HermiticityError,
     eigensolve,
     eigensolve_general,
@@ -85,6 +86,19 @@ class TestEigensolveGeneral:
         assert s.max_imag < 1e-8
         eps0, _ = s.ground()
         assert eps0 == pytest.approx(-0.050844, abs=1e-5)
+
+    def test_refuses_complex_ground_eigenvalue(self):
+        # eigenvalues +i and -i: the ground (largest real part) is not real
+        h = toy_matrix([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ComplexGroundError, match="imaginary part 1.000e"):
+            eigensolve_general(h)
+
+    def test_complex_excited_pair_is_accepted(self):
+        # a real ground level above a conjugate pair 0 +/- 0.5i
+        h = toy_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, -0.5, 0.0]])
+        s = eigensolve_general(h)
+        assert s.ground()[0] == pytest.approx(1.0, abs=1e-12)
+        assert s.max_imag == pytest.approx(0.5, abs=1e-12)
 
 
 class TestComposition:
