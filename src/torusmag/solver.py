@@ -123,9 +123,6 @@ class StateComposition:
     terms: list[tuple[Label, complex]]
     threshold: float
 
-    def dominant(self) -> list[tuple[Label, complex]]:
-        return [(lab, amp) for lab, amp in self.terms if abs(amp) >= self.threshold]
-
     def amplitude(self, label: Label) -> complex:
         for lab, amp in self.terms:
             if lab == label:

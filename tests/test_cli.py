@@ -4,6 +4,10 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,8 @@ from torusmag.cli import (
 )
 from torusmag.solver import ComplexGroundError
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 class TestRunConfig:
@@ -208,6 +213,38 @@ class TestErrorPaths:
         assert code == EXIT_OK
         lines = (tmp_path / "sweep_axial.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # tau = 0 only, three variants
+
+
+class TestVerifyCommand:
+    def test_each_line_reports_its_margin(self, capsys):
+        # the exit code is not checked: only the printed margins are tested
+        main(["verify", "--n-theta", "16", "--n-phi", "16"])
+        lines = re.findall(
+            r"^(?:PASS|FAIL) .*\|diff\|=(\S+) tol=(\S+) margin=(\S+)$",
+            capsys.readouterr().out,
+            re.MULTILINE,
+        )
+        assert len(lines) == 9
+        for diff, tol, margin in lines:
+            # each of the three printed numbers is rounded to 3 figures
+            assert float(margin) == pytest.approx(
+                float(diff) / float(tol), rel=1.5e-2
+            )
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, torusmag.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestTeslaConversion:
