@@ -9,7 +9,7 @@ orientation.
 
 from .basis import BasisSet, ThetaFunction, gram_schmidt_basis, weighted_inner_product
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla, tesla_from_tau
-from .geometry import CurvatureData, TorusGeometry, metric_factor_f, torus_curvatures
+from .geometry import TorusGeometry, metric_factor_f
 from .hamiltonian import HamiltonianMatrix, assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
@@ -29,10 +29,8 @@ __all__ = [
     "energy_scale_mev",
     "tau_from_tesla",
     "tesla_from_tau",
-    "CurvatureData",
     "TorusGeometry",
     "metric_factor_f",
-    "torus_curvatures",
     "HamiltonianMatrix",
     "assemble",
     "GridSpec",

@@ -8,8 +8,7 @@ Each basis state carries an additional azimuthal factor exp(i nu phi)/sqrt(2 pi)
 
 Inner products of trigonometric polynomials against the weight F are exact:
 products are expanded by convolving complex Fourier coefficient arrays, and
-only the constant harmonic survives integration over a full period.  A
-periodic-trapezoid quadrature fallback is kept for cross-checking.
+only the constant harmonic survives integration over a full period.
 """
 
 from __future__ import annotations
@@ -103,15 +102,6 @@ def weighted_inner_product(
     return float(
         (2.0 * np.pi * _dc_after_product(f.fourier(), g.fourier(), weight)).real
     )
-
-
-def quadrature_inner_product(
-    geom: TorusGeometry, f: ThetaFunction, g: ThetaFunction, n: int = 256
-) -> float:
-    """Periodic-trapezoid cross-check of `weighted_inner_product`."""
-    theta = np.arange(n) * 2.0 * np.pi / n
-    w = 1.0 + geom.alpha * np.cos(theta)
-    return float(np.sum(f(theta) * g(theta) * w) * 2.0 * np.pi / n)
 
 
 @dataclass(frozen=True)

@@ -282,10 +282,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    grid = GridSpec(args.n_theta, args.n_phi)
+    if args.refine:  # refuse an oversized refinement grid before any solve
+        GridSpec(2 * args.n_theta, args.n_phi)
     cfg = _load_config(args)
     geom = cfg.geometry()
     basis = _build_basis(cfg)
-    grid = GridSpec(args.n_theta, args.n_phi)
     failures = 0
     for orientation in ("axial", "tilted", "in_plane"):
         ocfg = dataclasses.replace(cfg, orientation=orientation)

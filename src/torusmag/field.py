@@ -6,11 +6,10 @@ major radius, in units of pi*hbar/e.  Internally the natural magnetic unit
 is hbar/(e R^2), so B0 = tau0/R^2 and B1 = tau1/R^2 with hbar/e = 1; all
 spectra depend on the taus only.
 
-The Coulomb-gauge vector potential A = (1/2) B x r is decomposed along the
-surface frame (e_theta, e_phi, e_n).  Its normal component A_N is
-independent of the normal coordinate, so the curvature coupling it
-generates reduces to a pure surface function proportional to h * A_N,
-evaluated here in dimensionless form by `vmag_potential`.
+The normal component A_N of the Coulomb-gauge vector potential
+A = (1/2) B x r is independent of the normal coordinate, so the curvature
+coupling it generates reduces to a pure surface function proportional to
+h * A_N, evaluated here in dimensionless form by `vmag_potential`.
 """
 
 from __future__ import annotations
@@ -45,48 +44,6 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau0) and math.isfinite(self.tau1)):
             raise ValueError("tau0 and tau1 must be finite")
-
-
-@dataclass(frozen=True)
-class SurfaceVectorPotential:
-    """Vector potential components along (e_theta, e_phi, e_n)."""
-
-    a_theta: float
-    a_phi: float
-    a_n: float
-
-
-def field_strengths(geom: TorusGeometry, field: FieldConfig) -> tuple[float, float]:
-    """(B0, B1) in units of hbar/(e R^2) times 1/length^2."""
-    r2 = geom.major_radius**2
-    return field.tau0 / r2, field.tau1 / r2
-
-
-def vector_potential(
-    geom: TorusGeometry,
-    field: FieldConfig,
-    theta: float,
-    phi: float,
-    q: float = 0.0,
-) -> SurfaceVectorPotential:
-    """Coulomb-gauge A at a point (theta, phi, q) near the surface.
-
-    q is the signed distance along the surface normal and must satisfy
-    |q| < a.  Note d(a_n)/dq = 0: the normal component of A is constant
-    through the layer.
-    """
-    a = geom.minor_radius
-    if not abs(q) < a:
-        raise ValueError(f"|q| must be below the minor radius, got q={q}")
-    b0, b1 = field_strengths(geom, field)
-    r0 = geom.major_radius
-    # Shifted frame factors: a_q = a (1 + q/a), W_q = W (1 + q cos(theta)/W).
-    a_q = a + q
-    w_q = geom.w(theta) + q * math.cos(theta)
-    a_theta = 0.5 * b1 * math.sin(phi) * (r0 * math.cos(theta) + a_q)
-    a_phi = 0.5 * (b0 * w_q - b1 * a_q * math.sin(theta) * math.cos(phi))
-    a_n = 0.5 * b1 * r0 * math.sin(phi) * math.sin(theta)
-    return SurfaceVectorPotential(a_theta=a_theta, a_phi=a_phi, a_n=a_n)
 
 
 def vmag_potential(geom: TorusGeometry, field: FieldConfig, theta, phi):

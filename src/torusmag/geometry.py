@@ -1,4 +1,4 @@
-"""Geometry of the ring torus: metric factor and principal curvatures.
+"""Geometry of the ring torus: radii, aspect ratio and metric factor.
 
 The torus is parameterized by the poloidal angle theta and the azimuth
 phi; the unit normal e_n = cos(theta) e_rho + sin(theta) e_z points away
@@ -7,7 +7,6 @@ from the tube axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,20 +14,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """Raised when a geometric quantity is requested outside its domain."""
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    """Pointwise curvatures of the torus.
-
-    k1, k2 are the principal curvatures (1/length); h = (k1 + k2)/2 and
-    k = k1*k2 are the mean and Gaussian curvatures.
-    """
-
-    k1: float
-    k2: float
-    h: float
-    k: float
 
 
 @dataclass(frozen=True)
@@ -60,17 +45,4 @@ class TorusGeometry:
 def metric_factor_f(geom: TorusGeometry, theta):
     """Surface measure weight F(theta) = 1 + alpha cos(theta) = W/R."""
     return 1.0 + geom.alpha * np.cos(theta)
-
-
-def torus_curvatures(geom: TorusGeometry, theta: float) -> CurvatureData:
-    """Curvatures of the torus at poloidal angle theta.
-
-    k1 = 1/a (around the tube) and k2 = cos(theta)/W(theta); the normal
-    points away from the tube axis.
-    """
-    a = geom.minor_radius
-    w = float(geom.w(theta))
-    k1 = 1.0 / a
-    k2 = math.cos(theta) / w
-    return CurvatureData(k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
 

@@ -1,12 +1,11 @@
 """Brute-force reference solver on a periodic (theta, phi) grid.
 
 Independent of the basis-expansion pipeline: the surface operator is
-discretized with spectral (Fourier) differentiation matrices on a uniform
-periodic grid, after the similarity transform psi -> F^{1/2} psi that
-flattens the weighted measure.  In the transformed frame the theta kinetic
-term becomes diag(F^{-1/2}) D F D diag(F^{-1/2}), exactly symmetric for an
-antisymmetric first-derivative matrix D, and each paramagnetic coupling
-i c(theta, phi) d/dx is represented by the Hermitian product
+discretized with spectral (Fourier) differentiation on a uniform periodic
+grid, after the similarity transform psi -> F^{1/2} psi that flattens the
+weighted measure.  In the transformed frame the theta kinetic term becomes
+a plain second derivative plus a local potential, and each paramagnetic
+coupling i c(theta, phi) d/dx is represented by the Hermitian product
 (i/2)(c D + D c).  That symmetrization is not an approximation here: its
 anti-Hermitian remainder (i/2)(dc/dx) reproduces exactly the magnetic
 curvature coupling of the surface Hamiltonian, so the grid operator is the
@@ -14,7 +13,18 @@ full physical operator with both geometric potentials available.  For the
 same reason the oracle cannot represent the artificial variant that drops
 the magnetic coupling at nonzero in-plane field, and refuses it.
 
-Eigenvalues are extracted with a dense Hermitian eigenvalue-only solve.
+The phi direction is written in the column basis e^{i nu phi_j}/sqrt(n_phi)
+of the same grid, nu in FFT order.  The antiunitary map T = (complex
+conjugation) o (phi -> -phi) fixes every such vector and commutes with the
+operator, so the operator is real there: i d/dphi is -diag(nu), cos(phi)
+and sin(phi) shift nu by +-1 (mod n_phi, which is exact on the grid), and
+every term is a real theta matrix times a real nu matrix.  Inversion
+(theta, phi) -> (-theta, phi + pi) acts as theta-reflection times (-1)^nu,
+so in the theta-even and theta-odd combinations (delta_i +- delta_-i)/sqrt(2)
+the operator splits into two real symmetric blocks of half the grid size:
+sector A = (theta-even x even nu) + (theta-odd x odd nu) and sector B =
+(theta-even x odd nu) + (theta-odd x even nu).  Each block is diagonalized
+with a dense real eigenvalue-only solve.
 """
 
 from __future__ import annotations
@@ -29,6 +39,10 @@ from .geometry import TorusGeometry, metric_factor_f
 
 # bound at module scope so perfbench/spans.py can time the dense solve alone
 eigh = np.linalg.eigvalsh
+
+#: Largest number of grid points n_theta * n_phi; the default 64x32 grid
+#: and its refinement check at 128x32 fit.
+MAX_GRID_POINTS = 8192
 
 
 class AccuracyError(RuntimeError):
@@ -50,6 +64,11 @@ class GridSpec:
         for name, n in (("n_theta", self.n_theta), ("n_phi", self.n_phi)):
             if n < 16 or n % 2:
                 raise ValueError(f"{name} must be even and >= 16, got {n}")
+        if self.n_theta * self.n_phi > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid {self.n_theta}x{self.n_phi} exceeds "
+                f"{MAX_GRID_POINTS} points"
+            )
 
 
 def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
@@ -67,60 +86,103 @@ def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
     return np.real(np.fft.ifft(spec[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
 
 
-def _build_operator(
+def _theta_parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning theta-even and theta-odd grid vectors.
+
+    Even: delta_0, (delta_i + delta_{n-i})/sqrt(2) for 0 < i < n/2, and
+    delta_{n/2}; odd: (delta_i - delta_{n-i})/sqrt(2) for 0 < i < n/2.
+    """
+    i = np.arange(1, n // 2)
+    even = np.zeros((n, n // 2 + 1))
+    even[0, 0] = even[n // 2, n // 2] = 1.0
+    even[i, i] = even[n - i, i] = np.sqrt(0.5)
+    odd = np.zeros((n, n // 2 - 1))
+    odd[i, i - 1] = np.sqrt(0.5)
+    odd[n - i, i - 1] = -np.sqrt(0.5)
+    return even, odd
+
+
+def _sector_blocks(
     geom: TorusGeometry, field: FieldConfig, grid: GridSpec
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid operator as its two real symmetric inversion-sector blocks.
+
+    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
+    sector B rows (theta-even x odd nu) then (theta-odd x even nu); within
+    each part the theta index runs slowest, and nu keeps its FFT order.
+    """
     al = geom.alpha
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
     theta = np.arange(nt) * 2.0 * np.pi / nt
-    phi = np.arange(np_) * 2.0 * np.pi / np_
     f = metric_factor_f(geom, theta)
+    sin_t = np.sin(theta)
 
-    d1t = fourier_diff_matrix(nt, 1)
-    d2t = fourier_diff_matrix(nt, 2)
-    d1p = fourier_diff_matrix(np_, 1)
-    d2p = fourier_diff_matrix(np_, 2)
-    eye_t, eye_p = np.eye(nt), np.eye(np_)
+    nu = np.fft.fftfreq(np_, d=1.0 / np_)
+    nu_d1 = nu.copy()  # nu as d/dphi sees it: Nyquist zeroed
+    nu_d1[np_ // 2] = 0.0
+    n_op = np.diag(nu_d1)
+    shift_up = np.roll(np.eye(np_), 1, axis=0)  # e^{i phi}: nu -> nu + 1
+    shift_down = shift_up.T
+    cos_p = 0.5 * (shift_up + shift_down)
 
-    # theta kinetic block: the similarity transform turns the
+    # theta kinetic term: the similarity transform turns the
     # first-derivative term into the exact local potential
     # W = -F''/(2F) + F'^2/(4F^2), leaving a plain second derivative.
     # (Discretizing F^{-1/2} D F D F^{-1/2} instead would hand the Nyquist
     # mode a spurious zero kinetic eigenvalue through the odd-order D.)
-    w_t = 0.5 * al * np.cos(theta) / f + 0.25 * al**2 * np.sin(theta) ** 2 / f**2
-    kin_t = d2t + np.diag(w_t)
-    m = np.kron(kin_t, eye_p).astype(complex)
-
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    ft = 1.0 + al * np.cos(tt)
-
-    def diag_full(values: np.ndarray) -> np.ndarray:
-        return values.ravel()
-
-    # centrifugal phi term and the purely diagonal potentials
-    m += diag_full(al**2 / ft**2)[:, None] * np.kron(eye_t, d2p)
-    diag = -0.25 * t0**2 * al**2 * ft**2
-    diag = diag - 0.25 * t1**2 * al**2 * ft**2 * np.sin(pp) ** 2
-    diag = diag - 0.25 * t1**2 * al**4 * np.sin(tt) ** 2
-    diag = diag + 0.5 * t0 * t1 * al**3 * ft * np.sin(tt) * np.cos(pp)
+    pot = 0.5 * al * np.cos(theta) / f + 0.25 * al**2 * sin_t**2 / f**2
+    pot = pot - 0.25 * t0**2 * al**2 * f**2 - 0.25 * t1**2 * al**4 * sin_t**2
     if field.vc_on:
-        diag = diag + 0.25 / ft**2
-    m[np.diag_indices_from(m)] += diag_full(diag)
-
-    # axial paramagnetic term: constant coefficient, already Hermitian
-    m += 1j * t0 * al**2 * np.kron(eye_t, d1p)
-
+        pot = pot + 0.25 / f**2
+    # (theta matrix, nu matrix, flips parity): terms that flip theta parity
+    # also flip nu parity, so every term keeps the inversion sector
+    terms = [
+        (fourier_diff_matrix(nt, 2) + np.diag(pot), np.eye(np_), False),
+        # centrifugal phi term, Nyquist kept
+        (np.diag(al**2 / f**2), np.diag(-(nu**2)), False),
+        # axial paramagnetic term i tau0 alpha^2 d/dphi
+        (np.eye(nt), -t0 * al**2 * n_op, False),
+    ]
     if t1 != 0.0:
+        d1t = fourier_diff_matrix(nt, 1)
         # in-plane paramagnetic couplings as symmetrized products; the
         # symmetrization remainder is the magnetic curvature coupling
-        c_phi = diag_full(-t1 * al**3 * np.sin(tt) * np.cos(pp) / ft)
-        dphi = np.kron(eye_t, d1p)
-        m += 0.5j * (c_phi[:, None] * dphi + dphi * c_phi[None, :])
-        c_th = diag_full(al * t1 * np.sin(pp) * (al + np.cos(tt)))
-        dth = np.kron(d1t, eye_p)
-        m += 0.5j * (c_th[:, None] * dth + dth * c_th[None, :])
-    return m
+        c_th = al * t1 * (al + np.cos(theta))
+        terms += [
+            # sin^2(phi) = 1/2 - (e^{2i phi} + e^{-2i phi})/4
+            (np.diag(-0.25 * t1**2 * al**2 * f**2),
+             0.5 * np.eye(np_) - 0.25 * (shift_up @ shift_up + shift_down @ shift_down),
+             False),
+            # tilted cross term of |A|^2, proportional to cos(phi)
+            (np.diag(0.5 * t0 * t1 * al**3 * f * sin_t), cos_p, True),
+            # c_phi = -tau1 alpha^3 sin(theta) cos(phi)/F
+            (np.diag(-t1 * al**3 * sin_t / f),
+             -0.5 * (cos_p @ n_op + n_op @ cos_p),
+             True),
+            # c_theta = c_th(theta) sin(phi), sin(phi) = (S+ - S-)/(2i)
+            (0.25 * (c_th[:, None] * d1t + d1t * c_th[None, :]),
+             shift_up - shift_down, True),
+        ]
+
+    q_even, q_odd = _theta_parity_bases(nt)
+    half = np_ // 2
+    even_nu, odd_nu = slice(0, None, 2), slice(1, None, 2)
+    blocks = []
+    for first, second in ((even_nu, odd_nu), (odd_nu, even_nu)):
+        parts = ((q_even, first), (q_odd, second))
+        rows = []
+        for i, (qa, sa) in enumerate(parts):
+            row = []
+            for j, (qb, sb) in enumerate(parts):
+                quad = np.zeros((qa.shape[1] * half, qb.shape[1] * half))
+                for a, b, flips in terms:
+                    if flips == (i != j):
+                        quad += np.kron(qa.T @ a @ qb, b[sa, sb])
+                row.append(quad)
+            rows.append(row)
+        blocks.append(np.block(rows))
+    return blocks[0], blocks[1]
 
 
 def grid_solve(
@@ -142,9 +204,8 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
-    # the operator is Hermitian to rounding, so eigvalsh can read its lower
-    # triangle as it is, without a symmetrized copy
-    w = eigh(_build_operator(geom, field, grid))[::-1]
+    blocks = _sector_blocks(geom, field, grid)
+    w = np.sort(np.concatenate([eigh(b) for b in blocks]))[::-1]
     if refine:
         fine = grid_solve(geom, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine[0] - w[0])

@@ -10,10 +10,18 @@ from torusmag.basis import (
     BasisSet,
     ThetaFunction,
     gram_schmidt_basis,
-    quadrature_inner_product,
     weighted_inner_product,
 )
 from torusmag.geometry import TorusGeometry
+
+
+def quadrature_inner_product(
+    geom: TorusGeometry, f: ThetaFunction, g: ThetaFunction, n: int = 256
+) -> float:
+    """Periodic-trapezoid cross-check of `weighted_inner_product`."""
+    theta = np.arange(n) * 2.0 * np.pi / n
+    w = 1.0 + geom.alpha * np.cos(theta)
+    return float(np.sum(f(theta) * g(theta) * w) * 2.0 * np.pi / n)
 
 
 class TestThetaFunction:

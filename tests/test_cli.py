@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from torusmag import cli
+from torusmag import cli, oracle
 from torusmag.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -216,6 +216,23 @@ class TestErrorPaths:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n-theta", "4096", "--n-phi", "4096"],
+            # 128x64 fits, but its refinement grid 256x64 does not
+            ["--n-theta", "128", "--n-phi", "64", "--refine"],
+        ],
+    )
+    def test_oversized_grid_exits_before_building(self, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("built something for an oversized grid")
+
+        monkeypatch.setattr(cli, "gram_schmidt_basis", never)
+        monkeypatch.setattr(oracle, "_sector_blocks", never)
+        assert main(["verify", *argv]) == EXIT_CONFIG
+        assert "8192" in capsys.readouterr().err
+
     def test_each_line_reports_its_margin(self, capsys):
         # the exit code is not checked: only the printed margins are tested
         main(["verify", "--n-theta", "16", "--n-phi", "16"])

@@ -1,20 +1,68 @@
-"""Vector potential frame decomposition and the magnetic surface coupling."""
+"""Vector potential frame decomposition and the magnetic surface coupling.
+
+`vector_potential` below decomposes A = (1/2) B x r along the surface
+frame; checked against the Cartesian cross product, it is the reference
+for `vmag_potential` = 2 a^2 h A_N, with h from test_geometry's
+`torus_curvatures`.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from test_geometry import torus_curvatures
 from torusmag.field import (
     FieldConfig,
     energy_scale_mev,
-    field_strengths,
     tau_from_tesla,
     tesla_from_tau,
-    vector_potential,
     vmag_potential,
 )
-from torusmag.geometry import TorusGeometry, metric_factor_f, torus_curvatures
+from torusmag.geometry import TorusGeometry, metric_factor_f
+
+
+@dataclass(frozen=True)
+class SurfaceVectorPotential:
+    """Vector potential components along (e_theta, e_phi, e_n)."""
+
+    a_theta: float
+    a_phi: float
+    a_n: float
+
+
+def field_strengths(geom: TorusGeometry, field: FieldConfig) -> tuple[float, float]:
+    """(B0, B1) in units of hbar/(e R^2) times 1/length^2."""
+    r2 = geom.major_radius**2
+    return field.tau0 / r2, field.tau1 / r2
+
+
+def vector_potential(
+    geom: TorusGeometry,
+    field: FieldConfig,
+    theta: float,
+    phi: float,
+    q: float = 0.0,
+) -> SurfaceVectorPotential:
+    """Coulomb-gauge A at a point (theta, phi, q) near the surface.
+
+    q is the signed distance along the surface normal and must satisfy
+    |q| < a.  Note d(a_n)/dq = 0: the normal component of A is constant
+    through the layer.
+    """
+    a = geom.minor_radius
+    if not abs(q) < a:
+        raise ValueError(f"|q| must be below the minor radius, got q={q}")
+    b0, b1 = field_strengths(geom, field)
+    r0 = geom.major_radius
+    # Shifted frame factors: a_q = a (1 + q/a), W_q = W (1 + q cos(theta)/W).
+    a_q = a + q
+    w_q = geom.w(theta) + q * math.cos(theta)
+    a_theta = 0.5 * b1 * math.sin(phi) * (r0 * math.cos(theta) + a_q)
+    a_phi = 0.5 * (b0 * w_q - b1 * a_q * math.sin(theta) * math.cos(phi))
+    a_n = 0.5 * b1 * r0 * math.sin(phi) * math.sin(theta)
+    return SurfaceVectorPotential(a_theta=a_theta, a_phi=a_phi, a_n=a_n)
 
 
 def cartesian_point(geom, theta, phi, q=0.0):

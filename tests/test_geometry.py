@@ -1,10 +1,10 @@
 """Surface geometry: torus forms and the curvature potential.
 
-The Monge formulas for a surface of revolution, kept here as an
-independent reference, cross-check the torus curvatures that the vmag
-reference in test_field rests on; TestCurvatures and
-TestGeometricPotential check the reference itself on surfaces with known
-answers.
+`torus_curvatures` below gives the torus curvatures in closed form; the
+vmag reference in test_field rests on it.  The Monge formulas for a
+surface of revolution, kept here as an independent reference, cross-check
+it; TestCurvatures and TestGeometricPotential check the Monge reference
+itself on surfaces with known answers.
 """
 
 import math
@@ -15,12 +15,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusmag.geometry import (
-    DomainError,
-    TorusGeometry,
-    metric_factor_f,
-    torus_curvatures,
-)
+from torusmag.geometry import DomainError, TorusGeometry, metric_factor_f
+
+
+@dataclass(frozen=True)
+class CurvatureData:
+    """Pointwise curvatures of the torus.
+
+    k1, k2 are the principal curvatures (1/length); h = (k1 + k2)/2 and
+    k = k1*k2 are the mean and Gaussian curvatures.
+    """
+
+    k1: float
+    k2: float
+    h: float
+    k: float
+
+
+def torus_curvatures(geom: TorusGeometry, theta: float) -> CurvatureData:
+    """Curvatures of the torus at poloidal angle theta.
+
+    k1 = 1/a (around the tube) and k2 = cos(theta)/W(theta); the normal
+    points away from the tube axis.
+    """
+    a = geom.minor_radius
+    w = float(geom.w(theta))
+    k1 = 1.0 / a
+    k2 = math.cos(theta) / w
+    return CurvatureData(k1=k1, k2=k2, h=0.5 * (k1 + k2), k=k1 * k2)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,100 @@
-"""Spectral grid discretization cross-validating the basis pipeline."""
+"""Spectral grid discretization cross-validating the basis pipeline.
+
+`_build_operator` below is the oracle's operator as a dense complex matrix
+on the (theta, phi) grid, with every coupling written on the grid points.
+It is the reference the program's real inversion-sector blocks are checked
+against: the exact symmetries are tested on it, and the blocks must
+reproduce its spectrum.
+"""
 
 import numpy as np
 import pytest
 
 from torusmag.field import FieldConfig
-from torusmag.geometry import metric_factor_f
+from torusmag.geometry import TorusGeometry, metric_factor_f
 from torusmag.hamiltonian import assemble
 from torusmag.oracle import (
     AccuracyError,
     GridSpec,
     UnsupportedVariantError,
-    _build_operator,
+    _sector_blocks,
     fourier_diff_matrix,
     grid_solve,
 )
 from torusmag.solver import eigensolve
+
+
+def _build_operator(
+    geom: TorusGeometry, field: FieldConfig, grid: GridSpec
+) -> np.ndarray:
+    """Dense complex grid operator, point (i, j) at row i * n_phi + j."""
+    al = geom.alpha
+    t0, t1 = field.tau0, field.tau1
+    nt, np_ = grid.n_theta, grid.n_phi
+    theta = np.arange(nt) * 2.0 * np.pi / nt
+    phi = np.arange(np_) * 2.0 * np.pi / np_
+    f = metric_factor_f(geom, theta)
+
+    d1t = fourier_diff_matrix(nt, 1)
+    d2t = fourier_diff_matrix(nt, 2)
+    d1p = fourier_diff_matrix(np_, 1)
+    d2p = fourier_diff_matrix(np_, 2)
+    eye_t, eye_p = np.eye(nt), np.eye(np_)
+
+    # theta kinetic block after the similarity transform psi -> F^{1/2} psi
+    w_t = 0.5 * al * np.cos(theta) / f + 0.25 * al**2 * np.sin(theta) ** 2 / f**2
+    kin_t = d2t + np.diag(w_t)
+    m = np.kron(kin_t, eye_p).astype(complex)
+
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    ft = 1.0 + al * np.cos(tt)
+
+    # centrifugal phi term and the purely diagonal potentials
+    m += (al**2 / ft**2).ravel()[:, None] * np.kron(eye_t, d2p)
+    diag = -0.25 * t0**2 * al**2 * ft**2
+    diag = diag - 0.25 * t1**2 * al**2 * ft**2 * np.sin(pp) ** 2
+    diag = diag - 0.25 * t1**2 * al**4 * np.sin(tt) ** 2
+    diag = diag + 0.5 * t0 * t1 * al**3 * ft * np.sin(tt) * np.cos(pp)
+    if field.vc_on:
+        diag = diag + 0.25 / ft**2
+    m[np.diag_indices_from(m)] += diag.ravel()
+
+    # axial paramagnetic term: constant coefficient, already Hermitian
+    m += 1j * t0 * al**2 * np.kron(eye_t, d1p)
+
+    if t1 != 0.0:
+        # in-plane paramagnetic couplings as symmetrized products
+        c_phi = (-t1 * al**3 * np.sin(tt) * np.cos(pp) / ft).ravel()
+        dphi = np.kron(eye_t, d1p)
+        m += 0.5j * (c_phi[:, None] * dphi + dphi * c_phi[None, :])
+        c_th = (al * t1 * np.sin(pp) * (al + np.cos(tt))).ravel()
+        dth = np.kron(d1t, eye_p)
+        m += 0.5j * (c_th[:, None] * dth + dth * c_th[None, :])
+    return m
+
+
+def sector_rows(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(theta key, nu) of every row of the sector A and sector B blocks.
+
+    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
+    sector B rows (theta-even x odd nu) then (theta-odd x even nu); the
+    theta index runs slowest and nu keeps its FFT order.  Theta keys number
+    the even combinations 0..n_theta/2 and the odd ones after them.
+    """
+    nu = np.fft.fftfreq(grid.n_phi, d=1.0 / grid.n_phi).astype(int)
+    n_even, n_odd = grid.n_theta // 2 + 1, grid.n_theta // 2 - 1
+    key = np.concatenate([
+        np.repeat(np.arange(n_even), grid.n_phi // 2),
+        np.repeat(n_even + np.arange(n_odd), grid.n_phi // 2),
+    ])
+    even, odd = nu[0::2], nu[1::2]
+    return [
+        (key, np.concatenate([np.tile(even, n_even), np.tile(odd, n_odd)])),
+        (key, np.concatenate([np.tile(odd, n_even), np.tile(even, n_odd)])),
+    ]
+
+
+GRID = GridSpec(32, 16)
 
 
 class TestGridSpec:
@@ -29,6 +109,16 @@ class TestGridSpec:
     def test_default_is_valid(self):
         grid = GridSpec()
         assert grid.n_theta == 64 and grid.n_phi == 32
+
+    def test_grid_size_is_bounded(self):
+        # the refinement grid of the default, 128x32, fits the bound; the
+        # check runs at construction, before anything is allocated
+        assert GridSpec(128, 32).n_theta == 128
+        assert GridSpec(128, 64).n_phi == 64
+        with pytest.raises(ValueError, match="8192"):
+            GridSpec(256, 64)
+        with pytest.raises(ValueError, match="8192"):
+            GridSpec(4096, 4096)
 
 
 class TestDifferentiationMatrices:
@@ -128,3 +218,63 @@ class TestGridSolve:
         eps = grid_solve(geom, field, GridSpec(64, 16), refine=True)
         assert eps.shape == (64 * 16,)
         assert eps[0] == np.max(eps)
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FieldConfig(1.3, 0.7),
+            FieldConfig(0.0, 2.0, vc_on=False),
+            FieldConfig(2.0, 0.0),
+            FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
+        ],
+    )
+    def test_joined_spectra_match_dense_reference(self, geom, field):
+        blocks = _sector_blocks(geom, field, GRID)
+        joined = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        reference = np.linalg.eigvalsh(_build_operator(geom, field, GRID))
+        assert np.max(np.abs(joined - reference)) < 1e-10
+
+    def test_blocks_are_real_symmetric(self, geom):
+        for block in _sector_blocks(geom, FieldConfig(1.3, 0.7), GRID):
+            assert block.dtype == np.float64
+            assert np.max(np.abs(block - block.T)) < 1e-12
+
+    @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)])
+    def test_field_reversal_relabels_nu(self, geom, tau0, tau1):
+        # reversing the field maps nu -> -nu (Nyquist fixed) and nothing else
+        blocks = _sector_blocks(geom, FieldConfig(tau0, tau1), GRID)
+        reversed_ = _sector_blocks(geom, FieldConfig(-tau0, -tau1), GRID)
+        for block, block_rev, (key, nu) in zip(blocks, reversed_, sector_rows(GRID)):
+            nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
+            row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
+            perm = np.array([row[k, n] for k, n in zip(key, nu_rev)])
+            assert np.max(np.abs(block_rev[np.ix_(perm, perm)] - block)) == 0.0
+            assert np.max(np.abs(block_rev - block)) > 0.1
+
+    def test_axial_field_conserves_nu(self, geom):
+        # largest entry between rows of different nu, over both blocks
+        def cross_nu(field):
+            blocks = _sector_blocks(geom, field, GRID)
+            return max(
+                np.max(np.abs(block[nu[:, None] != nu[None, :]]))
+                for block, (_, nu) in zip(blocks, sector_rows(GRID))
+            )
+
+        assert cross_nu(FieldConfig(2.0, 0.0)) == 0.0
+        assert cross_nu(FieldConfig(0.0, 2.0)) > 0.1
+
+    def test_free_particle_sector_a_annihilates_flat_state(self, geom):
+        # sqrt(F) at nu = 0 is theta-even, so it lies in sector A; its
+        # coordinates on the even combinations carry sqrt(2) off the ends
+        field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
+        block_a, _ = _sector_blocks(geom, field, GRID)
+        half = GRID.n_theta // 2
+        theta = np.arange(half + 1) * 2.0 * np.pi / GRID.n_theta
+        coords = np.sqrt(metric_factor_f(geom, theta))
+        coords[1:half] *= np.sqrt(2.0)
+        key, nu = sector_rows(GRID)[0]
+        flat = np.zeros(block_a.shape[0])
+        flat[(key <= half) & (nu == 0)] = coords
+        assert np.linalg.norm(block_a @ flat) / np.linalg.norm(flat) < 1e-6
