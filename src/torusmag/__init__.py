@@ -7,8 +7,8 @@ surface-normal vector-potential component, for fields of arbitrary
 orientation.
 """
 
-from .basis import BasisSet, ThetaFunction, gram_schmidt_basis, weighted_inner_product
-from .field import FieldConfig, energy_scale_mev, tau_from_tesla, tesla_from_tau
+from .basis import BasisSet, gram_schmidt_basis
+from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .geometry import TorusGeometry, metric_factor_f
 from .hamiltonian import HamiltonianMatrix, assemble
 from .oracle import GridSpec, grid_solve
@@ -22,13 +22,10 @@ from .solver import (
 
 __all__ = [
     "BasisSet",
-    "ThetaFunction",
     "gram_schmidt_basis",
-    "weighted_inner_product",
     "FieldConfig",
     "energy_scale_mev",
     "tau_from_tesla",
-    "tesla_from_tau",
     "TorusGeometry",
     "metric_factor_f",
     "HamiltonianMatrix",

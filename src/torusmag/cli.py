@@ -61,7 +61,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full description of a run; serializable to INI and back."""
+    """Full description of a run; read from INI by `parse_config`."""
 
     major_radius: float = 500.0
     alpha: float = 0.5
@@ -118,35 +118,6 @@ class RunConfig:
         if self.orientation == "in_plane":
             return 0.0, tau
         return tau * math.sin(self.tilt_angle), tau * math.cos(self.tilt_angle)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    parser = configparser.ConfigParser()
-    parser["geometry"] = {
-        "major_radius": repr(cfg.major_radius),
-        "alpha": repr(cfg.alpha),
-    }
-    parser["field"] = {
-        "orientation": cfg.orientation,
-        "tilt_angle": repr(cfg.tilt_angle),
-    }
-    parser["basis"] = {
-        "n_even": str(cfg.n_even),
-        "n_odd": str(cfg.n_odd),
-        "nu_min": str(cfg.nu_min),
-        "nu_max": str(cfg.nu_max),
-    }
-    parser["sweep"] = {
-        "tau_start": repr(cfg.tau_start),
-        "tau_stop": repr(cfg.tau_stop),
-        "tau_step": repr(cfg.tau_step),
-    }
-    parser["output"] = {"out_dir": cfg.out_dir}
-    import io
-
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 def parse_config(text: str) -> RunConfig:

@@ -9,7 +9,7 @@ spectra depend on the taus only.
 The normal component A_N of the Coulomb-gauge vector potential
 A = (1/2) B x r is independent of the normal coordinate, so the curvature
 coupling it generates reduces to a pure surface function proportional to
-h * A_N, evaluated here in dimensionless form by `vmag_potential`.
+h * A_N; `hamiltonian` writes it in dimensionless form.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import TorusGeometry, metric_factor_f
+from .geometry import TorusGeometry
 
 # CODATA 2022 values in SI units (e and h are exact by definition)
 E_CHARGE = 1.602176634e-19
@@ -46,34 +44,12 @@ class FieldConfig:
             raise ValueError("tau0 and tau1 must be finite")
 
 
-def vmag_potential(geom: TorusGeometry, field: FieldConfig, theta, phi):
-    """Dimensionless magnitude of the magnetic curvature coupling.
-
-    Equal to (alpha tau1 / 2) sin(theta) sin(phi) (1 + 2 alpha cos(theta))/F,
-    which is 2 a^2 (e/hbar) times h(theta) * A_N(theta, phi).  The value is
-    real; the imaginary unit it carries in the Hamiltonian is applied at
-    assembly time.
-    """
-    alpha = geom.alpha
-    f = metric_factor_f(geom, theta)
-    return (
-        0.5 * alpha * field.tau1
-        * np.sin(theta) * np.sin(phi)
-        * (1.0 + 2.0 * alpha * np.cos(theta)) / f
-    )
-
-
 def tau_from_tesla(b_tesla: float, major_radius_m: float) -> float:
     """Dimensionless flux tau = e R^2 B / hbar for a field in tesla.
 
     For R = 500 angstrom this gives tau ~ 3.80 per tesla.
     """
     return E_CHARGE * major_radius_m**2 * b_tesla / HBAR
-
-
-def tesla_from_tau(tau: float, major_radius_m: float) -> float:
-    """Inverse of `tau_from_tesla`."""
-    return tau * HBAR / (E_CHARGE * major_radius_m**2)
 
 
 def energy_scale_mev(geom: TorusGeometry, length_unit_m: float = 1e-10) -> float:

@@ -15,7 +15,9 @@ Matrix elements are taken as <chi_row | H chi_col> over the measure
 F(theta) dtheta dphi without symmetrization; the weight itself supplies the
 integration by parts that makes the first-derivative kinetic term
 self-adjoint.  The magnetic curvature coupling enters as -i times the real
-potential from `field.vmag_potential`.  With that sign the term exactly
+potential (alpha tau1 / 2) sin(theta) sin(phi) (1 + 2 alpha cos(theta))/F,
+which is 2 a^2 (e/hbar) h A_N for the mean curvature h and the normal
+component A_N of the vector potential.  With that sign the term exactly
 cancels the anti-self-adjoint residue of the paramagnetic in-plane
 couplings, so the assembled matrix is Hermitian to machine precision; with
 the opposite sign it is not.  Dropping the term (vmag_on=False) while
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, Label
-from .field import FieldConfig, vmag_potential
+from .field import FieldConfig
 from .geometry import TorusGeometry, metric_factor_f
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
@@ -90,7 +92,7 @@ def _term_table(
         terms.append((0.25 / f**2 + 0j, _ONE, 0, 0))
     if field.vmag_on:
         # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
-        vmag = vmag_potential(geom, field, theta, np.pi / 2)
+        vmag = 0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f
         terms.append((-1j * vmag, _SIN, 0, 0))
     return terms
 
@@ -112,18 +114,12 @@ def assemble(
         )
     theta = np.arange(n_quad) * 2.0 * np.pi / n_quad
     f = metric_factor_f(geom, theta)
-    funcs = list(basis.even_funcs) + list(basis.odd_funcs)
-    nb = len(funcs)
-    vals = np.array([u(theta) for u in funcs])
-    deriv = {
-        0: vals,
-        1: np.array([u.derivative(theta, 1) for u in funcs]),
-        2: np.array([u.derivative(theta, 2) for u in funcs]),
-    }
+    deriv = [basis.values(theta, j) for j in range(3)]
+    vals = deriv[0]
 
     nus = basis.nus
     nnu = len(nus)
-    dim = nb * nnu
+    dim = len(vals) * nnu
     h = np.zeros((dim, dim), dtype=complex)
     dtheta = 2.0 * np.pi / n_quad
     for coeff, harm, jt, jp in _term_table(geom, field, theta):

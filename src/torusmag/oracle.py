@@ -44,6 +44,9 @@ eigh = np.linalg.eigvalsh
 #: and its refinement check at 128x32 fit.
 MAX_GRID_POINTS = 8192
 
+#: Largest move of the ground eigenvalue that the refine check accepts.
+REFINE_TOL = 1e-4
+
 
 class AccuracyError(RuntimeError):
     """Grid refinement moved the ground eigenvalue by more than allowed."""
@@ -190,13 +193,12 @@ def grid_solve(
     field: FieldConfig,
     grid: GridSpec = GridSpec(),
     refine: bool = False,
-    refine_tol: float = 1e-4,
 ) -> np.ndarray:
     """Raw eigenvalues of the grid operator, ground state (largest) first.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
-    more than refine_tol.
+    more than REFINE_TOL.
     """
     if not field.vmag_on and field.tau1 != 0.0:
         raise UnsupportedVariantError(
@@ -209,7 +211,7 @@ def grid_solve(
     if refine:
         fine = grid_solve(geom, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine[0] - w[0])
-        if delta > refine_tol:
+        if delta > REFINE_TOL:
             raise AccuracyError(
                 f"ground eigenvalue moved by {delta:.3e} on refinement "
                 f"({w[0]:.8f} at n_theta={grid.n_theta} vs "

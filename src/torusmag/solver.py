@@ -30,6 +30,12 @@ from .hamiltonian import HamiltonianMatrix
 #: Largest |imag| accepted for the ground eigenvalue of a general solve.
 GROUND_IMAG_TOL = 1e-8
 
+#: Largest max|H - H^dagger| that `eigensolve` accepts.
+HERMITICITY_TOL = 1e-8
+
+#: Smallest amplitude magnitude shown by the composition display methods.
+DISPLAY_THRESHOLD = 0.09
+
 
 class HermiticityError(RuntimeError):
     """The matrix handed to the Hermitian solver is not Hermitian."""
@@ -71,18 +77,18 @@ def _order_deterministically(
     return w[order], v[:, order]
 
 
-def eigensolve(h: HamiltonianMatrix, tol: float = 1e-8) -> SpectrumResult:
+def eigensolve(h: HamiltonianMatrix) -> SpectrumResult:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Raises HermiticityError (with the measured defect) when the matrix is
-    not Hermitian within tol, instead of silently symmetrizing.
+    not Hermitian within HERMITICITY_TOL, instead of silently symmetrizing.
     """
     defect = h.hermiticity_defect()
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise HermiticityError(
             f"matrix is not Hermitian: max|H - H^dagger| = {defect:.3e} "
-            f"exceeds {tol:.1e}; for the curvature-coupling-off variant at "
-            "tau1 != 0 use eigensolve_general"
+            f"exceeds {HERMITICITY_TOL:.1e}; for the curvature-coupling-off "
+            "variant at tau1 != 0 use eigensolve_general"
         )
     w, v = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
     w, v = _order_deterministically(w, v)
@@ -116,12 +122,11 @@ def eigensolve_general(h: HamiltonianMatrix) -> SpectrumResult:
 class StateComposition:
     """Eigenvector amplitudes per basis label, largest magnitude first.
 
-    terms keeps every amplitude; display functions apply the threshold.
+    terms keeps every amplitude; display methods apply DISPLAY_THRESHOLD.
     The global phase is fixed so the largest amplitude is real positive.
     """
 
     terms: list[tuple[Label, complex]]
-    threshold: float
 
     def amplitude(self, label: Label) -> complex:
         for lab, amp in self.terms:
@@ -157,7 +162,7 @@ class StateComposition:
             c_+ e^{im phi} + c_- e^{-im phi}
                 = (c_+ + c_-) cos(m phi) + (c_+ - c_-) i sin(m phi).
 
-        Rows with magnitude below the display threshold are dropped.
+        Rows with magnitude below DISPLAY_THRESHOLD are dropped.
         """
         amps: dict[tuple[str, int, int], complex] = {}
         for (kind, n, nu), amp in self.terms:
@@ -177,7 +182,7 @@ class StateComposition:
                 cm = amps.get((kind, n, -m), 0.0)
                 rows.append((kind, n, m, cp + cm))  # cos(m phi) coefficient
                 rows.append((kind, n, -m, cp - cm))  # i sin(m phi) coefficient
-        rows = [r for r in rows if abs(r[3]) >= self.threshold]
+        rows = [r for r in rows if abs(r[3]) >= DISPLAY_THRESHOLD]
         rows.sort(key=lambda r: -abs(r[3]))
         return rows
 
@@ -197,20 +202,16 @@ class StateComposition:
         return "  ".join(parts) if parts else "(no terms above threshold)"
 
 
-def state_composition(
-    s: SpectrumResult, index: int, threshold: float = 0.09
-) -> StateComposition:
+def state_composition(s: SpectrumResult, index: int) -> StateComposition:
     vec = s.eigenvectors[:, index].copy()
     top = int(np.argmax(np.abs(vec)))
     phase = vec[top] / abs(vec[top])
     vec = vec / phase
     order = np.argsort(-np.abs(vec), kind="stable")
     terms = [(s.labels[i], complex(vec[i])) for i in order]
-    return StateComposition(terms=terms, threshold=threshold)
+    return StateComposition(terms=terms)
 
 
-def ground_state_composition(
-    s: SpectrumResult, threshold: float = 0.09
-) -> StateComposition:
+def ground_state_composition(s: SpectrumResult) -> StateComposition:
     """Composition of the physical ground state (maximal raw eps)."""
-    return state_composition(s, s.ground_index(), threshold)
+    return state_composition(s, s.ground_index())

@@ -82,9 +82,9 @@ def points(geom, basis):
 
 class TestCriterion1BasisRegression:
     def test_printed_values_within_2e3(self, basis):
-        f0 = basis.even_funcs[0].coeffs
-        f1 = basis.even_funcs[1].coeffs
-        g1 = basis.odd_funcs[0].coeffs
+        f0 = basis.even[0]
+        f1 = basis.even[1]
+        g1 = basis.odd[0]
         assert f0[0] == pytest.approx(0.3987, abs=2e-3)
         assert f1[1] == pytest.approx(0.6031, abs=2e-3)
         assert f1[0] == pytest.approx(-0.1508, abs=2e-3)
@@ -92,14 +92,14 @@ class TestCriterion1BasisRegression:
 
     def test_closed_forms_within_1e10(self, basis):
         scale = 1.0 / math.sqrt(0.875 * math.pi)
-        assert basis.even_funcs[0].coeffs[0] == pytest.approx(
+        assert basis.even[0, 0] == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-10
         )
-        assert basis.even_funcs[1].coeffs[1] == pytest.approx(scale, abs=1e-10)
-        assert basis.even_funcs[1].coeffs[0] == pytest.approx(
+        assert basis.even[1, 1] == pytest.approx(scale, abs=1e-10)
+        assert basis.even[1, 0] == pytest.approx(
             -0.25 * scale, abs=1e-10
         )
-        assert basis.odd_funcs[0].coeffs[0] == pytest.approx(
+        assert basis.odd[0, 0] == pytest.approx(
             1.0 / math.sqrt(math.pi), abs=1e-10
         )
 
@@ -288,13 +288,10 @@ class TestCriterion6Properties:
         assert h.hermiticity_defect() < 1e-10
 
     def test_basis_orthonormality(self, geom, basis):
-        from torusmag.basis import weighted_inner_product
+        from test_basis import basis_gram
 
-        funcs = list(basis.even_funcs) + list(basis.odd_funcs)
-        gram = np.array(
-            [[weighted_inner_product(geom, u, v) for v in funcs] for u in funcs]
-        )
-        assert np.max(np.abs(gram - np.eye(len(funcs)))) < 1e-10
+        gram = basis_gram(geom, basis)
+        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
 
     def test_block_decoupling_at_axial_field(self, geom, basis):
         h = assemble(geom, FieldConfig(1.5, 0.0), basis)

@@ -1,129 +1,137 @@
 """Weighted Gram-Schmidt basis construction and inner products."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmag.basis import (
-    BasisSet,
-    ThetaFunction,
-    gram_schmidt_basis,
-    weighted_inner_product,
-)
+from torusmag.basis import BasisSet, _primitive_gram, gram_schmidt_basis
 from torusmag.geometry import TorusGeometry
 
 
 def quadrature_inner_product(
-    geom: TorusGeometry, f: ThetaFunction, g: ThetaFunction, n: int = 256
-) -> float:
-    """Periodic-trapezoid cross-check of `weighted_inner_product`."""
+    geom: TorusGeometry, f, g, n: int = 256
+) -> np.ndarray:
+    """Periodic-trapezoid integral of f * g * F over one period of theta.
+
+    f and g map theta samples to an array whose last axis is theta; a
+    stack of functions gives the matrix of all pairwise products.
+    """
     theta = np.arange(n) * 2.0 * np.pi / n
     w = 1.0 + geom.alpha * np.cos(theta)
-    return float(np.sum(f(theta) * g(theta) * w) * 2.0 * np.pi / n)
+    return (f(theta) * w) @ g(theta).T * 2.0 * np.pi / n
+
+
+def primitives(alpha: float, count: int) -> BasisSet:
+    """The unorthogonalized primitives cos(k theta) and sin((k+1) theta)."""
+    return BasisSet(np.eye(count), np.eye(count), (0, 0), alpha)
+
+
+def basis_gram(geom: TorusGeometry, basis: BasisSet) -> np.ndarray:
+    def vals(theta):
+        return basis.values(theta, 0)
+
+    return quadrature_inner_product(geom, vals, vals)
 
 
 class TestThetaFunction:
     def test_even_evaluation(self):
-        f = ThetaFunction("even", [1.0, 2.0])
+        f = BasisSet(np.array([[1.0, 2.0]]), np.zeros((0, 0)), (0, 0), 0.5)
         theta = np.array([0.0, math.pi / 2.0, math.pi])
-        assert np.allclose(f(theta), [3.0, 1.0, -1.0])
+        assert np.allclose(f.values(theta, 0)[0], [3.0, 1.0, -1.0])
 
     def test_odd_evaluation(self):
-        g = ThetaFunction("odd", [1.0, 0.5])  # sin(theta) + 0.5 sin(2 theta)
-        assert g(math.pi / 2.0) == pytest.approx(1.0)
-        assert g(math.pi / 4.0) == pytest.approx(math.sin(math.pi / 4.0) + 0.5)
+        # sin(theta) + 0.5 sin(2 theta) as the first odd row
+        g = BasisSet(np.eye(1), np.array([[1.0, 0.5]]), (0, 0), 0.5)
+        vals = g.values(np.array([math.pi / 2.0, math.pi / 4.0]), 0)[1]
+        assert vals[0] == pytest.approx(1.0)
+        assert vals[1] == pytest.approx(math.sin(math.pi / 4.0) + 0.5)
 
     def test_derivatives_match_finite_differences(self):
-        f = ThetaFunction("even", [0.3, -1.1, 0.7])
-        g = ThetaFunction("odd", [0.9, 0.2, -0.4])
+        fg = BasisSet(
+            np.array([[0.3, -1.1, 0.7]]), np.array([[0.9, 0.2, -0.4]]), (0, 0), 0.5
+        )
         eps = 1e-6
-        for fn in (f, g):
-            for theta in (0.3, 1.8, 4.2):
-                fd1 = (fn(theta + eps) - fn(theta - eps)) / (2.0 * eps)
-                fd2 = (fn(theta + eps) - 2.0 * fn(theta) + fn(theta - eps)) / eps**2
-                assert fn.derivative(theta, 1) == pytest.approx(fd1, abs=1e-7)
-                assert fn.derivative(theta, 2) == pytest.approx(fd2, abs=1e-3)
-
-    def test_rejects_bad_parity(self):
-        with pytest.raises(ValueError):
-            ThetaFunction("mixed", [1.0])
+        theta = np.array([0.3, 1.8, 4.2])
+        lo, mid, hi = (fg.values(theta + d, 0) for d in (-eps, 0.0, eps))
+        fd1 = (hi - lo) / (2.0 * eps)
+        fd2 = (hi - 2.0 * mid + lo) / eps**2
+        assert np.max(np.abs(fg.values(theta, 1) - fd1)) < 1e-7
+        assert np.max(np.abs(fg.values(theta, 2) - fd2)) < 1e-3
 
 
 class TestInnerProduct:
-    def test_cos_against_one(self, geom):
-        one = ThetaFunction("even", [1.0])
-        cos = ThetaFunction("even", [0.0, 1.0])
-        assert weighted_inner_product(geom, cos, one) == pytest.approx(
+    def test_cos_against_one(self):
+        # 1 and cos(theta) against F = 1 + alpha cos(theta): pi alpha
+        assert _primitive_gram(0.5, False, 2)[0, 1] == pytest.approx(
             math.pi / 2.0, rel=1e-14
         )
 
-    def test_symmetry(self, geom):
-        f = ThetaFunction("even", [0.2, 0.7, -0.3])
-        g = ThetaFunction("even", [1.0, -0.4])
-        assert weighted_inner_product(geom, f, g) == weighted_inner_product(
-            geom, g, f
-        )
+    def test_symmetry(self):
+        for odd in (False, True):
+            gram = _primitive_gram(0.37, odd, 5)
+            assert np.array_equal(gram, gram.T)
 
     def test_parity_orthogonality(self, geom):
-        f = ThetaFunction("even", [0.5, 1.0, 0.25])
-        g = ThetaFunction("odd", [1.0, -0.6])
-        assert weighted_inner_product(geom, f, g) == pytest.approx(0.0, abs=1e-15)
+        fg = BasisSet(
+            np.array([[0.5, 1.0, 0.25]]), np.array([[1.0, -0.6]]), (0, 0), geom.alpha
+        )
+        assert basis_gram(geom, fg)[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_exact_form_matches_quadrature(self, geom):
-        f = ThetaFunction("even", [0.1, 0.9, -0.2, 0.4])
-        g = ThetaFunction("even", [0.7, 0.3, 0.5])
-        exact = weighted_inner_product(geom, f, g)
-        quad = quadrature_inner_product(geom, f, g)
-        assert exact == pytest.approx(quad, rel=1e-12)
+        fg = np.array([[0.1, 0.9, -0.2, 0.4], [0.7, 0.3, 0.5, 0.0]])
+        exact = fg[0] @ _primitive_gram(geom.alpha, False, 4) @ fg[1]
+        quad = basis_gram(geom, BasisSet(fg, np.zeros((0, 0)), (0, 0), geom.alpha))
+        assert exact == pytest.approx(quad[0, 1], rel=1e-12)
 
     def test_odd_pair_quadrature_agreement(self, geom):
-        f = ThetaFunction("odd", [0.8, -0.1, 0.3])
-        g = ThetaFunction("odd", [0.2, 0.6])
-        assert weighted_inner_product(geom, f, g) == pytest.approx(
-            quadrature_inner_product(geom, f, g), rel=1e-12
-        )
+        fg = np.array([[0.8, -0.1, 0.3], [0.2, 0.6, 0.0]])
+        exact = fg[0] @ _primitive_gram(geom.alpha, True, 3) @ fg[1]
+        quad = basis_gram(geom, BasisSet(np.zeros((0, 0)), fg, (0, 0), geom.alpha))
+        assert exact == pytest.approx(quad[0, 1], rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
+    def test_closed_form_equals_quadrature_gram(self, alpha):
+        geom = TorusGeometry(100.0, 100.0 * alpha)
+        count = 7
+        quad = basis_gram(geom, primitives(geom.alpha, count))
+        exact = np.zeros((2 * count, 2 * count))
+        exact[:count, :count] = _primitive_gram(geom.alpha, False, count)
+        exact[count:, count:] = _primitive_gram(geom.alpha, True, count)
+        assert np.max(np.abs(quad - exact)) < 1e-12
 
 
 class TestGramSchmidtBasis:
     def test_first_functions_closed_forms(self, basis):
-        f0 = basis.even_funcs[0].coeffs
+        f0 = basis.even[0]
         assert f0[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-10)
         assert np.max(np.abs(f0[1:])) < 1e-14
 
-        f1 = basis.even_funcs[1].coeffs
+        f1 = basis.even[1]
         scale = 1.0 / math.sqrt(0.875 * math.pi)
         assert f1[1] == pytest.approx(scale, abs=1e-10)
         assert f1[0] == pytest.approx(-0.25 * scale, abs=1e-10)
 
-        g1 = basis.odd_funcs[0].coeffs
+        g1 = basis.odd[0]
         assert g1[0] == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-10)
 
     def test_orthonormal_under_weight(self, geom, basis):
-        funcs = list(basis.even_funcs) + list(basis.odd_funcs)
-        gram = np.array(
-            [[weighted_inner_product(geom, u, v) for v in funcs] for u in funcs]
-        )
-        assert np.max(np.abs(gram - np.eye(len(funcs)))) < 1e-10
+        gram = basis_gram(geom, basis)
+        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
 
     def test_cross_parity_products_vanish(self, geom, basis):
-        worst = max(
-            abs(weighted_inner_product(geom, f, g))
-            for f in basis.even_funcs
-            for g in basis.odd_funcs
-        )
+        worst = np.max(np.abs(basis_gram(geom, basis)[:6, 6:]))
         assert worst < 1e-12
 
     def test_leading_coefficients_positive(self, basis):
-        for i, f in enumerate(basis.even_funcs):
-            assert f.coeffs[i] > 0
-        for i, g in enumerate(basis.odd_funcs):
-            assert g.coeffs[i] > 0
+        assert np.all(np.diag(basis.even) > 0)
+        assert np.all(np.diag(basis.odd) > 0)
 
     def test_size_and_labels(self, basis):
-        assert basis.size == 60
         labels = basis.labels()
+        assert basis.even.shape == basis.odd.shape == (6, 6)
         assert len(labels) == 60
         assert labels[0] == ("f", 0, -2)
         assert ("g", 6, 2) in labels
@@ -132,25 +140,23 @@ class TestGramSchmidtBasis:
         geom = TorusGeometry(1000.0, 1.0)
         basis = gram_schmidt_basis(geom, n_even=3, n_odd=3, nu_range=(0, 0))
         inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-        assert basis.even_funcs[0].coeffs[0] == pytest.approx(
+        assert basis.even[0, 0] == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-3
         )
-        assert basis.even_funcs[1].coeffs[1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
-        assert basis.odd_funcs[1].coeffs[1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
+        assert basis.even[1, 1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
+        assert basis.odd[1, 1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
 
     def test_reproducible_bitwise(self, geom, basis):
         again = gram_schmidt_basis(geom, n_even=6, n_odd=6, nu_range=(-2, 2))
-        for a, b in zip(
-            basis.even_funcs + basis.odd_funcs, again.even_funcs + again.odd_funcs
-        ):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(basis.even, again.even)
+        assert np.array_equal(basis.odd, again.odd)
 
     def test_json_round_trip(self, basis):
-        restored = BasisSet.from_json(basis.to_json())
-        assert restored.nu_range == basis.nu_range
-        assert restored.alpha == basis.alpha
-        for a, b in zip(basis.even_funcs, restored.even_funcs):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        data = json.loads(basis.to_json())
+        assert tuple(data["nu_range"]) == basis.nu_range
+        assert data["alpha"] == basis.alpha
+        assert np.array_equal(np.array(data["even"]), basis.even)
+        assert np.array_equal(np.array(data["odd"]), basis.odd)
 
     def test_rejects_bad_arguments(self, geom):
         with pytest.raises(ValueError):
@@ -163,8 +169,5 @@ class TestGramSchmidtBasis:
     def test_orthonormality_across_aspect_ratios(self, alpha):
         geom = TorusGeometry(100.0, 100.0 * alpha)
         basis = gram_schmidt_basis(geom, n_even=4, n_odd=4, nu_range=(0, 0))
-        funcs = list(basis.even_funcs) + list(basis.odd_funcs)
-        gram = np.array(
-            [[weighted_inner_product(geom, u, v) for v in funcs] for u in funcs]
-        )
+        gram = basis_gram(geom, basis)
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10

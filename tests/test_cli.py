@@ -23,7 +23,6 @@ from torusmag.cli import (
     RunConfig,
     main,
     parse_config,
-    serialize_config,
 )
 from torusmag.solver import ComplexGroundError
 
@@ -40,14 +39,40 @@ class TestRunConfig:
         assert (cfg.nu_min, cfg.nu_max) == (-2, 2)
 
     def test_round_trip(self):
+        text = """
+[geometry]
+major_radius = 320.5
+alpha = 0.4
+[field]
+orientation = tilted
+tilt_angle = 0.3
+[basis]
+n_even = 5
+n_odd = 4
+nu_min = -3
+nu_max = 1
+[sweep]
+tau_start = 0.5
+tau_stop = 2.0
+tau_step = 0.5
+[output]
+out_dir = results
+"""
         cfg = RunConfig(
+            major_radius=320.5,
+            alpha=0.4,
             orientation="tilted",
+            tilt_angle=0.3,
+            n_even=5,
+            n_odd=4,
+            nu_min=-3,
+            nu_max=1,
+            tau_start=0.5,
             tau_stop=2.0,
             tau_step=0.5,
-            alpha=0.4,
             out_dir="results",
         )
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(text) == cfg
 
     def test_tilted_split_at_quarter_pi(self):
         cfg = RunConfig(orientation="tilted", tilt_angle=math.pi / 4.0)
@@ -154,6 +179,11 @@ class TestBasisDump:
         data = json.loads(capsys.readouterr().out)
         assert data["alpha"] == 0.5
         assert len(data["even"]) == 6 and len(data["odd"]) == 6
+
+    def test_matches_stored_reference_bytes(self, capsys):
+        reference = ROOT / "perfbench" / "reference" / "cli_cold.json"
+        assert main(["basis-dump"]) == EXIT_OK
+        assert capsys.readouterr().out == json.loads(reference.read_text())["basis-dump"]
 
 
 class TestErrorPaths:

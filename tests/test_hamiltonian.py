@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
 from torusmag.geometry import TorusGeometry
 from torusmag.hamiltonian import ConfigurationError, _term_table, assemble
@@ -186,3 +187,10 @@ class TestInterface:
         other = TorusGeometry(500.0, 150.0)
         with pytest.raises(ConfigurationError):
             assemble(other, FieldConfig(0.0, 0.0), basis)
+
+    def test_even_only_basis_assembles(self, geom):
+        basis = gram_schmidt_basis(geom, n_even=3, n_odd=0, nu_range=(-1, 1))
+        h = assemble(geom, FieldConfig(0.8, 0.6), basis)
+        assert h.entries.shape == (9, 9)
+        assert h.labels == [("f", n, nu) for n in range(3) for nu in (-1, 0, 1)]
+        assert h.hermiticity_defect() < 1e-10

@@ -212,7 +212,7 @@ class TestGridSolve:
             grid_solve(geom, field, GridSpec(16, 16), refine=True)
 
     def test_refinement_passes_at_production_grid(self, geom):
-        # no AccuracyError: the doubled grid agrees to refine_tol, and the
+        # no AccuracyError: the doubled grid agrees to REFINE_TOL, and the
         # coarse grid's whole spectrum comes back, ground state first
         field = FieldConfig(1.0, 0.0)
         eps = grid_solve(geom, field, GridSpec(64, 16), refine=True)
