@@ -10,7 +10,7 @@ orientation.
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .geometry import TorusGeometry, metric_factor_f
-from .hamiltonian import HamiltonianMatrix, assemble
+from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
     SpectrumResult,
@@ -28,7 +28,6 @@ __all__ = [
     "tau_from_tesla",
     "TorusGeometry",
     "metric_factor_f",
-    "HamiltonianMatrix",
     "assemble",
     "GridSpec",
     "grid_solve",

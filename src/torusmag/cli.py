@@ -13,7 +13,7 @@ sweep, output) with command line flags taking precedence.  Defaults are
 the reference configuration: R = 500, alpha = 1/2, six functions per
 parity, nu in [-2, 2].
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
+Exit codes: 0 success, 1 configuration or file error, 2 verification failure,
 3 numerical error.
 """
 
@@ -179,34 +179,27 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _solve(
-    geom: TorusGeometry, basis: BasisSet, field: FieldConfig
-) -> SpectrumResult:
-    """Assemble H and diagonalize it.
-
-    The general solver runs only where H is non-Hermitian: magnetic
-    coupling off at tau1 != 0.
-    """
-    h = assemble(geom, field, basis)
-    if not field.vmag_on and field.tau1 != 0.0:
-        return eigensolve_general(h)
-    return eigensolve(h)
+def _solve(basis: BasisSet, field: FieldConfig) -> SpectrumResult:
+    """Assemble H and diagonalize it; the general solver runs only where H
+    is non-Hermitian."""
+    h = assemble(field, basis)
+    return eigensolve(h) if field.hermitian else eigensolve_general(h)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    geom = cfg.geometry()
     basis = _build_basis(cfg)
-    scale = energy_scale_mev(geom) if args.mev else None
+    labels = basis.labels()
+    scale = energy_scale_mev(cfg.geometry()) if args.mev else None
     lines = ["tau,variant,eps0,eps0_physical,nu_dominant"]
     if scale is not None:
         lines[0] += ",e_mev"
     for tau in cfg.taus():
         for name, vc, vmag in VARIANTS:
             field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
-            spectrum = _solve(geom, basis, field)
+            spectrum = _solve(basis, field)
             eps0, _ = spectrum.ground()
-            nu = ground_state_composition(spectrum).dominant_nu()
+            nu = ground_state_composition(spectrum, labels).dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
             if scale is not None:
                 row += f",{-eps0 * scale:.12g}"
@@ -220,17 +213,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    geom = cfg.geometry()
     basis = _build_basis(cfg)
+    labels = basis.labels()
     taus = args.tau if args.tau else [0.0, 1.0, 2.0]
     report: dict = {"orientation": cfg.orientation, "rows": []}
     text_lines = []
     for name, vc, vmag in VARIANTS:
         for tau in taus:
             field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
-            spectrum = _solve(geom, basis, field)
+            spectrum = _solve(basis, field)
             eps0, _ = spectrum.ground()
-            comp = ground_state_composition(spectrum)
+            comp = ground_state_composition(spectrum, labels)
             report["rows"].append(
                 {
                     "variant": name,
@@ -264,7 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
-            eps_basis, _ = _solve(geom, basis, field).ground()
+            eps_basis, _ = _solve(basis, field).ground()
             eps_grid = float(grid_solve(geom, field, grid, refine=args.refine)[0])
             diff = abs(eps_basis - eps_grid)
             tol = max(1e-3, 1e-3 * abs(eps_basis))
@@ -289,11 +282,11 @@ def cmd_basis_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_tesla(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    radius = _load_config(args).geometry().major_radius
     # major_radius is interpreted in angstrom for the conversion
-    tau = tau_from_tesla(args.field_tesla, cfg.major_radius * 1e-10)
+    tau = tau_from_tesla(args.field_tesla, radius * 1e-10)
     print(f"tau = {tau:.6g} for B = {args.field_tesla:g} T at R = "
-          f"{cfg.major_radius:g} angstrom (tau = e R^2 B / hbar)")
+          f"{radius:g} angstrom (tau = e R^2 B / hbar)")
     return EXIT_OK
 
 
@@ -363,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, DomainError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
         AccuracyError, HermiticityError, ComplexGroundError, DegeneracyError

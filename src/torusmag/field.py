@@ -43,12 +43,24 @@ class FieldConfig:
         if not (math.isfinite(self.tau0) and math.isfinite(self.tau1)):
             raise ValueError("tau0 and tau1 must be finite")
 
+    @property
+    def hermitian(self) -> bool:
+        """Whether the operator is Hermitian.
+
+        Dropping the magnetic curvature coupling at tau1 != 0 leaves the
+        anti-Hermitian residue of the in-plane paramagnetic couplings.
+        """
+        return self.vmag_on or self.tau1 == 0.0
+
 
 def tau_from_tesla(b_tesla: float, major_radius_m: float) -> float:
     """Dimensionless flux tau = e R^2 B / hbar for a field in tesla.
 
-    For R = 500 angstrom this gives tau ~ 3.80 per tesla.
+    For R = 500 angstrom this gives tau ~ 3.80 per tesla.  Raises
+    ValueError for a field that is not finite.
     """
+    if not math.isfinite(b_tesla):
+        raise ValueError(f"field must be finite, got {b_tesla} T")
     return E_CHARGE * major_radius_m**2 * b_tesla / HBAR
 
 

@@ -21,19 +21,17 @@ component A_N of the vector potential.  With that sign the term exactly
 cancels the anti-self-adjoint residue of the paramagnetic in-plane
 couplings, so the assembled matrix is Hermitian to machine precision; with
 the opposite sign it is not.  Dropping the term (vmag_on=False) while
-tau1 != 0 therefore leaves a slightly non-Hermitian matrix by construction,
-which `solver.eigensolve_general` handles.
+tau1 != 0 therefore leaves a slightly non-Hermitian matrix by construction
+(`FieldConfig.hermitian` is False), which `solver.eigensolve_general`
+handles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import BasisSet, Label
+from .basis import BasisSet
 from .field import FieldConfig
-from .geometry import TorusGeometry, metric_factor_f
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
 _ONE = {0: 1.0}
@@ -42,38 +40,16 @@ _SIN = {1: -0.5j, -1: 0.5j}
 _SIN2 = {0: 0.5, 2: -0.25, -2: -0.25}
 
 
-class ConfigurationError(ValueError):
-    """Basis and geometry passed to assembly do not belong together."""
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense complex matrix of the surface Hamiltonian in a BasisSet.
-
-    block_index maps a basis label (kind, n, nu) to its row; toggles is the
-    FieldConfig the matrix was assembled with.
-    """
-
-    entries: np.ndarray
-    labels: list[Label]
-    block_index: dict[Label, int]
-    toggles: FieldConfig
-
-    def hermiticity_defect(self) -> float:
-        """max |H - H^dagger| over all entries."""
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-
 def _term_table(
-    geom: TorusGeometry,
+    al: float,
     field: FieldConfig,
     theta: np.ndarray,
 ) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
-    """List of (C(theta) samples, phi harmonics, d/dtheta order, d/dphi order)."""
-    al = geom.alpha
+    """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
+    each term of the operator at aspect ratio al."""
     t0, t1 = field.tau0, field.tau1
-    f = metric_factor_f(geom, theta)
     st, ct = np.sin(theta), np.cos(theta)
+    f = 1.0 + al * ct
     one = np.ones_like(theta)
 
     terms: list[tuple[np.ndarray, dict[int, complex], int, int]] = [
@@ -97,23 +73,14 @@ def _term_table(
     return terms
 
 
-def assemble(
-    geom: TorusGeometry,
-    field: FieldConfig,
-    basis: BasisSet,
-    n_quad: int = 512,
-) -> HamiltonianMatrix:
-    """Dense matrix of the surface Hamiltonian in the given basis.
+def assemble(field: FieldConfig, basis: BasisSet, n_quad: int = 512) -> np.ndarray:
+    """Dense complex matrix of the surface Hamiltonian in the given basis.
 
-    The curvature potential enters as 1/(4 F^2), which is a^2 (h^2 - k)
-    on the torus.
+    Rows and columns follow `basis.labels()`.  The curvature potential
+    enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
     """
-    if abs(basis.alpha - geom.alpha) > 1e-12:
-        raise ConfigurationError(
-            f"basis built for alpha={basis.alpha}, geometry has {geom.alpha}"
-        )
     theta = np.arange(n_quad) * 2.0 * np.pi / n_quad
-    f = metric_factor_f(geom, theta)
+    f = 1.0 + basis.alpha * np.cos(theta)
     deriv = [basis.values(theta, j) for j in range(3)]
     vals = deriv[0]
 
@@ -122,7 +89,7 @@ def assemble(
     dim = len(vals) * nnu
     h = np.zeros((dim, dim), dtype=complex)
     dtheta = 2.0 * np.pi / n_quad
-    for coeff, harm, jt, jp in _term_table(geom, field, theta):
+    for coeff, harm, jt, jp in _term_table(basis.alpha, field, theta):
         # theta integrals for all basis-function pairs at once
         tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
         for bc, nu in enumerate(nus):
@@ -133,11 +100,5 @@ def assemble(
                     continue
                 br = nurow - nus[0]
                 h[br::nnu, bc::nnu] += tmat * (cm * phase)
-    labels = basis.labels()
-    return HamiltonianMatrix(
-        entries=h,
-        labels=labels,
-        block_index={lab: i for i, lab in enumerate(labels)},
-        toggles=field,
-    )
+    return h
 

@@ -200,7 +200,7 @@ def grid_solve(
     AccuracyError carrying both ground values is raised if they differ by
     more than REFINE_TOL.
     """
-    if not field.vmag_on and field.tau1 != 0.0:
+    if not field.hermitian:
         raise UnsupportedVariantError(
             "the grid oracle represents only the self-adjoint operator; "
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "

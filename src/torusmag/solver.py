@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Label
-from .hamiltonian import HamiltonianMatrix
-
 
 #: Largest |imag| accepted for the ground eigenvalue of a general solve.
 GROUND_IMAG_TOL = 1e-8
@@ -51,7 +49,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    labels: list[Label]
     max_imag: float = 0.0
 
     def ground_index(self) -> int:
@@ -62,40 +59,37 @@ class SpectrumResult:
         i = self.ground_index()
         return float(self.eigenvalues[i]), self.eigenvectors[:, i]
 
-    def residuals(self, h: HamiltonianMatrix) -> np.ndarray:
+    def residuals(self, h: np.ndarray) -> np.ndarray:
         """||H v - eps v|| per eigenpair (eigenvectors are unit norm)."""
-        hv = h.entries @ self.eigenvectors
+        hv = h @ self.eigenvectors
         return np.linalg.norm(
             hv - self.eigenvectors * self.eigenvalues[np.newaxis, :], axis=0
         )
 
 
-def _order_deterministically(
-    w: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+def hermiticity_defect(h: np.ndarray) -> float:
+    """max |H - H^dagger| over all entries."""
+    return float(np.max(np.abs(h - h.conj().T)))
 
 
-def eigensolve(h: HamiltonianMatrix) -> SpectrumResult:
+def eigensolve(h: np.ndarray) -> SpectrumResult:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Raises HermiticityError (with the measured defect) when the matrix is
     not Hermitian within HERMITICITY_TOL, instead of silently symmetrizing.
     """
-    defect = h.hermiticity_defect()
+    defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise HermiticityError(
             f"matrix is not Hermitian: max|H - H^dagger| = {defect:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e}; for the curvature-coupling-off "
             "variant at tau1 != 0 use eigensolve_general"
         )
-    w, v = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
-    w, v = _order_deterministically(w, v)
-    return SpectrumResult(eigenvalues=w, eigenvectors=v, labels=h.labels)
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return SpectrumResult(eigenvalues=w, eigenvectors=v)
 
 
-def eigensolve_general(h: HamiltonianMatrix) -> SpectrumResult:
+def eigensolve_general(h: np.ndarray) -> SpectrumResult:
     """Spectrum of a general complex matrix, sorted by real part.
 
     Eigenvectors are normalized to unit Euclidean norm.  The largest
@@ -103,7 +97,7 @@ def eigensolve_general(h: HamiltonianMatrix) -> SpectrumResult:
     Raises ComplexGroundError when the eigenvalue of largest real part
     has |imag| above GROUND_IMAG_TOL.
     """
-    w, v = np.linalg.eig(h.entries)
+    w, v = np.linalg.eig(h)
     ground_imag = abs(w[np.argmax(w.real)].imag)
     if ground_imag > GROUND_IMAG_TOL:
         raise ComplexGroundError(
@@ -112,9 +106,9 @@ def eigensolve_general(h: HamiltonianMatrix) -> SpectrumResult:
         )
     max_imag = float(np.max(np.abs(w.imag)))
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    wr, v = _order_deterministically(w.real, v)
+    order = np.argsort(w.real, kind="stable")
     return SpectrumResult(
-        eigenvalues=wr, eigenvectors=v, labels=h.labels, max_imag=max_imag
+        eigenvalues=w.real[order], eigenvectors=v[:, order], max_imag=max_imag
     )
 
 
@@ -202,16 +196,21 @@ class StateComposition:
         return "  ".join(parts) if parts else "(no terms above threshold)"
 
 
-def state_composition(s: SpectrumResult, index: int) -> StateComposition:
+def state_composition(
+    s: SpectrumResult, index: int, labels: list[Label]
+) -> StateComposition:
+    """Amplitudes of eigenvector `index`; labels name the matrix rows."""
     vec = s.eigenvectors[:, index].copy()
     top = int(np.argmax(np.abs(vec)))
     phase = vec[top] / abs(vec[top])
     vec = vec / phase
     order = np.argsort(-np.abs(vec), kind="stable")
-    terms = [(s.labels[i], complex(vec[i])) for i in order]
+    terms = [(labels[i], complex(vec[i])) for i in order]
     return StateComposition(terms=terms)
 
 
-def ground_state_composition(s: SpectrumResult) -> StateComposition:
+def ground_state_composition(
+    s: SpectrumResult, labels: list[Label]
+) -> StateComposition:
     """Composition of the physical ground state (maximal raw eps)."""
-    return state_composition(s, s.ground_index())
+    return state_composition(s, s.ground_index(), labels)

@@ -28,6 +28,15 @@ from torusmag.solver import ComplexGroundError
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+CHECK = ROOT / "perfbench" / "check.py"
+
+
+def load_perfbench(path: Path):
+    """Import a perfbench module by path; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRunConfig:
@@ -149,6 +158,24 @@ class TestSweepCommand:
         for tau in ("0", "0.5", "1"):
             assert rows[(tau, "on-off")] == rows[(tau, "on-on")]
 
+    def test_tilted_sweep_matches_stored_numbers(self, tmp_path):
+        # the benchmark's tilted8 sweep (tilt 8 pi/32, tau 0..3 step 0.05):
+        # 183 points over both solvers and all three variants, scored by the
+        # benchmark's own checker against its stored reference, which is only
+        # read here: eps0 to 1e-9 and nu_dominant exact
+        ini = tmp_path / "tilted8.ini"
+        ini.write_text(
+            f"[field]\norientation = tilted\ntilt_angle = {8 * math.pi / 32!r}\n"
+            "[sweep]\ntau_start = 0.0\ntau_stop = 3.0\ntau_step = 0.05\n"
+        )
+        rc = main(["sweep", "--config", str(ini), "--out", str(tmp_path)])
+        reference = json.loads(
+            (ROOT / "perfbench" / "reference" / "field_map.json").read_text()
+        )["tilted8"]
+        assert len(reference) == 183
+        csv_text = (tmp_path / "sweep_tilted.csv").read_text()
+        assert load_perfbench(CHECK).sweep_csv(rc, csv_text, reference) == 0
+
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
                 "--tau-step", "0.25"]
@@ -232,6 +259,21 @@ class TestErrorPaths:
         assert main(argv) == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
 
+    def test_unwritable_json_out_exits_config_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        argv = ["table", "--tau", "0", "--json-out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+
+    def test_sweep_out_naming_a_file_exits_config_code(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["sweep", "--tau-max", "0", "--out", str(taken)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+
     def test_config_file_with_overrides(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -300,14 +342,23 @@ class TestTeslaConversion:
         out = capsys.readouterr().out
         assert "3.79" in out or "3.80" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_field_exits_config_code(self, value, capsys):
+        assert main(["tesla", value]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
+    def test_invalid_geometry_exits_config_code(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[geometry]\nmajor_radius = -5\n")
+        assert main(["tesla", "--config", str(ini), "1.0"]) == EXIT_CONFIG
+        assert "radii must be positive" in capsys.readouterr().err
+
 
 class TestTraceTargets:
     def test_every_traced_layer_resolves_to_a_callable(self):
         # the benchmark wraps these names to time each layer; one that no
         # longer resolves silently drops that layer from the trace
-        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_perfbench(SPANS)
         assert spans.TARGETS
         for module_name, attr, _ in spans.TARGETS:
             module = importlib.import_module(module_name)

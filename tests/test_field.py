@@ -67,7 +67,7 @@ def vmag_potential(geom: TorusGeometry, field: FieldConfig, theta, phi):
     value is the real V(theta) times that phi factor.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    coeff, harm, jt, jp = _term_table(geom, field, theta)[-1]
+    coeff, harm, jt, jp = _term_table(geom.alpha, field, theta)[-1]
     assert harm is _SIN and (jt, jp) == (0, 0)
     p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
     value = (1j * coeff).real * p_phi.real
@@ -102,6 +102,12 @@ class TestFieldConfig:
     def test_signs_permitted(self):
         cfg = FieldConfig(-1.5, -0.5)
         assert cfg.tau0 == -1.5 and cfg.tau1 == -0.5
+
+    def test_hermitian_unless_coupling_dropped_in_plane(self):
+        assert FieldConfig(0.0, 1.0).hermitian
+        assert FieldConfig(2.0, 0.0, vmag_on=False).hermitian
+        assert not FieldConfig(0.0, 1.0, vmag_on=False).hermitian
+        assert not FieldConfig(1.0, -0.5, vc_on=False, vmag_on=False).hermitian
 
 
 class TestVectorPotential:
@@ -213,6 +219,11 @@ class TestUnits:
     def test_tau_per_tesla_at_reference_radius(self):
         tau = tau_from_tesla(1.0, 500e-10)
         assert tau == pytest.approx(3.80, rel=2e-3)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_tau_rejects_nonfinite_field(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            tau_from_tesla(b, 500e-10)
 
     def test_energy_scale_reference_value(self, geom):
         assert energy_scale_mev(geom) == pytest.approx(0.061, rel=2e-2)

@@ -174,7 +174,7 @@ class TestGridSolve:
 
     def test_matches_basis_solution_field_free(self, geom, basis):
         field = FieldConfig(0.0, 0.0, vc_on=True, vmag_on=True)
-        eps_basis = eigensolve(assemble(geom, field, basis)).ground()[0]
+        eps_basis = eigensolve(assemble(field, basis)).ground()[0]
         eps_grid = grid_solve(geom, field, GridSpec(64, 16))[0]
         assert eps_grid == pytest.approx(eps_basis, rel=1e-3)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import HamiltonianMatrix, assemble
+from torusmag.hamiltonian import assemble
 from torusmag.solver import (
     ComplexGroundError,
     HermiticityError,
@@ -15,15 +15,8 @@ from torusmag.solver import (
 )
 
 
-def toy_matrix(entries, labels=None):
-    entries = np.asarray(entries, dtype=complex)
-    labels = labels or [("f", i, 0) for i in range(entries.shape[0])]
-    return HamiltonianMatrix(
-        entries=entries,
-        labels=labels,
-        block_index={lab: i for i, lab in enumerate(labels)},
-        toggles=FieldConfig(0.0, 0.0),
-    )
+def toy_matrix(entries):
+    return np.asarray(entries, dtype=complex)
 
 
 class TestEigensolve:
@@ -41,45 +34,46 @@ class TestEigensolve:
         with pytest.raises(HermiticityError, match="eigensolve_general"):
             eigensolve(h)
 
-    def test_eigenvalues_ascending_and_orthonormal(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(1.0, 0.5), basis))
+    def test_eigenvalues_ascending_and_orthonormal(self, basis):
+        s = eigensolve(assemble(FieldConfig(1.0, 0.5), basis))
         assert np.all(np.diff(s.eigenvalues) >= 0.0)
         overlap = s.eigenvectors.conj().T @ s.eigenvectors
-        assert np.max(np.abs(overlap - np.eye(len(s.labels)))) < 1e-8
+        assert np.max(np.abs(overlap - np.eye(len(basis.labels())))) < 1e-8
 
-    def test_residuals_small(self, geom, basis):
-        h = assemble(geom, FieldConfig(0.9, 1.4), basis)
+    def test_residuals_small(self, basis):
+        h = assemble(FieldConfig(0.9, 1.4), basis)
         s = eigensolve(h)
         assert np.max(s.residuals(h)) < 1e-8
 
-    def test_constant_mode_at_zero_field(self, geom, basis):
-        h = assemble(geom, FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
+    def test_constant_mode_at_zero_field(self, basis):
+        h = assemble(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
         s = eigensolve(h)
         eps0, vec = s.ground()
         assert eps0 == pytest.approx(0.0, abs=1e-10)
-        i = h.block_index[("f", 0, 0)]
+        i = basis.labels().index(("f", 0, 0))
         assert abs(vec[i]) == pytest.approx(1.0, abs=1e-8)
 
-    def test_axial_eigenvectors_single_nu(self, geom, basis):
-        h = assemble(geom, FieldConfig(1.3, 0.0), basis)
+    def test_axial_eigenvectors_single_nu(self, basis):
+        h = assemble(FieldConfig(1.3, 0.0), basis)
         s = eigensolve(h)
-        for col in range(len(s.labels)):
+        labels = basis.labels()
+        for col in range(len(labels)):
             weights = {}
-            for i, (_, _, nu) in enumerate(s.labels):
+            for i, (_, _, nu) in enumerate(labels):
                 weights[nu] = weights.get(nu, 0.0) + abs(s.eigenvectors[i, col]) ** 2
             assert max(weights.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEigensolveGeneral:
-    def test_matches_hermitian_solver_on_hermitian_input(self, geom, basis):
-        h = assemble(geom, FieldConfig(0.6, 1.1), basis)
+    def test_matches_hermitian_solver_on_hermitian_input(self, basis):
+        h = assemble(FieldConfig(0.6, 1.1), basis)
         sh = eigensolve(h)
         sg = eigensolve_general(h)
         assert np.max(np.abs(sh.eigenvalues - sg.eigenvalues)) < 1e-8
         assert sg.max_imag < 1e-10
 
-    def test_handles_magnetic_coupling_off_variant(self, geom, basis):
-        h = assemble(geom, FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
+    def test_handles_magnetic_coupling_off_variant(self, basis):
+        h = assemble(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
         s = eigensolve_general(h)
         # antiunitary symmetry (conjugation with phi -> -phi) keeps the low
         # spectrum real
@@ -102,39 +96,39 @@ class TestEigensolveGeneral:
 
 
 class TestComposition:
-    def test_ground_selector_takes_max_raw_eigenvalue(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(1.0, 0.0), basis))
+    def test_ground_selector_takes_max_raw_eigenvalue(self, basis):
+        s = eigensolve(assemble(FieldConfig(1.0, 0.0), basis))
         eps0, _ = s.ground()
         assert eps0 == np.max(s.eigenvalues)
 
-    def test_norm_preserved(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(0.8, 0.8), basis))
-        comp = ground_state_composition(s)
+    def test_norm_preserved(self, basis):
+        s = eigensolve(assemble(FieldConfig(0.8, 0.8), basis))
+        comp = ground_state_composition(s, basis.labels())
         assert comp.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
-    def test_global_phase_fixed(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(1.9, 0.4), basis))
-        comp = ground_state_composition(s)
+    def test_global_phase_fixed(self, basis):
+        s = eigensolve(assemble(FieldConfig(1.9, 0.4), basis))
+        comp = ground_state_composition(s, basis.labels())
         lead = comp.terms[0][1]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0.0
 
-    def test_zero_field_composition(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(0.0, 0.0), basis))
-        comp = ground_state_composition(s)
+    def test_zero_field_composition(self, basis):
+        s = eigensolve(assemble(FieldConfig(0.0, 0.0), basis))
+        comp = ground_state_composition(s, basis.labels())
         assert abs(comp.amplitude(("f", 0, 0))) == pytest.approx(0.968, abs=2e-3)
         assert abs(comp.amplitude(("f", 1, 0))) == pytest.approx(0.244, abs=2e-3)
         assert comp.dominant_nu() == 0
 
-    def test_axial_crossover_state_has_nu_minus_one(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(2.0, 0.0), basis))
-        comp = ground_state_composition(s)
+    def test_axial_crossover_state_has_nu_minus_one(self, basis):
+        s = eigensolve(assemble(FieldConfig(2.0, 0.0), basis))
+        comp = ground_state_composition(s, basis.labels())
         assert comp.dominant_nu() == -1
         assert comp.circulation() == pytest.approx(-1.0, abs=1e-8)
 
-    def test_real_combinations_group_sin_pairs(self, geom, basis):
-        h = assemble(geom, FieldConfig(0.0, 2.0), basis)
-        comp = ground_state_composition(eigensolve(h))
+    def test_real_combinations_group_sin_pairs(self, basis):
+        h = assemble(FieldConfig(0.0, 2.0), basis)
+        comp = ground_state_composition(eigensolve(h), basis.labels())
         rows = {(k, n, m): amp for k, n, m, amp in comp.real_combinations()}
         # g1 appears as an i sin(phi) combination: amplitudes at nu = +/-1
         # with opposite signs
@@ -143,14 +137,15 @@ class TestComposition:
         assert ("g", 1, -1) in rows
         assert rows[("g", 1, -1)] == pytest.approx(cp - cm, abs=1e-12)
 
-    def test_format_text_mentions_dominant_function(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(0.0, 0.0), basis))
-        text = ground_state_composition(s).format_text()
+    def test_format_text_mentions_dominant_function(self, basis):
+        s = eigensolve(assemble(FieldConfig(0.0, 0.0), basis))
+        text = ground_state_composition(s, basis.labels()).format_text()
         assert "f0" in text and "f1" in text
 
-    def test_excited_state_composition_normalized(self, geom, basis):
-        s = eigensolve(assemble(geom, FieldConfig(1.0, 1.0), basis))
-        comp = state_composition(s, len(s.labels) - 2)
+    def test_excited_state_composition_normalized(self, basis):
+        s = eigensolve(assemble(FieldConfig(1.0, 1.0), basis))
+        labels = basis.labels()
+        comp = state_composition(s, len(labels) - 2, labels)
         assert comp.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -163,18 +158,18 @@ class TestVariationalBehaviour:
         eps = []
         for ne, no, nur in sizes:
             b = gram_schmidt_basis(geom, n_even=ne, n_odd=no, nu_range=nur)
-            s = eigensolve(assemble(geom, field, b))
+            s = eigensolve(assemble(field, b))
             eps.append(s.ground()[0])
         # physical energy E = -eps; enlargement may only lower E, so raw
         # eps must not decrease
         assert eps[0] <= eps[1] + 1e-12
         assert eps[1] <= eps[2] + 1e-12
 
-    def test_sweep_continuity(self, geom, basis):
+    def test_sweep_continuity(self, basis):
         taus = np.arange(0.0, 2.0001, 0.05)
         values = []
         for tau in taus:
-            s = eigensolve(assemble(geom, FieldConfig(tau, 0.0), basis))
+            s = eigensolve(assemble(FieldConfig(tau, 0.0), basis))
             values.append(s.ground()[0])
         values = np.array(values)
         jumps = np.abs(np.diff(values))
