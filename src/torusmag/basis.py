@@ -8,12 +8,15 @@ Each basis state carries an additional azimuthal factor exp(i nu phi)/sqrt(2 pi)
 
 With F = 1 + alpha cos(theta) the weighted Gram matrix of the primitives is
 exact and tridiagonal, so Gram-Schmidt runs on coefficient vectors alone.
+The values of every function and its first two theta-derivatives on a
+quadrature grid depend only on the basis, so each basis computes them once
+per grid size and keeps them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +33,11 @@ class DegeneracyError(RuntimeError):
     """Orthogonalization lost too much precision at some primitive index."""
 
 
+def quadrature_nodes(n_quad: int) -> np.ndarray:
+    """The n_quad equally spaced nodes of the periodic trapezoid rule."""
+    return np.arange(n_quad) * 2.0 * np.pi / n_quad
+
+
 @dataclass(frozen=True)
 class BasisSet:
     """Orthonormal poloidal functions plus an azimuthal index range.
@@ -44,6 +52,9 @@ class BasisSet:
     odd: np.ndarray
     nu_range: tuple[int, int]
     alpha: float
+    _tables: dict[int, tuple[np.ndarray, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def nus(self) -> list[int]:
@@ -66,6 +77,18 @@ class BasisSet:
                 out = out + coeffs[:, k, None] * sign * m**order * base(m * theta)
             blocks.append(out)
         return np.concatenate(blocks)
+
+    def quadrature_tables(self, n_quad: int) -> tuple[np.ndarray, ...]:
+        """Read-only `values` of orders 0, 1, 2 at `quadrature_nodes(n_quad)`,
+        computed on the first call for each n_quad."""
+        tables = self._tables.get(n_quad)
+        if tables is None:
+            theta = quadrature_nodes(n_quad)
+            tables = tuple(self.values(theta, order) for order in range(3))
+            for table in tables:
+                table.flags.writeable = False
+            self._tables[n_quad] = tables
+        return tables
 
     def labels(self) -> list[Label]:
         """Row labels in assembly order: even block then odd block."""

@@ -22,8 +22,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,6 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     basis = _build_basis(cfg)
     labels = basis.labels()
     scale = energy_scale_mev(cfg.geometry()) if args.mev else None
+    out = Path(cfg.out_dir) / f"sweep_{cfg.orientation}.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["tau,variant,eps0,eps0_physical,nu_dominant"]
     if scale is not None:
         lines[0] += ",e_mev"
@@ -204,8 +208,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if scale is not None:
                 row += f",{-eps0 * scale:.12g}"
             lines.append(row)
-    out = Path(cfg.out_dir) / f"sweep_{cfg.orientation}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
@@ -216,6 +218,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     basis = _build_basis(cfg)
     labels = basis.labels()
     taus = args.tau if args.tau else [0.0, 1.0, 2.0]
+    json_dir = Path(args.json_out).parent if args.json_out else None
+    if json_dir is not None and not json_dir.is_dir():  # fail before any solve
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(json_dir))
     report: dict = {"orientation": cfg.orientation, "rows": []}
     text_lines = []
     for name, vc, vmag in VARIANTS:
@@ -253,12 +258,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     geom = cfg.geometry()
     basis = _build_basis(cfg)
     failures = 0
+    # tau = 0 is the same field in every orientation: solve the grid once
+    grid_eps0: dict[FieldConfig, float] = {}
     for orientation in ("axial", "tilted", "in_plane"):
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
             eps_basis, _ = _solve(basis, field).ground()
-            eps_grid = float(grid_solve(geom, field, grid, refine=args.refine)[0])
+            if field not in grid_eps0:
+                spectrum = grid_solve(geom, field, grid, refine=args.refine)
+                grid_eps0[field] = float(spectrum[0])
+            eps_grid = grid_eps0[field]
             diff = abs(eps_basis - eps_grid)
             tol = max(1e-3, 1e-3 * abs(eps_basis))
             ok = diff <= tol

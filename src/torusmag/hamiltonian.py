@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, quadrature_nodes
 from .field import FieldConfig
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
@@ -79,9 +79,9 @@ def assemble(field: FieldConfig, basis: BasisSet, n_quad: int = 512) -> np.ndarr
     Rows and columns follow `basis.labels()`.  The curvature potential
     enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
     """
-    theta = np.arange(n_quad) * 2.0 * np.pi / n_quad
+    theta = quadrature_nodes(n_quad)
     f = 1.0 + basis.alpha * np.cos(theta)
-    deriv = [basis.values(theta, j) for j in range(3)]
+    deriv = basis.quadrature_tables(n_quad)
     vals = deriv[0]
 
     nus = basis.nus

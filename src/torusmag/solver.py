@@ -9,12 +9,15 @@ callers never trip over the sign.
 variant with the magnetic curvature coupling removed at nonzero in-plane
 field is intrinsically non-Hermitian (the dropped term is exactly the
 anti-Hermitian part of the remaining operator); `eigensolve_general`
-handles it with a general complex eigensolver.  That operator commutes
-with the antiunitary map (complex conjugation composed with phi -> -phi),
-so its eigenvalues are real or come in conjugate pairs.  The ground
-eigenvalue must be real to GROUND_IMAG_TOL; high levels may pair up into
-complex conjugates, so the bound is not applied to the whole spectrum.
-The real parts are reported.
+handles it with a general eigensolver.  That operator commutes with the
+antiunitary map (complex conjugation composed with phi -> -phi), so its
+eigenvalues are real or come in conjugate pairs.  The states of `basis`
+are invariant under that map, so the assembled matrix is exactly real and
+the general solve runs in real arithmetic, where the pairing is structural
+and the phase fix of a real eigenvector is a sign.  The ground eigenvalue
+must be real to GROUND_IMAG_TOL; high levels may pair up into complex
+conjugates, so the bound is not applied to the whole spectrum.  The real
+parts are reported.
 """
 
 from __future__ import annotations
@@ -90,13 +93,17 @@ def eigensolve(h: np.ndarray) -> SpectrumResult:
 
 
 def eigensolve_general(h: np.ndarray) -> SpectrumResult:
-    """Spectrum of a general complex matrix, sorted by real part.
+    """Spectrum of a general matrix, sorted by real part.
 
+    A complex matrix whose imaginary part is all zero is solved as a real
+    one; the eigenvectors are then real wherever the eigenvalues are.
     Eigenvectors are normalized to unit Euclidean norm.  The largest
     imaginary part encountered is recorded in max_imag for diagnostics.
     Raises ComplexGroundError when the eigenvalue of largest real part
     has |imag| above GROUND_IMAG_TOL.
     """
+    if not h.imag.any():
+        h = h.real
     w, v = np.linalg.eig(h)
     ground_imag = abs(w[np.argmax(w.real)].imag)
     if ground_imag > GROUND_IMAG_TOL:

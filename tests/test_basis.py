@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmag.basis import BasisSet, _primitive_gram, gram_schmidt_basis
+from torusmag.basis import (
+    BasisSet,
+    _primitive_gram,
+    gram_schmidt_basis,
+    quadrature_nodes,
+)
 from torusmag.geometry import TorusGeometry
 
 
@@ -60,6 +65,25 @@ class TestThetaFunction:
         fd2 = (hi - 2.0 * mid + lo) / eps**2
         assert np.max(np.abs(fg.values(theta, 1) - fd1)) < 1e-7
         assert np.max(np.abs(fg.values(theta, 2) - fd2)) < 1e-3
+
+
+class TestQuadratureTables:
+    def test_equal_to_values_at_the_nodes(self, basis):
+        theta = quadrature_nodes(64)
+        assert np.array_equal(theta, np.arange(64) * 2.0 * np.pi / 64)
+        for order, table in enumerate(basis.quadrature_tables(64)):
+            assert np.array_equal(table, basis.values(theta, order))
+
+    def test_kept_per_grid_size_and_read_only(self, geom):
+        small = gram_schmidt_basis(geom, n_even=2, n_odd=1, nu_range=(0, 0))
+        first = small.quadrature_tables(32)
+        assert all(a is b for a, b in zip(first, small.quadrature_tables(32)))
+        assert [t.shape for t in small.quadrature_tables(16)] == [(3, 16)] * 3
+        for table in first:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert "_tables" not in repr(small)
 
 
 class TestInnerProduct:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from torusmag import cli, oracle
+from torusmag.basis import BasisSet
 from torusmag.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -158,23 +159,45 @@ class TestSweepCommand:
         for tau in ("0", "0.5", "1"):
             assert rows[(tau, "on-off")] == rows[(tau, "on-on")]
 
-    def test_tilted_sweep_matches_stored_numbers(self, tmp_path):
-        # the benchmark's tilted8 sweep (tilt 8 pi/32, tau 0..3 step 0.05):
-        # 183 points over both solvers and all three variants, scored by the
-        # benchmark's own checker against its stored reference, which is only
-        # read here: eps0 to 1e-9 and nu_dominant exact
-        ini = tmp_path / "tilted8.ini"
+    @pytest.mark.parametrize(
+        "key,orientation,field",
+        [("tilted8", "tilted", f"tilt_angle = {8 * math.pi / 32!r}\n"),
+         ("in_plane", "in_plane", "")],
+        ids=["tilted8", "in_plane"],
+    )
+    def test_sweep_matches_stored_numbers(self, tmp_path, key, orientation, field):
+        # the benchmark's tilted8 (tilt 8 pi/32) and in_plane sweeps, tau 0..3
+        # step 0.05: 183 points each over all three variants, and in_plane
+        # puts every nonzero tau of both off variants through the general
+        # solver at full tau1.  Scored by the benchmark's own checker against
+        # its stored reference, which is only read here: eps0 to 1e-9 and
+        # nu_dominant exact
+        ini = tmp_path / f"{key}.ini"
         ini.write_text(
-            f"[field]\norientation = tilted\ntilt_angle = {8 * math.pi / 32!r}\n"
+            f"[field]\norientation = {orientation}\n{field}"
             "[sweep]\ntau_start = 0.0\ntau_stop = 3.0\ntau_step = 0.05\n"
         )
         rc = main(["sweep", "--config", str(ini), "--out", str(tmp_path)])
         reference = json.loads(
             (ROOT / "perfbench" / "reference" / "field_map.json").read_text()
-        )["tilted8"]
+        )[key]
         assert len(reference) == 183
-        csv_text = (tmp_path / "sweep_tilted.csv").read_text()
+        csv_text = (tmp_path / f"sweep_{orientation}.csv").read_text()
         assert load_perfbench(CHECK).sweep_csv(rc, csv_text, reference) == 0
+
+    def test_quadrature_tables_built_once_per_sweep(self, tmp_path, monkeypatch):
+        # the default sweep assembles 13 taus x 3 variants with one basis;
+        # the three derivative tables depend only on the basis
+        calls = []
+        values = BasisSet.values
+
+        def counted(self, theta, order):
+            calls.append(order)
+            return values(self, theta, order)
+
+        monkeypatch.setattr(BasisSet, "values", counted)
+        assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
+        assert sorted(calls) == [0, 1, 2]
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
@@ -211,6 +234,10 @@ class TestBasisDump:
         reference = ROOT / "perfbench" / "reference" / "cli_cold.json"
         assert main(["basis-dump"]) == EXIT_OK
         assert capsys.readouterr().out == json.loads(reference.read_text())["basis-dump"]
+
+
+def never_assemble(*args, **kwargs):
+    raise AssertionError("solved a point before the output was checked")
 
 
 class TestErrorPaths:
@@ -259,14 +286,20 @@ class TestErrorPaths:
         assert main(argv) == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
 
-    def test_unwritable_json_out_exits_config_code(self, tmp_path, capsys):
+    def test_unwritable_json_out_exits_config_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "assemble", never_assemble)
         out = tmp_path / "missing" / "x.json"
         argv = ["table", "--tau", "0", "--json-out", str(out)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("file error:") and err.count("\n") == 1
 
-    def test_sweep_out_naming_a_file_exits_config_code(self, tmp_path, capsys):
+    def test_sweep_out_naming_a_file_exits_config_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "assemble", never_assemble)
         taken = tmp_path / "taken"
         taken.write_text("")
         argv = ["sweep", "--tau-max", "0", "--out", str(taken)]
@@ -304,6 +337,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(oracle, "_sector_blocks", never)
         assert main(["verify", *argv]) == EXIT_CONFIG
         assert "8192" in capsys.readouterr().err
+
+    def test_grid_solved_once_per_distinct_field(self, monkeypatch, capsys):
+        # tau = 0 is one field in all three orientations: 7 distinct fields
+        calls = []
+        grid_solve = cli.grid_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return grid_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "grid_solve", counted)
+        main(["verify", "--n-theta", "16", "--n-phi", "16"])
+        assert len(calls) == len(set(calls)) == 7
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if " tau=0 " in line]) == 3
 
     def test_each_line_reports_its_margin(self, capsys):
         # the exit code is not checked: only the printed margins are tested

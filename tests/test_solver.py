@@ -8,6 +8,7 @@ from torusmag.hamiltonian import assemble
 from torusmag.solver import (
     ComplexGroundError,
     HermiticityError,
+    SpectrumResult,
     eigensolve,
     eigensolve_general,
     ground_state_composition,
@@ -86,6 +87,41 @@ class TestEigensolveGeneral:
         h = toy_matrix([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ComplexGroundError, match="imaginary part 1.000e"):
             eigensolve_general(h)
+
+    @pytest.mark.parametrize(
+        "field",
+        [FieldConfig(0.0, 2.0, vc_on=False, vmag_on=False),
+         FieldConfig(0.0, 2.5, vc_on=True, vmag_on=False),
+         FieldConfig(1.2, 0.9, vc_on=False, vmag_on=False),
+         FieldConfig(1.2, 0.9, vc_on=True, vmag_on=False)],
+    )
+    def test_real_solve_matches_complex_reference(self, basis, field):
+        # assembled H is exactly real, so the solve runs in real arithmetic;
+        # the reference is the complex general solve of the same matrix
+        h = assemble(field, basis)
+        assert h.dtype == complex and not field.hermitian
+        s = eigensolve_general(h)
+        assert s.eigenvectors.dtype == np.float64
+        w, v = np.linalg.eig(h)
+        order = np.argsort(w.real, kind="stable")
+        ref = SpectrumResult(w.real[order], (v / np.linalg.norm(v, axis=0))[:, order])
+        assert np.max(np.abs(s.eigenvalues - ref.eigenvalues)) < 1e-12
+        labels = basis.labels()
+        got = ground_state_composition(s, labels)
+        want = ground_state_composition(ref, labels)
+        worst = max(abs(got.amplitude(lab) - want.amplitude(lab)) for lab in labels)
+        assert worst < 1e-12
+
+    def test_genuinely_complex_matrix(self):
+        h = toy_matrix([[1.0, 1j], [0.0, 2.0]])
+        s = eigensolve_general(h)
+        assert np.allclose(s.eigenvalues, [1.0, 2.0], atol=1e-12)
+        assert s.max_imag < 1e-12
+        eps0, vec = s.ground()
+        assert eps0 == pytest.approx(2.0, abs=1e-12)
+        # the ground eigenvector (i, 1)/sqrt(2) is not real in any phase
+        assert abs(vec[0] / vec[1] - 1j) < 1e-12
+        assert np.max(s.residuals(h)) < 1e-12
 
     def test_complex_excited_pair_is_accepted(self):
         # a real ground level above a conjugate pair 0 +/- 0.5i
