@@ -9,7 +9,6 @@ orientation.
 
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
-from .geometry import TorusGeometry, metric_factor_f
 from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
@@ -26,8 +25,6 @@ __all__ = [
     "FieldConfig",
     "energy_scale_mev",
     "tau_from_tesla",
-    "TorusGeometry",
-    "metric_factor_f",
     "assemble",
     "GridSpec",
     "grid_solve",

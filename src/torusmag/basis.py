@@ -8,25 +8,27 @@ Each basis state carries an additional azimuthal factor exp(i nu phi)/sqrt(2 pi)
 
 With F = 1 + alpha cos(theta) the weighted Gram matrix of the primitives is
 exact and tridiagonal, so Gram-Schmidt runs on coefficient vectors alone.
-The values of every function and its first two theta-derivatives on a
-quadrature grid depend only on the basis, so each basis computes them once
-per grid size and keeps them.
+The values of every function and its first two theta-derivatives on the
+N_QUAD-point quadrature grid depend only on the basis, so each basis
+computes them once and keeps them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-from .geometry import TorusGeometry
 
 #: labels: ('f', n, nu) for even functions, ('g', n, nu) for odd ones.
 Label = tuple[str, int, int]
 
 #: Largest deviation of the coefficient Gram products from the identity.
 ORTHO_TOL = 1e-10
+
+#: Nodes of the periodic trapezoid rule for the theta integrals.
+N_QUAD = 512
 
 
 class DegeneracyError(RuntimeError):
@@ -52,9 +54,6 @@ class BasisSet:
     odd: np.ndarray
     nu_range: tuple[int, int]
     alpha: float
-    _tables: dict[int, tuple[np.ndarray, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @property
     def nus(self) -> list[int]:
@@ -78,16 +77,13 @@ class BasisSet:
             blocks.append(out)
         return np.concatenate(blocks)
 
-    def quadrature_tables(self, n_quad: int) -> tuple[np.ndarray, ...]:
-        """Read-only `values` of orders 0, 1, 2 at `quadrature_nodes(n_quad)`,
-        computed on the first call for each n_quad."""
-        tables = self._tables.get(n_quad)
-        if tables is None:
-            theta = quadrature_nodes(n_quad)
-            tables = tuple(self.values(theta, order) for order in range(3))
-            for table in tables:
-                table.flags.writeable = False
-            self._tables[n_quad] = tables
+    @cached_property
+    def quadrature_tables(self) -> tuple[np.ndarray, ...]:
+        """Read-only `values` of orders 0, 1, 2 at `quadrature_nodes(N_QUAD)`."""
+        theta = quadrature_nodes(N_QUAD)
+        tables = tuple(self.values(theta, order) for order in range(3))
+        for table in tables:
+            table.flags.writeable = False
         return tables
 
     def labels(self) -> list[Label]:
@@ -156,23 +152,25 @@ def _gram_schmidt_block(alpha: float, odd: bool, count: int) -> np.ndarray:
 
 
 def gram_schmidt_basis(
-    geom: TorusGeometry,
+    alpha: float,
     n_even: int = 6,
     n_odd: int = 6,
     nu_range: tuple[int, int] = (-2, 2),
 ) -> BasisSet:
-    """Build the orthonormal basis for the given torus geometry.
+    """Build the orthonormal basis for the torus of aspect ratio alpha = a/R.
 
     Defaults reproduce the 60-state configuration: six functions per
     parity and five azimuthal indices.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if n_even < 1 or n_odd < 0:
         raise ValueError("need n_even >= 1 and n_odd >= 0")
     if nu_range[0] > nu_range[1]:
         raise ValueError(f"empty nu_range {nu_range}")
     return BasisSet(
-        even=_gram_schmidt_block(geom.alpha, False, n_even),
-        odd=_gram_schmidt_block(geom.alpha, True, n_odd),
+        even=_gram_schmidt_block(alpha, False, n_even),
+        odd=_gram_schmidt_block(alpha, True, n_odd),
         nu_range=tuple(nu_range),
-        alpha=geom.alpha,
+        alpha=alpha,
     )

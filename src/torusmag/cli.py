@@ -9,9 +9,9 @@ verify      basis pipeline versus the independent grid oracle
 basis-dump  orthonormal basis coefficients as JSON
 
 Configuration comes from an INI file (sections geometry, field, basis,
-sweep, output) with command line flags taking precedence.  Defaults are
-the reference configuration: R = 500, alpha = 1/2, six functions per
-parity, nu in [-2, 2].
+sweep, output; an unknown section or key is an error) with command line
+flags taking precedence.  Defaults are the reference configuration:
+R = 500, alpha = 1/2, six functions per parity, nu in [-2, 2].
 
 Exit codes: 0 success, 1 configuration or file error, 2 verification failure,
 3 numerical error.
@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .basis import BasisSet, DegeneracyError, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
-from .geometry import DomainError, TorusGeometry
 from .hamiltonian import assemble
 from .oracle import AccuracyError, GridSpec, grid_solve
 from .solver import (
@@ -61,6 +60,12 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _tau_count(span: float) -> int:
+    """Number of sweep points for a range of span steps: every whole step
+    that stays within tau_stop, allowing 1e-9 of a step for rounding."""
+    return math.floor(span + 1e-9) + 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full description of a run; read from INI by `parse_config`."""
@@ -83,6 +88,13 @@ class RunConfig:
             raise ConfigError(f"unknown orientation {self.orientation!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (math.isfinite(self.major_radius) and self.major_radius > 0):
+            raise ConfigError(
+                f"torus radii must be positive and finite, got "
+                f"major_radius = {self.major_radius}"
+            )
+        if not math.isfinite(self.tilt_angle):
+            raise ConfigError(f"tilt_angle must be finite, got {self.tilt_angle}")
         sweep = (self.tau_start, self.tau_stop, self.tau_step)
         if (
             not all(math.isfinite(x) for x in sweep)
@@ -94,7 +106,7 @@ class RunConfig:
                 f"step {self.tau_step}"
             )
         span = (self.tau_stop - self.tau_start) / self.tau_step
-        if not math.isfinite(span) or round(span) + 1 > MAX_TAU_POINTS:
+        if not math.isfinite(span) or _tau_count(span) > MAX_TAU_POINTS:
             raise ConfigError(f"tau sweep has more than {MAX_TAU_POINTS} points")
         if self.nu_min > self.nu_max:
             raise ConfigError(f"empty nu range [{self.nu_min}, {self.nu_max}]")
@@ -102,12 +114,9 @@ class RunConfig:
         if dim > MAX_BASIS_DIM:
             raise ConfigError(f"basis dimension {dim} exceeds {MAX_BASIS_DIM}")
 
-    def geometry(self) -> TorusGeometry:
-        return TorusGeometry(self.major_radius, self.alpha * self.major_radius)
-
     def taus(self) -> list[float]:
-        n = int(round((self.tau_stop - self.tau_start) / self.tau_step))
-        return [self.tau_start + i * self.tau_step for i in range(n + 1)]
+        n = _tau_count((self.tau_stop - self.tau_start) / self.tau_step)
+        return [self.tau_start + i * self.tau_step for i in range(n)]
 
     def split_tau(self, tau: float) -> tuple[float, float]:
         """Map sweep magnitude tau to (tau0, tau1) for the orientation.
@@ -136,15 +145,18 @@ def parse_config(text: str) -> RunConfig:
         "sweep": {"tau_start": float, "tau_stop": float, "tau_step": float},
         "output": {"out_dir": str},
     }
-    for section, fields in plan.items():
-        if not parser.has_section(section):
-            continue
-        for key, cast in fields.items():
-            if parser.has_option(section, key):
-                try:
-                    kwargs[key] = cast(parser.get(section, key))
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {section}.{key}") from exc
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in plan:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in plan[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            try:
+                kwargs[key] = plan[section][key](parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}") from exc
     return RunConfig(**kwargs)
 
 
@@ -174,7 +186,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_basis(cfg: RunConfig) -> BasisSet:
     return gram_schmidt_basis(
-        cfg.geometry(),
+        cfg.alpha,
         n_even=cfg.n_even,
         n_odd=cfg.n_odd,
         nu_range=(cfg.nu_min, cfg.nu_max),
@@ -192,7 +204,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     basis = _build_basis(cfg)
     labels = basis.labels()
-    scale = energy_scale_mev(cfg.geometry()) if args.mev else None
+    scale = None
+    if args.mev:  # the radii are in angstrom
+        scale = energy_scale_mev(cfg.alpha * cfg.major_radius * 1e-10)
     out = Path(cfg.out_dir) / f"sweep_{cfg.orientation}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["tau,variant,eps0,eps0_physical,nu_dominant"]
@@ -255,7 +269,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.refine:  # refuse an oversized refinement grid before any solve
         GridSpec(2 * args.n_theta, args.n_phi)
     cfg = _load_config(args)
-    geom = cfg.geometry()
     basis = _build_basis(cfg)
     failures = 0
     # tau = 0 is the same field in every orientation: solve the grid once
@@ -266,7 +279,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
             eps_basis, _ = _solve(basis, field).ground()
             if field not in grid_eps0:
-                spectrum = grid_solve(geom, field, grid, refine=args.refine)
+                spectrum = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = float(spectrum[0])
             eps_grid = grid_eps0[field]
             diff = abs(eps_basis - eps_grid)
@@ -292,7 +305,7 @@ def cmd_basis_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_tesla(args: argparse.Namespace) -> int:
-    radius = _load_config(args).geometry().major_radius
+    radius = _load_config(args).major_radius
     # major_radius is interpreted in angstrom for the conversion
     tau = tau_from_tesla(args.field_tesla, radius * 1e-10)
     print(f"tau = {tau:.6g} for B = {args.field_tesla:g} T at R = "
@@ -364,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import TorusGeometry
-
 # CODATA 2022 values in SI units (e and h are exact by definition)
 E_CHARGE = 1.602176634e-19
 HBAR = 6.62607015e-34 / (2 * math.pi)
@@ -64,13 +62,11 @@ def tau_from_tesla(b_tesla: float, major_radius_m: float) -> float:
     return E_CHARGE * major_radius_m**2 * b_tesla / HBAR
 
 
-def energy_scale_mev(geom: TorusGeometry, length_unit_m: float = 1e-10) -> float:
-    """hbar^2 / (2 m_e a^2) in meV; a is interpreted in units of
-    `length_unit_m` (angstrom by default).
+def energy_scale_mev(minor_radius_m: float) -> float:
+    """hbar^2 / (2 m_e a^2) in meV for the minor radius a in metres.
 
     Physical energies are E = -eps * scale for a dimensionless eigenvalue
     eps of the surface Hamiltonian.
     """
-    a_m = geom.minor_radius * length_unit_m
-    joule = HBAR**2 / (2.0 * M_E * a_m**2)
+    joule = HBAR**2 / (2.0 * M_E * minor_radius_m**2)
     return joule / E_CHARGE * 1e3

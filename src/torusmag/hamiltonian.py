@@ -73,16 +73,17 @@ def _term_table(
     return terms
 
 
-def assemble(field: FieldConfig, basis: BasisSet, n_quad: int = 512) -> np.ndarray:
+def assemble(field: FieldConfig, basis: BasisSet) -> np.ndarray:
     """Dense complex matrix of the surface Hamiltonian in the given basis.
 
     Rows and columns follow `basis.labels()`.  The curvature potential
     enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
     """
+    deriv = basis.quadrature_tables
+    vals = deriv[0]
+    n_quad = vals.shape[1]
     theta = quadrature_nodes(n_quad)
     f = 1.0 + basis.alpha * np.cos(theta)
-    deriv = basis.quadrature_tables(n_quad)
-    vals = deriv[0]
 
     nus = basis.nus
     nnu = len(nus)

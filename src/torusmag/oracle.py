@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldConfig
-from .geometry import TorusGeometry, metric_factor_f
 
 
 # bound at module scope so perfbench/spans.py can time the dense solve alone
@@ -106,7 +105,7 @@ def _theta_parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sector_blocks(
-    geom: TorusGeometry, field: FieldConfig, grid: GridSpec
+    al: float, field: FieldConfig, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """The grid operator as its two real symmetric inversion-sector blocks.
 
@@ -114,11 +113,10 @@ def _sector_blocks(
     sector B rows (theta-even x odd nu) then (theta-odd x even nu); within
     each part the theta index runs slowest, and nu keeps its FFT order.
     """
-    al = geom.alpha
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
     theta = np.arange(nt) * 2.0 * np.pi / nt
-    f = metric_factor_f(geom, theta)
+    f = 1.0 + al * np.cos(theta)
     sin_t = np.sin(theta)
 
     nu = np.fft.fftfreq(np_, d=1.0 / np_)
@@ -189,27 +187,30 @@ def _sector_blocks(
 
 
 def grid_solve(
-    geom: TorusGeometry,
+    alpha: float,
     field: FieldConfig,
     grid: GridSpec = GridSpec(),
     refine: bool = False,
 ) -> np.ndarray:
-    """Raw eigenvalues of the grid operator, ground state (largest) first.
+    """Raw eigenvalues of the grid operator at aspect ratio alpha, ground
+    state (largest) first.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
     more than REFINE_TOL.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not field.hermitian:
         raise UnsupportedVariantError(
             "the grid oracle represents only the self-adjoint operator; "
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
-    blocks = _sector_blocks(geom, field, grid)
+    blocks = _sector_blocks(alpha, field, grid)
     w = np.sort(np.concatenate([eigh(b) for b in blocks]))[::-1]
     if refine:
-        fine = grid_solve(geom, field, GridSpec(2 * grid.n_theta, grid.n_phi))
+        fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine[0] - w[0])
         if delta > REFINE_TOL:
             raise AccuracyError(

@@ -1,15 +1,15 @@
-"""Shared fixtures: the reference torus and its orthonormal basis."""
+"""Shared fixtures: the reference aspect ratio and its orthonormal basis."""
 
 import pytest
 
-from torusmag import TorusGeometry, gram_schmidt_basis
+from torusmag import gram_schmidt_basis
 
 
 @pytest.fixture(scope="session")
-def geom():
-    return TorusGeometry(major_radius=500.0, minor_radius=250.0)
+def alpha():
+    return 0.5
 
 
 @pytest.fixture(scope="session")
-def basis(geom):
-    return gram_schmidt_basis(geom, n_even=6, n_odd=6, nu_range=(-2, 2))
+def basis(alpha):
+    return gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))

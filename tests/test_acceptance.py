@@ -266,10 +266,10 @@ class TestCriterion4InPlaneTable:
 class TestCriterion5OracleEquivalence:
     @pytest.mark.parametrize("orientation", ["axial", "tilted", "in_plane"])
     @pytest.mark.parametrize("tau", [0.0, 1.0, 2.0])
-    def test_nine_point_agreement(self, geom, points, orientation, tau):
+    def test_nine_point_agreement(self, alpha, points, orientation, tau):
         eps_basis = points.eps0(orientation, tau, True, True)
         t0, t1 = split(orientation, tau)
-        eps_grid = float(grid_solve(geom, FieldConfig(t0, t1), GridSpec(64, 32))[0])
+        eps_grid = float(grid_solve(alpha, FieldConfig(t0, t1), GridSpec(64, 32))[0])
         tol = max(1e-3, 1e-3 * abs(eps_basis))
         assert abs(eps_basis - eps_grid) <= tol
 
@@ -284,10 +284,10 @@ class TestCriterion6Properties:
         h = assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
         assert hermiticity_defect(h) < 1e-10
 
-    def test_basis_orthonormality(self, geom, basis):
+    def test_basis_orthonormality(self, basis):
         from test_basis import basis_gram
 
-        gram = basis_gram(geom, basis)
+        gram = basis_gram(basis)
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
 
     def test_block_decoupling_at_axial_field(self, basis):
@@ -305,11 +305,11 @@ class TestCriterion6Properties:
         rev = eigensolve(assemble(FieldConfig(-1.3, -0.7), basis))
         assert np.max(np.abs(fwd.eigenvalues - rev.eigenvalues)) < 1e-10
 
-    def test_variational_monotonicity(self, geom):
+    def test_variational_monotonicity(self, alpha):
         field = FieldConfig(1.0, 1.0)
         raw = []
         for ne, no, nur in [(3, 3, (-1, 1)), (4, 4, (-2, 2)), (6, 6, (-2, 2))]:
-            b = gram_schmidt_basis(geom, n_even=ne, n_odd=no, nu_range=nur)
+            b = gram_schmidt_basis(alpha, n_even=ne, n_odd=no, nu_range=nur)
             raw.append(eigensolve(assemble(field, b)).ground()[0])
         # physical E = -eps must not increase as the basis grows
         assert raw[0] <= raw[1] + 1e-12 <= raw[2] + 2e-12

@@ -7,25 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusmag import basis as basis_module
 from torusmag.basis import (
     BasisSet,
     _primitive_gram,
     gram_schmidt_basis,
     quadrature_nodes,
 )
-from torusmag.geometry import TorusGeometry
 
 
-def quadrature_inner_product(
-    geom: TorusGeometry, f, g, n: int = 256
-) -> np.ndarray:
+def quadrature_inner_product(alpha: float, f, g, n: int = 256) -> np.ndarray:
     """Periodic-trapezoid integral of f * g * F over one period of theta.
 
     f and g map theta samples to an array whose last axis is theta; a
     stack of functions gives the matrix of all pairwise products.
     """
     theta = np.arange(n) * 2.0 * np.pi / n
-    w = 1.0 + geom.alpha * np.cos(theta)
+    w = 1.0 + alpha * np.cos(theta)
     return (f(theta) * w) @ g(theta).T * 2.0 * np.pi / n
 
 
@@ -34,11 +32,11 @@ def primitives(alpha: float, count: int) -> BasisSet:
     return BasisSet(np.eye(count), np.eye(count), (0, 0), alpha)
 
 
-def basis_gram(geom: TorusGeometry, basis: BasisSet) -> np.ndarray:
+def basis_gram(basis: BasisSet) -> np.ndarray:
     def vals(theta):
         return basis.values(theta, 0)
 
-    return quadrature_inner_product(geom, vals, vals)
+    return quadrature_inner_product(basis.alpha, vals, vals)
 
 
 class TestThetaFunction:
@@ -69,21 +67,23 @@ class TestThetaFunction:
 
 class TestQuadratureTables:
     def test_equal_to_values_at_the_nodes(self, basis):
-        theta = quadrature_nodes(64)
-        assert np.array_equal(theta, np.arange(64) * 2.0 * np.pi / 64)
-        for order, table in enumerate(basis.quadrature_tables(64)):
+        theta = quadrature_nodes(basis_module.N_QUAD)
+        assert np.array_equal(theta, np.arange(512) * 2.0 * np.pi / 512)
+        for order, table in enumerate(basis.quadrature_tables):
             assert np.array_equal(table, basis.values(theta, order))
 
-    def test_kept_per_grid_size_and_read_only(self, geom):
-        small = gram_schmidt_basis(geom, n_even=2, n_odd=1, nu_range=(0, 0))
-        first = small.quadrature_tables(32)
-        assert all(a is b for a, b in zip(first, small.quadrature_tables(32)))
-        assert [t.shape for t in small.quadrature_tables(16)] == [(3, 16)] * 3
+    def test_kept_per_grid_size_and_read_only(self, alpha, monkeypatch):
+        # the grid size is read when a basis first builds its tables
+        monkeypatch.setattr(basis_module, "N_QUAD", 16)
+        small = gram_schmidt_basis(alpha, n_even=2, n_odd=1, nu_range=(0, 0))
+        first = small.quadrature_tables
+        assert all(a is b for a, b in zip(first, small.quadrature_tables))
+        assert [t.shape for t in first] == [(3, 16)] * 3
         for table in first:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-        assert "_tables" not in repr(small)
+        assert "quadrature_tables" not in repr(small)
 
 
 class TestInnerProduct:
@@ -98,32 +98,31 @@ class TestInnerProduct:
             gram = _primitive_gram(0.37, odd, 5)
             assert np.array_equal(gram, gram.T)
 
-    def test_parity_orthogonality(self, geom):
+    def test_parity_orthogonality(self, alpha):
         fg = BasisSet(
-            np.array([[0.5, 1.0, 0.25]]), np.array([[1.0, -0.6]]), (0, 0), geom.alpha
+            np.array([[0.5, 1.0, 0.25]]), np.array([[1.0, -0.6]]), (0, 0), alpha
         )
-        assert basis_gram(geom, fg)[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert basis_gram(fg)[0, 1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_exact_form_matches_quadrature(self, geom):
+    def test_exact_form_matches_quadrature(self, alpha):
         fg = np.array([[0.1, 0.9, -0.2, 0.4], [0.7, 0.3, 0.5, 0.0]])
-        exact = fg[0] @ _primitive_gram(geom.alpha, False, 4) @ fg[1]
-        quad = basis_gram(geom, BasisSet(fg, np.zeros((0, 0)), (0, 0), geom.alpha))
+        exact = fg[0] @ _primitive_gram(alpha, False, 4) @ fg[1]
+        quad = basis_gram(BasisSet(fg, np.zeros((0, 0)), (0, 0), alpha))
         assert exact == pytest.approx(quad[0, 1], rel=1e-12)
 
-    def test_odd_pair_quadrature_agreement(self, geom):
+    def test_odd_pair_quadrature_agreement(self, alpha):
         fg = np.array([[0.8, -0.1, 0.3], [0.2, 0.6, 0.0]])
-        exact = fg[0] @ _primitive_gram(geom.alpha, True, 3) @ fg[1]
-        quad = basis_gram(geom, BasisSet(np.zeros((0, 0)), fg, (0, 0), geom.alpha))
+        exact = fg[0] @ _primitive_gram(alpha, True, 3) @ fg[1]
+        quad = basis_gram(BasisSet(np.zeros((0, 0)), fg, (0, 0), alpha))
         assert exact == pytest.approx(quad[0, 1], rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
     def test_closed_form_equals_quadrature_gram(self, alpha):
-        geom = TorusGeometry(100.0, 100.0 * alpha)
         count = 7
-        quad = basis_gram(geom, primitives(geom.alpha, count))
+        quad = basis_gram(primitives(alpha, count))
         exact = np.zeros((2 * count, 2 * count))
-        exact[:count, :count] = _primitive_gram(geom.alpha, False, count)
-        exact[count:, count:] = _primitive_gram(geom.alpha, True, count)
+        exact[:count, :count] = _primitive_gram(alpha, False, count)
+        exact[count:, count:] = _primitive_gram(alpha, True, count)
         assert np.max(np.abs(quad - exact)) < 1e-12
 
 
@@ -141,12 +140,12 @@ class TestGramSchmidtBasis:
         g1 = basis.odd[0]
         assert g1[0] == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-10)
 
-    def test_orthonormal_under_weight(self, geom, basis):
-        gram = basis_gram(geom, basis)
+    def test_orthonormal_under_weight(self, basis):
+        gram = basis_gram(basis)
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
 
-    def test_cross_parity_products_vanish(self, geom, basis):
-        worst = np.max(np.abs(basis_gram(geom, basis)[:6, 6:]))
+    def test_cross_parity_products_vanish(self, basis):
+        worst = np.max(np.abs(basis_gram(basis)[:6, 6:]))
         assert worst < 1e-12
 
     def test_leading_coefficients_positive(self, basis):
@@ -161,8 +160,7 @@ class TestGramSchmidtBasis:
         assert ("g", 6, 2) in labels
 
     def test_small_alpha_limit(self):
-        geom = TorusGeometry(1000.0, 1.0)
-        basis = gram_schmidt_basis(geom, n_even=3, n_odd=3, nu_range=(0, 0))
+        basis = gram_schmidt_basis(0.001, n_even=3, n_odd=3, nu_range=(0, 0))
         inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
         assert basis.even[0, 0] == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-3
@@ -170,8 +168,8 @@ class TestGramSchmidtBasis:
         assert basis.even[1, 1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
         assert basis.odd[1, 1] == pytest.approx(inv_sqrt_pi, abs=1e-3)
 
-    def test_reproducible_bitwise(self, geom, basis):
-        again = gram_schmidt_basis(geom, n_even=6, n_odd=6, nu_range=(-2, 2))
+    def test_reproducible_bitwise(self, alpha, basis):
+        again = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
         assert np.array_equal(basis.even, again.even)
         assert np.array_equal(basis.odd, again.odd)
 
@@ -182,16 +180,15 @@ class TestGramSchmidtBasis:
         assert np.array_equal(np.array(data["even"]), basis.even)
         assert np.array_equal(np.array(data["odd"]), basis.odd)
 
-    def test_rejects_bad_arguments(self, geom):
+    def test_rejects_bad_arguments(self, alpha):
         with pytest.raises(ValueError):
-            gram_schmidt_basis(geom, n_even=0, n_odd=2)
+            gram_schmidt_basis(alpha, n_even=0, n_odd=2)
         with pytest.raises(ValueError):
-            gram_schmidt_basis(geom, nu_range=(2, -2))
+            gram_schmidt_basis(alpha, nu_range=(2, -2))
 
     @settings(deadline=None, max_examples=20)
     @given(st.floats(min_value=0.05, max_value=0.9))
     def test_orthonormality_across_aspect_ratios(self, alpha):
-        geom = TorusGeometry(100.0, 100.0 * alpha)
-        basis = gram_schmidt_basis(geom, n_even=4, n_odd=4, nu_range=(0, 0))
-        gram = basis_gram(geom, basis)
+        basis = gram_schmidt_basis(alpha, n_even=4, n_odd=4, nu_range=(0, 0))
+        gram = basis_gram(basis)
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10

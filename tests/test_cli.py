@@ -30,6 +30,7 @@ from torusmag.solver import ComplexGroundError
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 CHECK = ROOT / "perfbench" / "check.py"
+CLI_COLD = json.loads((ROOT / "perfbench" / "reference" / "cli_cold.json").read_text())
 
 
 def load_perfbench(path: Path):
@@ -105,6 +106,40 @@ out_dir = results
     def test_tau_grid(self):
         cfg = RunConfig(tau_start=0.0, tau_stop=1.0, tau_step=0.5)
         assert cfg.taus() == [0.0, 0.5, 1.0]
+
+    def test_tau_grid_stays_within_stop(self):
+        # 1 / 0.6 = 1.67 steps: the point 1.2 would pass tau_stop
+        assert RunConfig(tau_stop=1.0, tau_step=0.6).taus() == [0.0, 0.6]
+        # 0.3 / 0.1 = 2.9999999999999996 steps still reaches the stop
+        assert len(RunConfig(tau_stop=0.3, tau_step=0.1).taus()) == 4
+        assert len(RunConfig().taus()) == 13
+        assert len(RunConfig(tau_stop=3.0, tau_step=0.05).taus()) == 61
+
+    @pytest.mark.parametrize(
+        "text,name",
+        [("[geometry]\nalfa = 0.3\n", "geometry.alfa"),
+         ("[basis]\nn_evn = 9\n", "basis.n_evn"),
+         ("[geometry]\nalpha = 0.3\n[bases]\nn_even = 4\n", "[bases]"),
+         ("[DEFAULT]\nalpha = 0.3\n", "[DEFAULT]")],
+        ids=["geometry-key", "basis-key", "section", "default-section"],
+    )
+    def test_unknown_section_or_key_rejected(self, text, name, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            parse_config(text)
+        ini = tmp_path / "typo.ini"
+        ini.write_text(text)
+        assert main(["basis-dump", "--config", str(ini)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_tilt_angle_rejected_before_output(self, value, tmp_path, capsys):
+        ini = tmp_path / "tilt.ini"
+        ini.write_text(f"[field]\norientation = tilted\ntilt_angle = {value}\n")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(ini), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "tilt_angle" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field,value", [("tau_start", -math.inf), ("tau_stop", math.inf),
@@ -223,6 +258,29 @@ class TestTableCommand:
         assert abs(comp[("f", 1)]) == pytest.approx(0.244, abs=2e-3)
 
 
+TABLE_KEYS = [key for key in CLI_COLD if key.startswith("table ")]
+
+
+@pytest.mark.parametrize("key", TABLE_KEYS + ["sweep"])
+def test_cli_cold_outputs_match_stored_bytes(key, tmp_path, monkeypatch, capsys):
+    # every call the benchmark's cli_cold workload makes, with its stored
+    # stdout (and for sweep the CSV it writes), which is only read here
+    assert len(TABLE_KEYS) == 12
+    monkeypatch.chdir(tmp_path)
+    if key == "sweep":
+        argv = ["sweep"]
+    else:
+        _, orientation, taus = key.split(" ")
+        argv = ["table", "--orientation", orientation]
+        for tau in taus.split(","):
+            argv += ["--tau", tau]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == CLI_COLD[key]
+    if key == "sweep":
+        csv = (tmp_path / "sweep_axial.csv").read_text()
+        assert csv == CLI_COLD["sweep_axial.csv"]
+
+
 class TestBasisDump:
     def test_prints_coefficients(self, capsys):
         assert main(["basis-dump"]) == EXIT_OK
@@ -231,9 +289,8 @@ class TestBasisDump:
         assert len(data["even"]) == 6 and len(data["odd"]) == 6
 
     def test_matches_stored_reference_bytes(self, capsys):
-        reference = ROOT / "perfbench" / "reference" / "cli_cold.json"
         assert main(["basis-dump"]) == EXIT_OK
-        assert capsys.readouterr().out == json.loads(reference.read_text())["basis-dump"]
+        assert capsys.readouterr().out == CLI_COLD["basis-dump"]
 
 
 def never_assemble(*args, **kwargs):

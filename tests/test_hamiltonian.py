@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from torusmag import basis as basis_module
 from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
-from torusmag.geometry import TorusGeometry
 from torusmag.hamiltonian import _term_table, assemble
 from torusmag.solver import eigensolve, hermiticity_defect
 
@@ -66,13 +66,12 @@ def element(h, basis, row, col):
 
 
 class TestSingleElements:
-    def test_centrifugal_diagonal_closed_form(self, geom, basis):
+    def test_centrifugal_diagonal_closed_form(self, alpha, basis):
         # f0 diagonal of the azimuthal kinetic term: -nu^2 alpha^2/sqrt(1-alpha^2)
         h = assemble(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
-        al = geom.alpha
         for nu in (-2, 1, 2):
             value = element(h, basis, ("f", 0, nu), ("f", 0, nu))
-            expected = -(nu**2) * al**2 / math.sqrt(1.0 - al**2)
+            expected = -(nu**2) * alpha**2 / math.sqrt(1.0 - alpha**2)
             assert value.real == pytest.approx(expected, rel=1e-12)
             assert value.imag == pytest.approx(0.0, abs=1e-14)
 
@@ -131,18 +130,22 @@ class TestSymmetries:
         # map (complex conjugation) o (phi -> -phi), which commutes with H in
         # every variant; the assembled matrix carries no imaginary part at all
         if shape != "default":
-            other = TorusGeometry(500.0, 400.0)
-            basis = gram_schmidt_basis(other, n_even=8, n_odd=7, nu_range=(-3, 4))
+            basis = gram_schmidt_basis(0.8, n_even=8, n_odd=7, nu_range=(-3, 4))
         fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2)]
         for tau0, tau1 in fields:
             h = assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
             assert np.max(np.abs(h.imag)) == 0.0, (tau0, tau1)
 
-    def test_quadrature_resolution_converged(self, basis):
+    def test_quadrature_resolution_converged(self, alpha, monkeypatch):
+        # each basis builds its tables once, at the N_QUAD of that moment
         field = FieldConfig(1.1, 0.7)
-        coarse = assemble(field, basis, n_quad=256)
-        fine = assemble(field, basis, n_quad=1024)
-        assert np.max(np.abs(coarse - fine)) < 1e-12
+        h = {}
+        for n_quad in (256, 1024):
+            monkeypatch.setattr(basis_module, "N_QUAD", n_quad)
+            fresh = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
+            assert fresh.quadrature_tables[0].shape[1] == n_quad
+            h[n_quad] = assemble(field, fresh)
+        assert np.max(np.abs(h[256] - h[1024])) < 1e-12
 
 
 class TestOperatorAudit:
@@ -156,10 +159,10 @@ class TestOperatorAudit:
     """
 
     @pytest.mark.parametrize("vc,vmag", [(True, True), (False, False)])
-    def test_term_table_is_the_covariant_operator(self, geom, vc, vmag):
+    def test_term_table_is_the_covariant_operator(self, alpha, vc, vmag):
         sp = pytest.importorskip("sympy")
         th, ph = sp.symbols("theta phi", real=True)
-        al, tau0, tau1 = geom.alpha, 0.7, -1.3
+        al, tau0, tau1 = alpha, 0.7, -1.3
         w = 1 + al * sp.cos(th)
         r = sp.Matrix([w * sp.cos(ph), w * sp.sin(ph), al * sp.sin(th)])
         a_vec = sp.Matrix([tau1, 0, tau0]).cross(r) / 2
@@ -192,7 +195,7 @@ class TestOperatorAudit:
         assert np.max(np.abs(identity)) < 1e-12
         field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
         got = np.zeros_like(tt, dtype=complex)
-        for coeff, harm, jt, jp in _term_table(geom.alpha, field, theta):
+        for coeff, harm, jt, jp in _term_table(alpha, field, theta):
             p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
             dpsi = sp.lambdify((th, ph), psi.diff(th, jt, ph, jp), "numpy")(tt, pp)
             got += coeff[:, None] * p_phi[None, :] * dpsi
@@ -200,8 +203,8 @@ class TestOperatorAudit:
 
 
 class TestInterface:
-    def test_even_only_basis_assembles(self, geom):
-        basis = gram_schmidt_basis(geom, n_even=3, n_odd=0, nu_range=(-1, 1))
+    def test_even_only_basis_assembles(self, alpha):
+        basis = gram_schmidt_basis(alpha, n_even=3, n_odd=0, nu_range=(-1, 1))
         h = assemble(FieldConfig(0.8, 0.6), basis)
         assert h.shape == (9, 9)
         assert basis.labels() == [("f", n, nu) for n in range(3) for nu in (-1, 0, 1)]

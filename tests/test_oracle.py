@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from torusmag.field import FieldConfig
-from torusmag.geometry import TorusGeometry, metric_factor_f
 from torusmag.hamiltonian import assemble
 from torusmag.oracle import (
     AccuracyError,
@@ -25,15 +24,14 @@ from torusmag.solver import eigensolve
 
 
 def _build_operator(
-    geom: TorusGeometry, field: FieldConfig, grid: GridSpec
+    al: float, field: FieldConfig, grid: GridSpec
 ) -> np.ndarray:
     """Dense complex grid operator, point (i, j) at row i * n_phi + j."""
-    al = geom.alpha
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
     theta = np.arange(nt) * 2.0 * np.pi / nt
     phi = np.arange(np_) * 2.0 * np.pi / np_
-    f = metric_factor_f(geom, theta)
+    f = 1.0 + al * np.cos(theta)
 
     d1t = fourier_diff_matrix(nt, 1)
     d2t = fourier_diff_matrix(nt, 2)
@@ -142,22 +140,22 @@ class TestDifferentiationMatrices:
 
 
 class TestGridSolve:
-    def test_free_particle_ground_state(self, geom):
+    def test_free_particle_ground_state(self, alpha):
         # at zero field with both potentials off the flat state is the
         # ground state; the similarity transform turns it into sqrt(F)
         field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
         grid = GridSpec(32, 16)
-        assert grid_solve(geom, field, grid)[0] == pytest.approx(0.0, abs=1e-8)
+        assert grid_solve(alpha, field, grid)[0] == pytest.approx(0.0, abs=1e-8)
         theta = np.arange(grid.n_theta) * 2.0 * np.pi / grid.n_theta
-        flat = np.repeat(np.sqrt(metric_factor_f(geom, theta)), grid.n_phi)
-        m = _build_operator(geom, field, grid)
+        flat = np.repeat(np.sqrt(1.0 + alpha * np.cos(theta)), grid.n_phi)
+        m = _build_operator(alpha, field, grid)
         assert np.linalg.norm(m @ flat) / np.linalg.norm(flat) < 1e-6
 
-    def test_operator_hermitian_after_transform(self, geom):
-        m = _build_operator(geom, FieldConfig(1.0, 1.0), GridSpec(32, 16))
+    def test_operator_hermitian_after_transform(self, alpha):
+        m = _build_operator(alpha, FieldConfig(1.0, 1.0), GridSpec(32, 16))
         assert np.max(np.abs(m - m.conj().T)) < 1e-10
 
-    def test_axial_states_have_single_azimuthal_harmonic(self, geom):
+    def test_axial_states_have_single_azimuthal_harmonic(self, alpha):
         # an operator invariant under phi -> phi + one grid step conserves
         # nu, so each non-degenerate state holds a single harmonic; an
         # in-plane component breaks the invariance at O(1)
@@ -166,26 +164,26 @@ class TestGridSolve:
         perm = (np.arange(grid.n_theta)[:, None] * grid.n_phi + j).ravel()
 
         def shift_defect(field):
-            m = _build_operator(geom, field, grid)
+            m = _build_operator(alpha, field, grid)
             return np.max(np.abs(m[np.ix_(perm, perm)] - m))
 
         assert shift_defect(FieldConfig(2.0, 0.0)) < 1e-12
         assert shift_defect(FieldConfig(0.0, 2.0)) > 0.1
 
-    def test_matches_basis_solution_field_free(self, geom, basis):
+    def test_matches_basis_solution_field_free(self, alpha, basis):
         field = FieldConfig(0.0, 0.0, vc_on=True, vmag_on=True)
         eps_basis = eigensolve(assemble(field, basis)).ground()[0]
-        eps_grid = grid_solve(geom, field, GridSpec(64, 16))[0]
+        eps_grid = grid_solve(alpha, field, GridSpec(64, 16))[0]
         assert eps_grid == pytest.approx(eps_basis, rel=1e-3)
 
     @pytest.mark.parametrize(
         "field", [FieldConfig(1.3, 0.7), FieldConfig(0.0, 2.0, vc_on=False)]
     )
-    def test_operator_commutes_with_inversion(self, geom, field):
+    def test_operator_commutes_with_inversion(self, alpha, field):
         # (theta, phi) -> (-theta, phi + pi) permutes the grid points
         # (i, j) -> (-i, j + n_phi/2); the operator must be invariant
         grid = GridSpec(32, 16)
-        m = _build_operator(geom, field, grid)
+        m = _build_operator(alpha, field, grid)
         i = -np.arange(grid.n_theta) % grid.n_theta
         j = (np.arange(grid.n_phi) + grid.n_phi // 2) % grid.n_phi
         perm = (i[:, None] * grid.n_phi + j[None, :]).ravel()
@@ -194,28 +192,28 @@ class TestGridSolve:
     @pytest.mark.parametrize(
         "tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)]
     )
-    def test_field_reversal_conjugates_operator(self, geom, tau0, tau1):
+    def test_field_reversal_conjugates_operator(self, alpha, tau0, tau1):
         grid = GridSpec(32, 16)
-        m = _build_operator(geom, FieldConfig(tau0, tau1), grid)
-        m_rev = _build_operator(geom, FieldConfig(-tau0, -tau1), grid)
+        m = _build_operator(alpha, FieldConfig(tau0, tau1), grid)
+        m_rev = _build_operator(alpha, FieldConfig(-tau0, -tau1), grid)
         assert np.max(np.abs(m_rev - m.conj())) < 1e-12
 
-    def test_refuses_non_hermitian_variant(self, geom):
+    def test_refuses_non_hermitian_variant(self, alpha):
         with pytest.raises(UnsupportedVariantError):
-            grid_solve(geom, FieldConfig(0.0, 1.0, vmag_on=False), GridSpec(32, 16))
+            grid_solve(alpha, FieldConfig(0.0, 1.0, vmag_on=False), GridSpec(32, 16))
 
-    def test_coarse_grid_fails_refinement_check(self, geom):
+    def test_coarse_grid_fails_refinement_check(self, alpha):
         # a strong in-plane field localizes the state enough that a
         # 16-point spectral grid is visibly unconverged
         field = FieldConfig(0.0, 20.0)
         with pytest.raises(AccuracyError, match="refinement"):
-            grid_solve(geom, field, GridSpec(16, 16), refine=True)
+            grid_solve(alpha, field, GridSpec(16, 16), refine=True)
 
-    def test_refinement_passes_at_production_grid(self, geom):
+    def test_refinement_passes_at_production_grid(self, alpha):
         # no AccuracyError: the doubled grid agrees to REFINE_TOL, and the
         # coarse grid's whole spectrum comes back, ground state first
         field = FieldConfig(1.0, 0.0)
-        eps = grid_solve(geom, field, GridSpec(64, 16), refine=True)
+        eps = grid_solve(alpha, field, GridSpec(64, 16), refine=True)
         assert eps.shape == (64 * 16,)
         assert eps[0] == np.max(eps)
 
@@ -230,22 +228,22 @@ class TestSectorBlocks:
             FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
         ],
     )
-    def test_joined_spectra_match_dense_reference(self, geom, field):
-        blocks = _sector_blocks(geom, field, GRID)
+    def test_joined_spectra_match_dense_reference(self, alpha, field):
+        blocks = _sector_blocks(alpha, field, GRID)
         joined = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-        reference = np.linalg.eigvalsh(_build_operator(geom, field, GRID))
+        reference = np.linalg.eigvalsh(_build_operator(alpha, field, GRID))
         assert np.max(np.abs(joined - reference)) < 1e-10
 
-    def test_blocks_are_real_symmetric(self, geom):
-        for block in _sector_blocks(geom, FieldConfig(1.3, 0.7), GRID):
+    def test_blocks_are_real_symmetric(self, alpha):
+        for block in _sector_blocks(alpha, FieldConfig(1.3, 0.7), GRID):
             assert block.dtype == np.float64
             assert np.max(np.abs(block - block.T)) < 1e-12
 
     @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)])
-    def test_field_reversal_relabels_nu(self, geom, tau0, tau1):
+    def test_field_reversal_relabels_nu(self, alpha, tau0, tau1):
         # reversing the field maps nu -> -nu (Nyquist fixed) and nothing else
-        blocks = _sector_blocks(geom, FieldConfig(tau0, tau1), GRID)
-        reversed_ = _sector_blocks(geom, FieldConfig(-tau0, -tau1), GRID)
+        blocks = _sector_blocks(alpha, FieldConfig(tau0, tau1), GRID)
+        reversed_ = _sector_blocks(alpha, FieldConfig(-tau0, -tau1), GRID)
         for block, block_rev, (key, nu) in zip(blocks, reversed_, sector_rows(GRID)):
             nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
             row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
@@ -253,10 +251,10 @@ class TestSectorBlocks:
             assert np.max(np.abs(block_rev[np.ix_(perm, perm)] - block)) == 0.0
             assert np.max(np.abs(block_rev - block)) > 0.1
 
-    def test_axial_field_conserves_nu(self, geom):
+    def test_axial_field_conserves_nu(self, alpha):
         # largest entry between rows of different nu, over both blocks
         def cross_nu(field):
-            blocks = _sector_blocks(geom, field, GRID)
+            blocks = _sector_blocks(alpha, field, GRID)
             return max(
                 np.max(np.abs(block[nu[:, None] != nu[None, :]]))
                 for block, (_, nu) in zip(blocks, sector_rows(GRID))
@@ -265,14 +263,14 @@ class TestSectorBlocks:
         assert cross_nu(FieldConfig(2.0, 0.0)) == 0.0
         assert cross_nu(FieldConfig(0.0, 2.0)) > 0.1
 
-    def test_free_particle_sector_a_annihilates_flat_state(self, geom):
+    def test_free_particle_sector_a_annihilates_flat_state(self, alpha):
         # sqrt(F) at nu = 0 is theta-even, so it lies in sector A; its
         # coordinates on the even combinations carry sqrt(2) off the ends
         field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
-        block_a, _ = _sector_blocks(geom, field, GRID)
+        block_a, _ = _sector_blocks(alpha, field, GRID)
         half = GRID.n_theta // 2
         theta = np.arange(half + 1) * 2.0 * np.pi / GRID.n_theta
-        coords = np.sqrt(metric_factor_f(geom, theta))
+        coords = np.sqrt(1.0 + alpha * np.cos(theta))
         coords[1:half] *= np.sqrt(2.0)
         key, nu = sector_rows(GRID)[0]
         flat = np.zeros(block_a.shape[0])

@@ -186,14 +186,14 @@ class TestComposition:
 
 
 class TestVariationalBehaviour:
-    def test_ground_energy_monotone_under_basis_enlargement(self, geom):
+    def test_ground_energy_monotone_under_basis_enlargement(self, alpha):
         from torusmag.basis import gram_schmidt_basis
 
         field = FieldConfig(1.0, 1.0)
         sizes = [(3, 3, (-1, 1)), (4, 4, (-2, 2)), (6, 6, (-2, 2))]
         eps = []
         for ne, no, nur in sizes:
-            b = gram_schmidt_basis(geom, n_even=ne, n_odd=no, nu_range=nur)
+            b = gram_schmidt_basis(alpha, n_even=ne, n_odd=no, nu_range=nur)
             s = eigensolve(assemble(field, b))
             eps.append(s.ground()[0])
         # physical energy E = -eps; enlargement may only lower E, so raw
