@@ -31,7 +31,7 @@ ORTHO_TOL = 1e-10
 N_QUAD = 512
 
 
-class DegeneracyError(RuntimeError):
+class DegeneracyError(ArithmeticError):
     """Orthogonalization lost too much precision at some primitive index."""
 
 
@@ -40,7 +40,7 @@ def quadrature_nodes(n_quad: int) -> np.ndarray:
     return np.arange(n_quad) * 2.0 * np.pi / n_quad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
     """Orthonormal poloidal functions plus an azimuthal index range.
 
@@ -141,14 +141,12 @@ def _gram_schmidt_block(alpha: float, odd: bool, count: int) -> np.ndarray:
         if v[i] < 0:  # leading coefficient made positive
             v = -v
         funcs.append(v)
-    for i, u in enumerate(funcs):
-        for j, v in enumerate(funcs):
-            expect = 1.0 if i == j else 0.0
-            if abs(dot(u, v) - expect) > ORTHO_TOL:
-                raise DegeneracyError(
-                    f"orthogonality loss at {parity} pair ({i}, {j})"
-                )
-    return np.array(funcs).reshape(count, count)
+    coeffs = np.array(funcs).reshape(count, count)
+    loss = np.abs(coeffs @ gram @ coeffs.T - np.eye(count))
+    if np.any(loss > ORTHO_TOL):
+        i, j = np.unravel_index(np.argmax(loss), loss.shape)
+        raise DegeneracyError(f"orthogonality loss at {parity} pair ({i}, {j})")
+    return coeffs
 
 
 def gram_schmidt_basis(

@@ -14,7 +14,7 @@ flags taking precedence.  Defaults are the reference configuration:
 R = 500, alpha = 1/2, six functions per parity, nu in [-2, 2].
 
 Exit codes: 0 success, 1 configuration or file error, 2 verification failure,
-3 numerical error.
+3 numerical error (any ArithmeticError, overflow of a huge field included).
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basis import BasisSet, DegeneracyError, gram_schmidt_basis
+from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import assemble
-from .oracle import AccuracyError, GridSpec, grid_solve
+from .oracle import GridSpec, grid_solve
 from .solver import (
-    ComplexGroundError,
-    HermiticityError,
     SpectrumResult,
     eigensolve,
     eigensolve_general,
@@ -161,16 +159,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    if getattr(args, "orientation", None):
-        updates["orientation"] = args.orientation
-    if getattr(args, "tau_max", None) is not None:
-        updates["tau_stop"] = args.tau_max
-    if getattr(args, "tau_step", None) is not None:
-        updates["tau_step"] = args.tau_step
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """Flags whose dest names a RunConfig field override that field."""
+    updates = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cfg)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(cfg, **updates)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -335,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="ground eigenvalue vs tau, CSV")
     common(p_sweep)
     orientation(p_sweep)
-    p_sweep.add_argument("--tau-max", type=float, dest="tau_max")
-    p_sweep.add_argument("--tau-step", type=float, dest="tau_step")
-    p_sweep.add_argument("--out", help="output directory")
+    p_sweep.add_argument("--tau-max", type=float, dest="tau_stop")
+    p_sweep.add_argument("--tau-step", type=float)
+    p_sweep.add_argument("--out", dest="out_dir", help="output directory")
     p_sweep.add_argument(
         "--mev", action="store_true", help="append a meV energy column"
     )
@@ -347,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table)
     orientation(p_table)
     p_table.add_argument("--tau", type=float, action="append")
-    p_table.add_argument("--json-out", dest="json_out")
+    p_table.add_argument("--json-out")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="compare against the grid oracle")
@@ -383,9 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        AccuracyError, HermiticityError, ComplexGroundError, DegeneracyError
-    ) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -47,7 +47,7 @@ MAX_GRID_POINTS = 8192
 REFINE_TOL = 1e-4
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(ArithmeticError):
     """Grid refinement moved the ground eigenvalue by more than allowed."""
 
 

@@ -18,6 +18,11 @@ and the phase fix of a real eigenvector is a sign.  The ground eigenvalue
 must be real to GROUND_IMAG_TOL; high levels may pair up into complex
 conjugates, so the bound is not applied to the whole spectrum.  The real
 parts are reported.
+
+Every error raised here is an ArithmeticError, as are those of the basis
+and the oracle, so a caller can handle all numerical failures at once.
+The API is what the commands read: the ground eigenpair, the ground-state
+composition, its dominant nu and its cos/sin rows.
 """
 
 from __future__ import annotations
@@ -38,36 +43,25 @@ HERMITICITY_TOL = 1e-8
 DISPLAY_THRESHOLD = 0.09
 
 
-class HermiticityError(RuntimeError):
+class HermiticityError(ArithmeticError):
     """The matrix handed to the Hermitian solver is not Hermitian."""
 
 
-class ComplexGroundError(RuntimeError):
+class ComplexGroundError(ArithmeticError):
     """The ground eigenvalue of a general solve is not real."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Eigenvalues (ascending in eps) with aligned eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    max_imag: float = 0.0
-
-    def ground_index(self) -> int:
-        """Index of the physical ground state: maximal raw eps."""
-        return int(np.argmax(self.eigenvalues))
 
     def ground(self) -> tuple[float, np.ndarray]:
-        i = self.ground_index()
+        """The physical ground state: maximal raw eps, and its eigenvector."""
+        i = int(np.argmax(self.eigenvalues))
         return float(self.eigenvalues[i]), self.eigenvectors[:, i]
-
-    def residuals(self, h: np.ndarray) -> np.ndarray:
-        """||H v - eps v|| per eigenpair (eigenvectors are unit norm)."""
-        hv = h @ self.eigenvectors
-        return np.linalg.norm(
-            hv - self.eigenvectors * self.eigenvalues[np.newaxis, :], axis=0
-        )
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
@@ -97,10 +91,9 @@ def eigensolve_general(h: np.ndarray) -> SpectrumResult:
 
     A complex matrix whose imaginary part is all zero is solved as a real
     one; the eigenvectors are then real wherever the eigenvalues are.
-    Eigenvectors are normalized to unit Euclidean norm.  The largest
-    imaginary part encountered is recorded in max_imag for diagnostics.
-    Raises ComplexGroundError when the eigenvalue of largest real part
-    has |imag| above GROUND_IMAG_TOL.
+    Eigenvectors are normalized to unit Euclidean norm.  Raises
+    ComplexGroundError when the eigenvalue of largest real part has |imag|
+    above GROUND_IMAG_TOL.
     """
     if not h.imag.any():
         h = h.real
@@ -111,12 +104,9 @@ def eigensolve_general(h: np.ndarray) -> SpectrumResult:
             f"ground eigenvalue has imaginary part {ground_imag:.3e}, "
             f"above {GROUND_IMAG_TOL:.0e}"
         )
-    max_imag = float(np.max(np.abs(w.imag)))
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     order = np.argsort(w.real, kind="stable")
-    return SpectrumResult(
-        eigenvalues=w.real[order], eigenvectors=v[:, order], max_imag=max_imag
-    )
+    return SpectrumResult(eigenvalues=w.real[order], eigenvectors=v[:, order])
 
 
 @dataclass(frozen=True)
@@ -129,29 +119,13 @@ class StateComposition:
 
     terms: list[tuple[Label, complex]]
 
-    def amplitude(self, label: Label) -> complex:
-        for lab, amp in self.terms:
-            if lab == label:
-                return amp
-        return 0.0
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for _, a in self.terms))
-
-    def nu_weights(self) -> dict[int, float]:
-        """Total |amplitude|^2 per azimuthal index."""
-        out: dict[int, float] = {}
-        for (_, _, nu), amp in self.terms:
-            out[nu] = out.get(nu, 0.0) + abs(amp) ** 2
-        return out
-
     def dominant_nu(self) -> int:
-        weights = self.nu_weights()
+        """The azimuthal index of largest total |amplitude|^2; the lowest
+        such nu on a tie."""
+        weights: dict[int, float] = {}
+        for (_, _, nu), amp in self.terms:
+            weights[nu] = weights.get(nu, 0.0) + abs(amp) ** 2
         return max(sorted(weights), key=lambda nu: weights[nu])
-
-    def circulation(self) -> float:
-        """Expectation of -i d/dphi: sum of nu |amplitude|^2."""
-        return float(sum(nu * w for nu, w in self.nu_weights().items()))
 
     def real_combinations(self) -> list[tuple[str, int, int, complex]]:
         """Group nu = +/-m pairs into cos/sin phi form.
@@ -203,21 +177,14 @@ class StateComposition:
         return "  ".join(parts) if parts else "(no terms above threshold)"
 
 
-def state_composition(
-    s: SpectrumResult, index: int, labels: list[Label]
-) -> StateComposition:
-    """Amplitudes of eigenvector `index`; labels name the matrix rows."""
-    vec = s.eigenvectors[:, index].copy()
-    top = int(np.argmax(np.abs(vec)))
-    phase = vec[top] / abs(vec[top])
-    vec = vec / phase
-    order = np.argsort(-np.abs(vec), kind="stable")
-    terms = [(labels[i], complex(vec[i])) for i in order]
-    return StateComposition(terms=terms)
-
-
 def ground_state_composition(
     s: SpectrumResult, labels: list[Label]
 ) -> StateComposition:
-    """Composition of the physical ground state (maximal raw eps)."""
-    return state_composition(s, s.ground_index(), labels)
+    """Amplitudes of the physical ground state (maximal raw eps); labels
+    name the matrix rows."""
+    _, vec = s.ground()
+    top = int(np.argmax(np.abs(vec)))
+    vec = vec / (vec[top] / abs(vec[top]))
+    order = np.argsort(-np.abs(vec), kind="stable")
+    terms = [(labels[i], complex(vec[i])) for i in order]
+    return StateComposition(terms=terms)

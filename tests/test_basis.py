@@ -173,6 +173,11 @@ class TestGramSchmidtBasis:
         assert np.array_equal(basis.even, again.even)
         assert np.array_equal(basis.odd, again.odd)
 
+    def test_equality_is_identity(self, alpha, basis):
+        # the coefficient arrays make field-wise == ambiguous
+        assert (basis == gram_schmidt_basis(alpha)) is False
+        assert basis == basis
+
     def test_json_round_trip(self, basis):
         data = json.loads(basis.to_json())
         assert tuple(data["nu_range"]) == basis.nu_range

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from torusmag import basis as basis_module
 from torusmag import cli, oracle
-from torusmag.basis import BasisSet
+from torusmag.basis import BasisSet, DegeneracyError
 from torusmag.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -25,7 +26,8 @@ from torusmag.cli import (
     main,
     parse_config,
 )
-from torusmag.solver import ComplexGroundError
+from torusmag.oracle import AccuracyError
+from torusmag.solver import ComplexGroundError, HermiticityError
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -297,6 +299,15 @@ def never_assemble(*args, **kwargs):
     raise AssertionError("solved a point before the output was checked")
 
 
+def refuse(exc):
+    """A stand-in for a layer that fails with exc."""
+
+    def layer(*args, **kwargs):
+        raise exc
+
+    return layer
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.ini"]) == EXIT_CONFIG
@@ -334,14 +345,52 @@ class TestErrorPaths:
         ini.write_text("[basis]\nnu_min = -1000\nnu_max = 1000\n")
         assert main(["basis-dump", "--config", str(ini)]) == EXIT_CONFIG
 
-    def test_complex_ground_exits_numeric_code(self, monkeypatch, capsys):
-        def refuse(h):
-            raise ComplexGroundError("ground eigenvalue has imaginary part")
-
-        monkeypatch.setattr(cli, "eigensolve_general", refuse)
-        argv = ["table", "--orientation", "in_plane", "--tau", "1"]
+    @pytest.mark.parametrize(
+        "patch,argv,message",
+        [
+            pytest.param(
+                (cli, "eigensolve", refuse(HermiticityError("not Hermitian"))),
+                ["table", "--tau", "1"], "not Hermitian", id="hermiticity",
+            ),
+            pytest.param(
+                (cli, "eigensolve_general",
+                 refuse(ComplexGroundError("ground eigenvalue has imaginary part"))),
+                ["table", "--orientation", "in_plane", "--tau", "1"],
+                "ground eigenvalue has imaginary part", id="complex-ground",
+            ),
+            pytest.param(
+                (cli, "grid_solve", refuse(AccuracyError("moved on refinement"))),
+                ["verify"], "moved on refinement", id="accuracy",
+            ),
+            pytest.param(
+                (cli, "gram_schmidt_basis", refuse(DegeneracyError("degenerate"))),
+                ["basis-dump"], "degenerate", id="degeneracy",
+            ),
+            # a real orthogonality loss: every deviation exceeds a negative bound
+            pytest.param(
+                (basis_module, "ORTHO_TOL", -1.0), ["basis-dump"],
+                r"orthogonality loss at even pair \(\d+, \d+\)",
+                id="orthogonality-loss",
+            ),
+            # tau**2 overflows a float
+            pytest.param(
+                None, ["table", "--tau", "1e200"], r".*out of range.*",
+                id="table-huge-tau",
+            ),
+            pytest.param(
+                None, ["sweep", "--tau-max", "1e200", "--tau-step", "1e199"],
+                r".*out of range.*", id="sweep-huge-tau",
+            ),
+        ],
+    )
+    def test_numerical_failure_exits_numeric_code(
+        self, patch, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        if patch:
+            monkeypatch.setattr(*patch)
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_NUMERIC
-        assert "numerical error" in capsys.readouterr().err
+        assert re.fullmatch(f"numerical error: {message}\n", capsys.readouterr().err)
 
     def test_unwritable_json_out_exits_config_code(
         self, tmp_path, monkeypatch, capsys
