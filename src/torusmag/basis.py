@@ -4,7 +4,9 @@ The basis functions are real trigonometric polynomials of definite parity,
 orthonormalized by a modified Gram-Schmidt procedure over the torus surface
 measure dJ = F(theta) dtheta dphi, starting from the primitives
 {1, cos(theta), ..., cos((n_even-1) theta)} and {sin(theta), ..., sin(n_odd theta)}.
-Each basis state carries an additional azimuthal factor exp(i nu phi)/sqrt(2 pi).
+Each basis state carries an additional azimuthal factor exp(i nu phi)/sqrt(2 pi),
+so the states are the product of `functions` and `nus`, numbered
+function-major: state i * len(nus) + j is function i times nu index j.
 
 With F = 1 + alpha cos(theta) the weighted Gram matrix of the primitives is
 exact and tridiagonal, so Gram-Schmidt runs on coefficient vectors alone.
@@ -86,16 +88,15 @@ class BasisSet:
             table.flags.writeable = False
         return tables
 
+    @property
+    def functions(self) -> list[tuple[str, int]]:
+        """Theta-function names in table order: ('f', n)..., then ('g', n+1)..."""
+        even, odd = len(self.even), len(self.odd)
+        return [("f", n) for n in range(even)] + [("g", n) for n in range(1, odd + 1)]
+
     def labels(self) -> list[Label]:
-        """Row labels in assembly order: even block then odd block."""
-        out: list[Label] = []
-        for n in range(len(self.even)):
-            for nu in self.nus:
-                out.append(("f", n, nu))
-        for n in range(len(self.odd)):
-            for nu in self.nus:
-                out.append(("g", n + 1, nu))
-        return out
+        """Row labels in assembly order: each function with every nu in turn."""
+        return [(kind, n, nu) for kind, n in self.functions for nu in self.nus]
 
     def to_json(self) -> str:
         return json.dumps(

@@ -136,23 +136,24 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
     kwargs: dict = {}
-    plan = {
-        "geometry": {"major_radius": float, "alpha": float},
-        "field": {"orientation": str, "tilt_angle": float},
-        "basis": {"n_even": int, "n_odd": int, "nu_min": int, "nu_max": int},
-        "sweep": {"tau_start": float, "tau_stop": float, "tau_step": float},
-        "output": {"out_dir": str},
+    # the RunConfig fields each section may set; a field's type is its default's
+    sections = {
+        "geometry": ("major_radius", "alpha"),
+        "field": ("orientation", "tilt_angle"),
+        "basis": ("n_even", "n_odd", "nu_min", "nu_max"),
+        "sweep": ("tau_start", "tau_stop", "tau_step"),
+        "output": ("out_dir",),
     }
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in plan:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in plan[section]:
+            if key not in sections[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             try:
-                kwargs[key] = plan[section][key](parser.get(section, key))
+                kwargs[key] = type(getattr(RunConfig, key))(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}") from exc
     return RunConfig(**kwargs)
@@ -198,7 +199,6 @@ def _solve(basis: BasisSet, field: FieldConfig) -> SpectrumResult:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     basis = _build_basis(cfg)
-    labels = basis.labels()
     scale = None
     if args.mev:  # the radii are in angstrom
         scale = energy_scale_mev(cfg.alpha * cfg.major_radius * 1e-10)
@@ -212,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
             spectrum = _solve(basis, field)
             eps0, _ = spectrum.ground()
-            nu = ground_state_composition(spectrum, labels).dominant_nu()
+            nu = ground_state_composition(spectrum, basis).dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
             if scale is not None:
                 row += f",{-eps0 * scale:.12g}"
@@ -225,7 +225,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     basis = _build_basis(cfg)
-    labels = basis.labels()
     taus = args.tau if args.tau else [0.0, 1.0, 2.0]
     json_dir = Path(args.json_out).parent if args.json_out else None
     if json_dir is not None and not json_dir.is_dir():  # fail before any solve
@@ -237,7 +236,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
             spectrum = _solve(basis, field)
             eps0, _ = spectrum.ground()
-            comp = ground_state_composition(spectrum, labels)
+            comp = ground_state_composition(spectrum, basis)
             report["rows"].append(
                 {
                     "variant": name,
@@ -308,15 +307,10 @@ def cmd_tesla(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse default exits 2; we use 1
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="torusmag", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        prog="torusmag", description=__doc__.splitlines()[0]
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -368,8 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; we use 1
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ValueError as exc:

@@ -6,10 +6,11 @@ weighted Gram-Schmidt basis of `basis`.  Every term has the form
     C(theta) * P(phi) * d^j/dtheta^j * d^p/dphi^p
 
 with C a trig polynomial over nonnegative powers of 1/F and P a trig
-polynomial in phi of degree at most 2.  Azimuthal integrals are therefore
-exact harmonic sums with the selection rule |nu_row - nu_col| <= 2, and the
-theta integrals are done by periodic trapezoid quadrature, which converges
-geometrically for these analytic periodic integrands.
+polynomial in phi of degree at most 2.  A basis state is a theta-function
+times exp(i nu phi), so a term's matrix is the Kronecker product of its
+theta integrals over function pairs, done by periodic trapezoid quadrature
+(geometric convergence for these analytic periodic integrands), with its
+nu x nu matrix of exact harmonic sums (selection rule |nu_row - nu_col| <= 2).
 
 Matrix elements are taken as <chi_row | H chi_col> over the measure
 F(theta) dtheta dphi without symmetrization; the weight itself supplies the
@@ -85,21 +86,15 @@ def assemble(field: FieldConfig, basis: BasisSet) -> np.ndarray:
     theta = quadrature_nodes(n_quad)
     f = 1.0 + basis.alpha * np.cos(theta)
 
-    nus = basis.nus
-    nnu = len(nus)
-    dim = len(vals) * nnu
-    h = np.zeros((dim, dim), dtype=complex)
+    nus = np.array(basis.nus)
+    nf, nnu = len(vals), len(nus)
+    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
     dtheta = 2.0 * np.pi / n_quad
     for coeff, harm, jt, jp in _term_table(basis.alpha, field, theta):
         # theta integrals for all basis-function pairs at once
         tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
-        for bc, nu in enumerate(nus):
-            phase = (1j * nu) ** jp if jp else 1.0
-            for m, cm in harm.items():
-                nurow = nu + m
-                if not nus[0] <= nurow <= nus[-1]:
-                    continue
-                br = nurow - nus[0]
-                h[br::nnu, bc::nnu] += tmat * (cm * phase)
-    return h
-
+        # exact phi integrals: harmonic m moves nu_col to nu_col + m
+        phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
+        r, c = np.nonzero(phi)  # np.kron(tmat, phi) on phi's nonzero entries
+        h[:, r, :, c] += tmat * phi[r, c, None, None]
+    return h.reshape(nf * nnu, nf * nnu)

@@ -22,7 +22,7 @@ parts are reported.
 Every error raised here is an ArithmeticError, as are those of the basis
 and the oracle, so a caller can handle all numerical failures at once.
 The API is what the commands read: the ground eigenpair, the ground-state
-composition, its dominant nu and its cos/sin rows.
+composition as a (function x nu) array, its dominant nu and cos/sin rows.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Label
+from .basis import BasisSet
 
 #: Largest |imag| accepted for the ground eigenvalue of a general solve.
 GROUND_IMAG_TOL = 1e-8
 
-#: Largest max|H - H^dagger| that `eigensolve` accepts.
-HERMITICITY_TOL = 1e-8
+#: Largest max|H - H^dagger| / max(1, max|H|) that `eigensolve` accepts.
+HERMITICITY_TOL = 1e-12
 
 #: Smallest amplitude magnitude shown by the composition display methods.
 DISPLAY_THRESHOLD = 0.09
@@ -73,13 +73,15 @@ def eigensolve(h: np.ndarray) -> SpectrumResult:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Raises HermiticityError (with the measured defect) when the matrix is
-    not Hermitian within HERMITICITY_TOL, instead of silently symmetrizing.
+    not Hermitian within that bound, instead of silently symmetrizing.  The
+    bound is relative because the rounding defect grows with the entries.
     """
     defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
+    bound = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h))))
+    if defect > bound:
         raise HermiticityError(
             f"matrix is not Hermitian: max|H - H^dagger| = {defect:.3e} "
-            f"exceeds {HERMITICITY_TOL:.1e}; for the curvature-coupling-off "
+            f"exceeds {bound:.1e}; for the curvature-coupling-off "
             "variant at tau1 != 0 use eigensolve_general"
         )
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
@@ -109,23 +111,23 @@ def eigensolve_general(h: np.ndarray) -> SpectrumResult:
     return SpectrumResult(eigenvalues=w.real[order], eigenvectors=v[:, order])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateComposition:
-    """Eigenvector amplitudes per basis label, largest magnitude first.
+    """Ground-state amplitudes as a (function x nu) array.
 
-    terms keeps every amplitude; display methods apply DISPLAY_THRESHOLD.
-    The global phase is fixed so the largest amplitude is real positive.
+    amps[i, j] is the amplitude of theta-function functions[i] times
+    exp(i nus[j] phi).  The global phase is fixed so the largest amplitude
+    is real positive; display methods apply DISPLAY_THRESHOLD.
     """
 
-    terms: list[tuple[Label, complex]]
+    amps: np.ndarray
+    functions: list[tuple[str, int]]
+    nus: list[int]
 
     def dominant_nu(self) -> int:
         """The azimuthal index of largest total |amplitude|^2; the lowest
         such nu on a tie."""
-        weights: dict[int, float] = {}
-        for (_, _, nu), amp in self.terms:
-            weights[nu] = weights.get(nu, 0.0) + abs(amp) ** 2
-        return max(sorted(weights), key=lambda nu: weights[nu])
+        return self.nus[int(np.argmax(np.sum(np.abs(self.amps) ** 2, axis=0)))]
 
     def real_combinations(self) -> list[tuple[str, int, int, complex]]:
         """Group nu = +/-m pairs into cos/sin phi form.
@@ -139,24 +141,17 @@ class StateComposition:
 
         Rows with magnitude below DISPLAY_THRESHOLD are dropped.
         """
-        amps: dict[tuple[str, int, int], complex] = {}
-        for (kind, n, nu), amp in self.terms:
-            amps[(kind, n, nu)] = amps.get((kind, n, nu), 0.0) + amp
         rows: list[tuple[str, int, int, complex]] = []
-        seen: set[tuple[str, int, int]] = set()
-        for kind, n, nu in amps:
-            m = abs(nu)
-            key = (kind, n, m)
-            if key in seen:
-                continue
-            seen.add(key)
-            if m == 0:
-                rows.append((kind, n, 0, amps[(kind, n, 0)]))
-            else:
-                cp = amps.get((kind, n, m), 0.0)
-                cm = amps.get((kind, n, -m), 0.0)
-                rows.append((kind, n, m, cp + cm))  # cos(m phi) coefficient
-                rows.append((kind, n, -m, cp - cm))  # i sin(m phi) coefficient
+        # + 0.0 turns a signed zero into +0.0, as a Python sum from 0.0 does
+        for (kind, n), row in zip(self.functions, self.amps + 0.0):
+            amp = dict(zip(self.nus, map(complex, row)))
+            for m in sorted({abs(nu) for nu in self.nus}):
+                if m == 0:
+                    rows.append((kind, n, 0, amp[0]))
+                else:
+                    cp, cm = amp.get(m, 0.0), amp.get(-m, 0.0)
+                    rows.append((kind, n, m, cp + cm))  # cos(m phi) coefficient
+                    rows.append((kind, n, -m, cp - cm))  # i sin(m phi) coefficient
         rows = [r for r in rows if abs(r[3]) >= DISPLAY_THRESHOLD]
         rows.sort(key=lambda r: -abs(r[3]))
         return rows
@@ -178,13 +173,11 @@ class StateComposition:
 
 
 def ground_state_composition(
-    s: SpectrumResult, labels: list[Label]
+    s: SpectrumResult, basis: BasisSet
 ) -> StateComposition:
-    """Amplitudes of the physical ground state (maximal raw eps); labels
-    name the matrix rows."""
+    """Amplitudes of the physical ground state (maximal raw eps) in basis."""
     _, vec = s.ground()
     top = int(np.argmax(np.abs(vec)))
     vec = vec / (vec[top] / abs(vec[top]))
-    order = np.argsort(-np.abs(vec), kind="stable")
-    terms = [(labels[i], complex(vec[i])) for i in order]
-    return StateComposition(terms=terms)
+    functions, nus = basis.functions, basis.nus
+    return StateComposition(vec.reshape(len(functions), len(nus)), functions, nus)

@@ -5,19 +5,19 @@ import numpy as np
 
 def amplitude(comp, label) -> complex:
     """Amplitude of one basis label in a composition; 0 if it is absent."""
-    for lab, amp in comp.terms:
-        if lab == label:
-            return amp
-    return 0.0
+    kind, n, nu = label
+    if (kind, n) not in comp.functions or nu not in comp.nus:
+        return 0.0
+    return complex(comp.amps[comp.functions.index((kind, n)), comp.nus.index(nu)])
 
 
 def norm_sq(comp) -> float:
-    return float(sum(abs(a) ** 2 for _, a in comp.terms))
+    return float(np.sum(np.abs(comp.amps) ** 2))
 
 
 def circulation(comp) -> float:
     """Expectation of -i d/dphi: sum of nu |amplitude|^2."""
-    return float(sum(nu * abs(a) ** 2 for (_, _, nu), a in comp.terms))
+    return float(np.sum(np.abs(comp.amps) ** 2 @ np.array(comp.nus)))
 
 
 def residuals(s, h: np.ndarray) -> np.ndarray:

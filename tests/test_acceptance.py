@@ -64,7 +64,7 @@ class PointCache:
             field = FieldConfig(t0, t1, vc_on=vc, vmag_on=vmag)
             h = assemble(field, self.basis)
             s = eigensolve(h) if field.hermitian else eigensolve_general(h)
-            self._store[key] = (s, ground_state_composition(s, self.basis.labels()))
+            self._store[key] = (s, ground_state_composition(s, self.basis))
         return self._store[key]
 
     def eps0(self, orientation, tau, vc, vmag):

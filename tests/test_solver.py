@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from torusmag.basis import gram_schmidt_basis
+from torusmag.cli import main
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import assemble
 from torusmag.solver import (
@@ -31,10 +33,19 @@ class TestEigensolve:
         expected = [(a + c) / 2.0 - disc, (a + c) / 2.0 + disc]
         assert np.allclose(s.eigenvalues, expected, atol=1e-12)
 
-    def test_refuses_non_hermitian(self):
+    def test_refuses_non_hermitian(self, basis, capsys):
         h = toy_matrix([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(HermiticityError, match="eigensolve_general"):
             eigensolve(h)
+        # the bound is relative to max|H|: rounding in a Hermitian H at a
+        # huge tilted field passes, the coupling-off variant never does
+        for tau in (1e5, 1e7):
+            eigensolve(assemble(FieldConfig(tau / np.sqrt(2), tau / np.sqrt(2)), basis))
+        assert main(["table", "--orientation", "tilted", "--tau", "1e5"]) == 0
+        for tau1 in (1e-6, 1e7):
+            h = assemble(FieldConfig(0.0, tau1, vc_on=True, vmag_on=False), basis)
+            with pytest.raises(HermiticityError, match="eigensolve_general"):
+                eigensolve(h)
 
     def test_eigenvalues_ascending_and_orthonormal(self, basis):
         s = eigensolve(assemble(FieldConfig(1.0, 0.5), basis))
@@ -107,11 +118,9 @@ class TestEigensolveGeneral:
         order = np.argsort(w.real, kind="stable")
         ref = SpectrumResult(w.real[order], (v / np.linalg.norm(v, axis=0))[:, order])
         assert np.max(np.abs(s.eigenvalues - ref.eigenvalues)) < 1e-12
-        labels = basis.labels()
-        got = ground_state_composition(s, labels)
-        want = ground_state_composition(ref, labels)
-        worst = max(abs(amplitude(got, lab) - amplitude(want, lab)) for lab in labels)
-        assert worst < 1e-12
+        got = ground_state_composition(s, basis)
+        want = ground_state_composition(ref, basis)
+        assert np.max(np.abs(got.amps - want.amps)) < 1e-12
 
     def test_genuinely_complex_matrix(self):
         h = toy_matrix([[1.0, 1j], [0.0, 2.0]])
@@ -138,32 +147,32 @@ class TestComposition:
 
     def test_norm_preserved(self, basis):
         s = eigensolve(assemble(FieldConfig(0.8, 0.8), basis))
-        comp = ground_state_composition(s, basis.labels())
+        comp = ground_state_composition(s, basis)
         assert norm_sq(comp) == pytest.approx(1.0, abs=1e-10)
 
     def test_global_phase_fixed(self, basis):
         s = eigensolve(assemble(FieldConfig(1.9, 0.4), basis))
-        comp = ground_state_composition(s, basis.labels())
-        lead = comp.terms[0][1]
+        comp = ground_state_composition(s, basis)
+        lead = comp.amps.flat[np.argmax(np.abs(comp.amps))]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0.0
 
     def test_zero_field_composition(self, basis):
         s = eigensolve(assemble(FieldConfig(0.0, 0.0), basis))
-        comp = ground_state_composition(s, basis.labels())
+        comp = ground_state_composition(s, basis)
         assert abs(amplitude(comp, ("f", 0, 0))) == pytest.approx(0.968, abs=2e-3)
         assert abs(amplitude(comp, ("f", 1, 0))) == pytest.approx(0.244, abs=2e-3)
         assert comp.dominant_nu() == 0
 
     def test_axial_crossover_state_has_nu_minus_one(self, basis):
         s = eigensolve(assemble(FieldConfig(2.0, 0.0), basis))
-        comp = ground_state_composition(s, basis.labels())
+        comp = ground_state_composition(s, basis)
         assert comp.dominant_nu() == -1
         assert circulation(comp) == pytest.approx(-1.0, abs=1e-8)
 
     def test_real_combinations_group_sin_pairs(self, basis):
         h = assemble(FieldConfig(0.0, 2.0), basis)
-        comp = ground_state_composition(eigensolve(h), basis.labels())
+        comp = ground_state_composition(eigensolve(h), basis)
         rows = {(k, n, m): amp for k, n, m, amp in comp.real_combinations()}
         # g1 appears as an i sin(phi) combination: amplitudes at nu = +/-1
         # with opposite signs
@@ -172,16 +181,31 @@ class TestComposition:
         assert ("g", 1, -1) in rows
         assert rows[("g", 1, -1)] == pytest.approx(cp - cm, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape", [None, (4, 0, (-1, 3))], ids=["default", "even-only-skew-nu"]
+    )
+    def test_amps_follow_basis_labels(self, basis, shape):
+        if shape is not None:
+            basis = gram_schmidt_basis(0.5, *shape)
+        s = eigensolve(assemble(FieldConfig(0.7, 1.3), basis))
+        comp = ground_state_composition(s, basis)
+        _, vec = s.ground()
+        top = np.argmax(np.abs(vec))
+        vec = vec / (vec[top] / abs(vec[top]))
+        labels = basis.labels()
+        assert comp.amps.shape == (len(comp.functions), len(comp.nus))
+        for i, (kind, n) in enumerate(comp.functions):
+            for j, nu in enumerate(comp.nus):
+                assert comp.amps[i, j] == vec[labels.index((kind, n, nu))]
+
     def test_format_text_mentions_dominant_function(self, basis):
         s = eigensolve(assemble(FieldConfig(0.0, 0.0), basis))
-        text = ground_state_composition(s, basis.labels()).format_text()
+        text = ground_state_composition(s, basis).format_text()
         assert "f0" in text and "f1" in text
 
 
 class TestVariationalBehaviour:
     def test_ground_energy_monotone_under_basis_enlargement(self, alpha):
-        from torusmag.basis import gram_schmidt_basis
-
         field = FieldConfig(1.0, 1.0)
         sizes = [(3, 3, (-1, 1)), (4, 4, (-2, 2)), (6, 6, (-2, 2))]
         eps = []
