@@ -23,8 +23,14 @@ every term is a real theta matrix times a real nu matrix.  Inversion
 so in the theta-even and theta-odd combinations (delta_i +- delta_-i)/sqrt(2)
 the operator splits into two real symmetric blocks of half the grid size:
 sector A = (theta-even x even nu) + (theta-odd x odd nu) and sector B =
-(theta-even x odd nu) + (theta-odd x even nu).  Each block is diagonalized
-with a dense real eigenvalue-only solve.
+(theta-even x odd nu) + (theta-odd x even nu).
+
+An axial field (tau1 = 0) commutes with rotations about the torus axis, so
+it conserves nu: every nu matrix of its operator is diagonal, and the
+operator is one real symmetric theta block per nu, n_phi blocks of
+n_theta x n_theta held as one stack.  Any other field is solved in the two
+inversion sectors.  Every block is diagonalized with a dense real
+eigenvalue-only solve, a stack in one batched call.
 """
 
 from __future__ import annotations
@@ -104,14 +110,14 @@ def _theta_parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _sector_blocks(
+def _grid_terms(
     al: float, field: FieldConfig, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid operator as its two real symmetric inversion-sector blocks.
+) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """The grid operator as a sum of real (theta matrix) x (nu matrix) terms.
 
-    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
-    sector B rows (theta-even x odd nu) then (theta-odd x even nu); within
-    each part the theta index runs slowest, and nu keeps its FFT order.
+    Each entry is (theta matrix, nu matrix, flips parity).  At tau1 = 0
+    only the three terms that keep theta parity remain, and each of their
+    nu matrices is diagonal.
     """
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
@@ -165,7 +171,31 @@ def _sector_blocks(
             (0.25 * (c_th[:, None] * d1t + d1t * c_th[None, :]),
              shift_up - shift_down, True),
         ]
+    return terms
 
+
+def _nu_blocks(al: float, field: FieldConfig, grid: GridSpec) -> np.ndarray:
+    """The axial-field grid operator as one real symmetric theta block per nu.
+
+    Entry k of the (n_phi, n_theta, n_theta) stack is the operator
+    restricted to the k-th nu in FFT order.  Only valid at tau1 = 0, where
+    every nu matrix of the operator is diagonal.
+    """
+    terms = _grid_terms(al, field, grid)
+    return sum(a * np.diag(b)[:, None, None] for a, b, _ in terms)
+
+
+def _sector_blocks(
+    al: float, field: FieldConfig, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid operator as its two real symmetric inversion-sector blocks.
+
+    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
+    sector B rows (theta-even x odd nu) then (theta-odd x even nu); within
+    each part the theta index runs slowest, and nu keeps its FFT order.
+    """
+    terms = _grid_terms(al, field, grid)
+    nt, np_ = grid.n_theta, grid.n_phi
     q_even, q_odd = _theta_parity_bases(nt)
     half = np_ // 2
     even_nu, odd_nu = slice(0, None, 2), slice(1, None, 2)
@@ -195,6 +225,9 @@ def grid_solve(
     """Raw eigenvalues of the grid operator at aspect ratio alpha, ground
     state (largest) first.
 
+    An axial field (tau1 == 0.0) is solved nu by nu, any other field in
+    its two inversion sectors; both give the whole n_theta * n_phi spectrum.
+
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
     more than REFINE_TOL.
@@ -207,8 +240,11 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
-    blocks = _sector_blocks(alpha, field, grid)
-    w = np.sort(np.concatenate([eigh(b) for b in blocks]))[::-1]
+    if field.tau1 == 0.0:
+        blocks = (_nu_blocks(alpha, field, grid),)
+    else:
+        blocks = _sector_blocks(alpha, field, grid)
+    w = np.sort(np.concatenate([eigh(b).ravel() for b in blocks]))[::-1]
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine[0] - w[0])

@@ -441,6 +441,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "gram_schmidt_basis", never)
         monkeypatch.setattr(oracle, "_sector_blocks", never)
+        monkeypatch.setattr(oracle, "_nu_blocks", never)
         assert main(["verify", *argv]) == EXIT_CONFIG
         assert "8192" in capsys.readouterr().err
 

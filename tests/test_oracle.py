@@ -2,20 +2,24 @@
 
 `_build_operator` below is the oracle's operator as a dense complex matrix
 on the (theta, phi) grid, with every coupling written on the grid points.
-It is the reference the program's real inversion-sector blocks are checked
-against: the exact symmetries are tested on it, and the blocks must
-reproduce its spectrum.
+It is the reference the program's real blocks (two inversion sectors, or
+one theta block per nu for an axial field) are checked against: the exact
+symmetries are tested on it, and the blocks must reproduce its spectrum.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from torusmag import oracle
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import assemble
 from torusmag.oracle import (
     AccuracyError,
     GridSpec,
     UnsupportedVariantError,
+    _nu_blocks,
     _sector_blocks,
     fourier_diff_matrix,
     grid_solve,
@@ -209,10 +213,13 @@ class TestGridSolve:
         with pytest.raises(AccuracyError, match="refinement"):
             grid_solve(alpha, field, GridSpec(16, 16), refine=True)
 
-    def test_refinement_passes_at_production_grid(self, alpha):
+    @pytest.mark.parametrize(
+        "field", [FieldConfig(1.0, 0.0), FieldConfig(0.7, 0.7)], ids=["nu", "sector"]
+    )
+    def test_refinement_passes_at_production_grid(self, alpha, field):
         # no AccuracyError: the doubled grid agrees to REFINE_TOL, and the
-        # coarse grid's whole spectrum comes back, ground state first
-        field = FieldConfig(1.0, 0.0)
+        # coarse grid's whole spectrum comes back, ground state first; the
+        # axial field takes the per-nu path, the tilted one the sector path
         eps = grid_solve(alpha, field, GridSpec(64, 16), refine=True)
         assert eps.shape == (64 * 16,)
         assert eps[0] == np.max(eps)
@@ -276,3 +283,57 @@ class TestSectorBlocks:
         flat = np.zeros(block_a.shape[0])
         flat[(key <= half) & (nu == 0)] = coords
         assert np.linalg.norm(block_a @ flat) / np.linalg.norm(flat) < 1e-6
+
+
+AXIAL_FIELDS = [
+    FieldConfig(2.0, 0.0),
+    FieldConfig(-3.0, 0.0),
+    FieldConfig(1.0, 0.0, vc_on=False),
+    FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
+]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("built the blocks of the other path")
+
+
+class TestNuBlocks:
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
+    @pytest.mark.parametrize("field", AXIAL_FIELDS)
+    def test_spectrum_matches_dense_reference_and_sectors(self, alpha, field, grid):
+        eps = grid_solve(alpha, field, grid)
+        reference = np.linalg.eigvalsh(_build_operator(alpha, field, grid))[::-1]
+        assert np.max(np.abs(eps - reference)) < 1e-10
+        blocks = _sector_blocks(alpha, field, grid)
+        joined = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
+        assert np.max(np.abs(eps - joined)) < 1e-10
+        assert abs(eps[0] - joined[0]) < 1e-11
+
+    @pytest.mark.parametrize("field", AXIAL_FIELDS)
+    def test_stack_is_real_symmetric_per_nu(self, alpha, field):
+        stack = _nu_blocks(alpha, field, GRID)
+        assert stack.shape == (GRID.n_phi, GRID.n_theta, GRID.n_theta)
+        assert stack.dtype == np.float64
+        for block in stack:
+            assert np.max(np.abs(block - block.T)) < 1e-12
+
+    @pytest.mark.parametrize("field", [FieldConfig(0.0, 0.0), FieldConfig(2.0, 0.0)])
+    def test_axial_field_never_builds_sector_blocks(self, alpha, monkeypatch, field):
+        monkeypatch.setattr(oracle, "_sector_blocks", _never)
+        eps = grid_solve(alpha, field, GRID, refine=True)
+        assert eps.shape == (GRID.n_theta * GRID.n_phi,)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FieldConfig(1.3, 0.7),
+            FieldConfig(0.0, 2.0),
+            # a tilt of pi/2 leaves tau1 = cos(pi/2) ~ 6e-17, not zero
+            FieldConfig(math.sin(math.pi / 2), math.cos(math.pi / 2)),
+        ],
+    )
+    def test_in_plane_component_never_builds_nu_blocks(self, alpha, monkeypatch, field):
+        assert field.tau1 != 0.0
+        monkeypatch.setattr(oracle, "_nu_blocks", _never)
+        eps = grid_solve(alpha, field, GRID)
+        assert eps.shape == (GRID.n_theta * GRID.n_phi,)
