@@ -98,6 +98,20 @@ class BasisSet:
         """Row labels in assembly order: each function with every nu in turn."""
         return [(kind, n, nu) for kind, n in self.functions for nu in self.nus]
 
+    @cached_property
+    def sectors(self) -> np.ndarray:
+        """Inversion sector of each state in `labels()` order, read-only.
+
+        The inversion (theta, phi) -> (-theta, phi + pi) multiplies
+        f_n e^{i nu phi} by (-1)^nu and g_n e^{i nu phi} by -(-1)^nu, so the
+        label (nu + [g]) mod 2 is 0 (sector A) where a state is even and 1
+        (sector B) where it is odd.
+        """
+        odd = np.repeat([0, 1], [len(self.even), len(self.odd)])
+        sectors = np.add.outer(odd, self.nus).ravel() % 2
+        sectors.flags.writeable = False
+        return sectors
+
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -30,6 +30,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import assemble
@@ -189,11 +191,22 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _solve(basis: BasisSet, field: FieldConfig) -> SpectrumResult:
-    """Assemble H and diagonalize it; the general solver runs only where H
-    is non-Hermitian."""
-    h = assemble(field, basis)
-    return eigensolve(h) if field.hermitian else eigensolve_general(h)
+def _solve(basis: BasisSet, field: FieldConfig, h: np.ndarray) -> SpectrumResult:
+    """Diagonalize H of the field's variant; the general solver runs only
+    where H is non-Hermitian, on the basis's two inversion sectors."""
+    return eigensolve(h) if field.hermitian else eigensolve_general(h, basis.sectors)
+
+
+def _variant_spectra(
+    basis: BasisSet, tau0: float, tau1: float
+) -> list[tuple[str, SpectrumResult]]:
+    """(name, spectrum) of each variant at one field, assembled once."""
+    matrices = assemble(tau0, tau1, basis)
+    return [
+        (name, _solve(basis, FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag),
+                      matrices[vc, vmag]))
+        for name, vc, vmag in VARIANTS
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -208,9 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if scale is not None:
         lines[0] += ",e_mev"
     for tau in cfg.taus():
-        for name, vc, vmag in VARIANTS:
-            field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
-            spectrum = _solve(basis, field)
+        for name, spectrum in _variant_spectra(basis, *cfg.split_tau(tau)):
             eps0, _ = spectrum.ground()
             nu = ground_state_composition(spectrum, basis).dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
@@ -229,28 +240,26 @@ def cmd_table(args: argparse.Namespace) -> int:
     json_dir = Path(args.json_out).parent if args.json_out else None
     if json_dir is not None and not json_dir.is_dir():  # fail before any solve
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(json_dir))
-    report: dict = {"orientation": cfg.orientation, "rows": []}
-    text_lines = []
-    for name, vc, vmag in VARIANTS:
-        for tau in taus:
-            field = FieldConfig(*cfg.split_tau(tau), vc_on=vc, vmag_on=vmag)
-            spectrum = _solve(basis, field)
+    # solved tau by tau, one assembly each, and reported variant by variant
+    rows: dict[str, list[tuple[dict, str]]] = {name: [] for name, _, _ in VARIANTS}
+    for tau in taus:
+        for name, spectrum in _variant_spectra(basis, *cfg.split_tau(tau)):
             eps0, _ = spectrum.ground()
             comp = ground_state_composition(spectrum, basis)
-            report["rows"].append(
-                {
-                    "variant": name,
-                    "tau": tau,
-                    "eps0": eps0,
-                    "composition": [
-                        {"kind": k, "n": n, "m": m, "re": a.real, "im": a.imag}
-                        for k, n, m, a in comp.real_combinations()
-                    ],
-                }
-            )
-            text_lines.append(
-                f"{name:7s} tau={tau:<4g} eps0={eps0:+.6f}  {comp.format_text()}"
-            )
+            row = {
+                "variant": name,
+                "tau": tau,
+                "eps0": eps0,
+                "composition": [
+                    {"kind": k, "n": n, "m": m, "re": a.real, "im": a.imag}
+                    for k, n, m, a in comp.real_combinations()
+                ],
+            }
+            text = f"{name:7s} tau={tau:<4g} eps0={eps0:+.6f}  {comp.format_text()}"
+            rows[name].append((row, text))
+    ordered = [entry for entries in rows.values() for entry in entries]
+    report = {"orientation": cfg.orientation, "rows": [row for row, _ in ordered]}
+    text_lines = [text for _, text in ordered]
     print("\n".join(text_lines))
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(report, indent=2))
@@ -271,7 +280,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
-            eps_basis, _ = _solve(basis, field).ground()
+            # only on-on is solved: holding the other three matrices through
+            # the solve raised the peak RSS of verify from 60 to 66 MB
+            # (glibc heap layout around the oracle's large blocks)
+            h = assemble(field.tau0, field.tau1, basis)[True, True]
+            eps_basis, _ = _solve(basis, field, h).ground()
             if field not in grid_eps0:
                 spectrum = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = float(spectrum[0])

@@ -25,9 +25,23 @@ the opposite sign it is not.  Dropping the term (vmag_on=False) while
 tau1 != 0 therefore leaves a slightly non-Hermitian matrix by construction
 (`FieldConfig.hermitian` is False), which `solver.eigensolve_general`
 handles.
+
+`assemble` builds one field's matrices for all four (vc_on, vmag_on)
+toggle pairs at once.  The parts that do not depend on the field are built
+once per basis and dropped with it: the sum of the three kinetic terms,
+the 1/(4F^2) curvature term and every term's nu x nu harmonic matrix with
+its nonzero indices.  Per field, the tau terms are added to a copy of the
+kinetic sum in `_term_table` order, giving off-off; then on-off = off-off
++ curvature term, on-on = on-off + coupling term and off-on = off-off +
+coupling term.  That is the float addition order of adding every row of
+`_term_table` in turn to a zero matrix, so each matrix is bitwise what a
+term-by-term assembly of its variant gives.
 """
 
 from __future__ import annotations
+
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,27 +88,105 @@ def _term_table(
     return terms
 
 
-def assemble(field: FieldConfig, basis: BasisSet) -> np.ndarray:
-    """Dense complex matrix of the surface Hamiltonian in the given basis.
+#: Rows of `_term_table` for a field with both potentials on, by role.  The
+#: kinetic rows and the curvature row do not depend on the field.
+_KINETIC = range(0, 3)
+_TAU = range(3, 10)
+_CURVATURE, _COUPLING = 10, 11
 
-    Rows and columns follow `basis.labels()`.  The curvature potential
-    enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
+
+@dataclass(frozen=True, eq=False)
+class _BasisTerms:
+    """The field-free parts of assembly for one basis.
+
+    `phi[i]` holds row i's nu x nu harmonic matrix as its nonzero (row,
+    column) indices and their values; `kinetic` is the sum of the kinetic
+    rows, added from zero in table order; `curvature` is the curvature
+    row's increment on its nonzero entries.
     """
-    deriv = basis.quadrature_tables
-    vals = deriv[0]
-    n_quad = vals.shape[1]
-    theta = quadrature_nodes(n_quad)
-    f = 1.0 + basis.alpha * np.cos(theta)
 
+    theta: np.ndarray
+    f: np.ndarray
+    phi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kinetic: np.ndarray
+    curvature: np.ndarray
+
+
+#: Each basis's field-free terms, dropped when the basis is.
+_BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _increment(
+    basis: BasisSet, f: np.ndarray, row: tuple, phi: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """A `_term_table` row's entries on its harmonic matrix's nonzeros,
+    where they form np.kron(theta matrix, harmonic matrix)."""
+    coeff, _, jt, _ = row
+    deriv = basis.quadrature_tables
+    dtheta = 2.0 * np.pi / deriv[0].shape[1]
+    # theta integrals for all basis-function pairs at once
+    tmat = (deriv[0] * (coeff * f)) @ deriv[jt].T * dtheta
+    return tmat * phi[2]
+
+
+def _added(h: np.ndarray, phi: tuple[np.ndarray, ...], inc: np.ndarray) -> np.ndarray:
+    """h, an (f, nu, f, nu) array, with an increment added in place."""
+    r, c, _ = phi
+    h[:, r, :, c] += inc
+    return h
+
+
+def _basis_terms(basis: BasisSet) -> _BasisTerms:
+    terms = _BASIS_TERMS.get(basis)
+    if terms is not None:
+        return terms
+    theta = quadrature_nodes(basis.quadrature_tables[0].shape[1])
+    f = 1.0 + basis.alpha * np.cos(theta)
     nus = np.array(basis.nus)
-    nf, nnu = len(vals), len(nus)
-    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
-    dtheta = 2.0 * np.pi / n_quad
-    for coeff, harm, jt, jp in _term_table(basis.alpha, field, theta):
-        # theta integrals for all basis-function pairs at once
-        tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
+    nf, nnu = len(basis.functions), len(nus)
+    rows = _term_table(basis.alpha, FieldConfig(0.0, 0.0), theta)
+    phi = []
+    for _, harm, _, jp in rows:
         # exact phi integrals: harmonic m moves nu_col to nu_col + m
-        phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
-        r, c = np.nonzero(phi)  # np.kron(tmat, phi) on phi's nonzero entries
-        h[:, r, :, c] += tmat * phi[r, c, None, None]
-    return h.reshape(nf * nnu, nf * nnu)
+        full = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
+        r, c = np.nonzero(full)
+        phi.append((r, c, full[r, c, None, None]))
+    kinetic = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
+    for i in _KINETIC:
+        _added(kinetic, phi[i], _increment(basis, f, rows[i], phi[i]))
+    curvature = _increment(basis, f, rows[_CURVATURE], phi[_CURVATURE])
+    terms = _BASIS_TERMS[basis] = _BasisTerms(theta, f, phi, kinetic, curvature)
+    return terms
+
+
+def assemble(
+    tau0: float, tau1: float, basis: BasisSet
+) -> dict[tuple[bool, bool], np.ndarray]:
+    """Dense complex matrices of the surface Hamiltonian at one field.
+
+    Keyed by (vc_on, vmag_on), one matrix for each of the four potential
+    toggles; rows and columns follow `basis.labels()`.  The curvature
+    potential enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
+    """
+    fixed = _basis_terms(basis)
+    rows = _term_table(basis.alpha, FieldConfig(tau0, tau1), fixed.theta)
+    phi = fixed.phi
+
+    def increment(i: int) -> np.ndarray:
+        return _increment(basis, fixed.f, rows[i], phi[i])
+
+    off_off = fixed.kinetic.copy()
+    for i in _TAU:
+        _added(off_off, phi[i], increment(i))
+    coupling = increment(_COUPLING)
+    on_off = _added(off_off.copy(), phi[_CURVATURE], fixed.curvature)
+    matrices = {
+        (False, False): off_off,
+        (True, False): on_off,
+        (True, True): _added(on_off.copy(), phi[_COUPLING], coupling),
+        (False, True): _added(off_off.copy(), phi[_COUPLING], coupling),
+    }
+    dim = off_off.shape[0] * off_off.shape[1]
+    return {key: h.reshape(dim, dim) for key, h in matrices.items()}

@@ -19,6 +19,16 @@ must be real to GROUND_IMAG_TOL; high levels may pair up into complex
 conjugates, so the bound is not applied to the whole spectrum.  The real
 parts are reported.
 
+The operator also commutes with the inversion (theta, phi) -> (-theta,
+phi + pi), so H has no entries between the two inversion sectors that
+`BasisSet.sectors` labels (at most ~5e-16 relative, from rounding).
+`eigensolve_general` checks that, then solves the two half-size blocks,
+about twice as fast as the whole matrix, and scatters their eigenvectors
+back with exact zeros in the other sector.  `eigensolve` still
+diagonalizes the whole matrix: a split Hermitian solve moves eps0 in its
+last printed digits, and the stored outputs of `sweep` and `table` are
+compared byte for byte.
+
 Every error raised here is an ArithmeticError, as are those of the basis
 and the oracle, so a caller can handle all numerical failures at once.
 The API is what the commands read: the ground eigenpair, the ground-state
@@ -88,24 +98,44 @@ def eigensolve(h: np.ndarray) -> SpectrumResult:
     return SpectrumResult(eigenvalues=w, eigenvectors=v)
 
 
-def eigensolve_general(h: np.ndarray) -> SpectrumResult:
-    """Spectrum of a general matrix, sorted by real part.
+def eigensolve_general(h: np.ndarray, sector: np.ndarray) -> SpectrumResult:
+    """Spectrum of a general matrix that splits into sectors, sorted by real part.
 
+    sector[i] labels state i (`BasisSet.sectors` for an assembled H); each
+    sector's block is solved on its own and its eigenvectors are scattered
+    back with exact zeros in the other sectors.  Raises ArithmeticError
+    when an entry coupling two sectors exceeds
+    HERMITICITY_TOL * max(1, max|H|), before those entries are dropped.
     A complex matrix whose imaginary part is all zero is solved as a real
     one; the eigenvectors are then real wherever the eigenvalues are.
     Eigenvectors are normalized to unit Euclidean norm.  Raises
-    ComplexGroundError when the eigenvalue of largest real part has |imag|
-    above GROUND_IMAG_TOL.
+    ComplexGroundError when the eigenvalue of largest real part, over all
+    sectors, has |imag| above GROUND_IMAG_TOL.
     """
     if not h.imag.any():
         h = h.real
-    w, v = np.linalg.eig(h)
+    leak = float(np.max(np.abs(h[sector[:, None] != sector]), initial=0.0))
+    bound = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h))))
+    if leak > bound:
+        raise ArithmeticError(
+            f"matrix couples the inversion sectors: max|H_AB| = {leak:.3e} "
+            f"exceeds {bound:.1e}"
+        )
+    # set, not np.unique, which imports numpy.ma (~1.3 MB of resident memory)
+    blocks = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
+    solved = [np.linalg.eig(h[np.ix_(idx, idx)]) for idx in blocks]
+    w = np.concatenate([wb for wb, _ in solved])
     ground_imag = abs(w[np.argmax(w.real)].imag)
     if ground_imag > GROUND_IMAG_TOL:
         raise ComplexGroundError(
             f"ground eigenvalue has imaginary part {ground_imag:.3e}, "
             f"above {GROUND_IMAG_TOL:.0e}"
         )
+    v = np.zeros(h.shape, dtype=np.result_type(*(vb for _, vb in solved)))
+    col = 0
+    for idx, (_, vb) in zip(blocks, solved):
+        v[idx, col : col + len(idx)] = vb
+        col += len(idx)
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     order = np.argsort(w.real, kind="stable")
     return SpectrumResult(eigenvalues=w.real[order], eigenvectors=v[:, order])

@@ -1,6 +1,41 @@
-"""Readings of solver results that only the tests take."""
+"""Readings of solver results that only the tests take, and the assembly
+helpers the tests share."""
 
 import numpy as np
+
+from torusmag.basis import quadrature_nodes
+from torusmag.hamiltonian import _term_table, assemble
+
+
+def assemble_variant(field, basis) -> np.ndarray:
+    """The assembled matrix of the variant that field's toggles name."""
+    return assemble(field.tau0, field.tau1, basis)[field.vc_on, field.vmag_on]
+
+
+def reference_assemble(field, basis) -> np.ndarray:
+    """One variant assembled term by term: every `_term_table` row of the
+    field, in table order, added to a zero matrix.
+
+    The reference that `assemble` must match bit for bit: it builds the
+    field-free rows once per basis and shares the field's rows among the
+    variants, which is only exact if every sum keeps this order.
+    """
+    deriv = basis.quadrature_tables
+    vals = deriv[0]
+    n_quad = vals.shape[1]
+    theta = quadrature_nodes(n_quad)
+    f = 1.0 + basis.alpha * np.cos(theta)
+
+    nus = np.array(basis.nus)
+    nf, nnu = len(vals), len(nus)
+    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
+    dtheta = 2.0 * np.pi / n_quad
+    for coeff, harm, jt, jp in _term_table(basis.alpha, field, theta):
+        tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
+        phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
+        r, c = np.nonzero(phi)
+        h[:, r, :, c] += tmat * phi[r, c, None, None]
+    return h.reshape(nf * nnu, nf * nnu)
 
 
 def amplitude(comp, label) -> complex:

@@ -86,6 +86,32 @@ class TestQuadratureTables:
         assert "quadrature_tables" not in repr(small)
 
 
+class TestInversionSectors:
+    @pytest.mark.parametrize(
+        "n_even,n_odd,nu_range",
+        [(6, 6, (-2, 2)), (3, 4, (-1, 3)), (1, 0, (-3, 3))],
+        ids=["default", "skew-nu", "nu-only"],
+    )
+    def test_labels_are_inversion_parities(self, n_even, n_odd, nu_range):
+        # every state evaluated at (theta, phi) and at its image under the
+        # inversion (-theta, phi + pi): their ratio is the state's parity
+        basis = gram_schmidt_basis(0.6, n_even, n_odd, nu_range)
+        theta = np.array([0.4, 1.1, 2.9, 4.0, 5.3])
+        phi = np.array([0.3, 2.2, 3.7, 5.5, 1.6])
+
+        def states(th, ph):
+            waves = np.exp(1j * np.outer(basis.nus, ph))
+            return (basis.values(th, 0)[:, None, :] * waves[None]).reshape(-1, len(th))
+
+        here = states(theta, phi)
+        assert np.min(np.abs(here)) > 1e-3
+        ratio = states(-theta, phi + np.pi) / here
+        parity = np.where(basis.sectors == 0, 1.0, -1.0)
+        assert basis.sectors.shape == (len(basis.labels()),)
+        assert np.max(np.abs(ratio - parity[:, None])) < 1e-12
+        assert not basis.sectors.flags.writeable
+
+
 class TestInnerProduct:
     def test_cos_against_one(self):
         # 1 and cos(theta) against F = 1 + alpha cos(theta): pi alpha

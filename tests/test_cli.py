@@ -223,8 +223,8 @@ class TestSweepCommand:
         assert load_perfbench(CHECK).sweep_csv(rc, csv_text, reference) == 0
 
     def test_quadrature_tables_built_once_per_sweep(self, tmp_path, monkeypatch):
-        # the default sweep assembles 13 taus x 3 variants with one basis;
-        # the three derivative tables depend only on the basis
+        # the default sweep assembles 13 fields with one basis; the three
+        # derivative tables depend only on the basis
         calls = []
         values = BasisSet.values
 
@@ -235,6 +235,31 @@ class TestSweepCommand:
         monkeypatch.setattr(BasisSet, "values", counted)
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
         assert sorted(calls) == [0, 1, 2]
+
+    def test_one_assembly_per_field(self, tmp_path, monkeypatch):
+        # the three variants of a field share one assembly, and only the
+        # variants without the magnetic coupling at tau1 != 0 reach the
+        # general solver; counted at the names the benchmark's tracer wraps
+        calls = {"assemble": 0, "eigensolve_general": 0}
+
+        def counter(name):
+            layer = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return layer(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counter(name))
+        assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == {"assemble": 13, "eigensolve_general": 0}
+        calls.update(assemble=0, eigensolve_general=0)
+        argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        # tau = 0.25 ... 1 with the off-off and on-off variants
+        assert calls == {"assemble": 5, "eigensolve_general": 2 * 4}
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",

@@ -1,20 +1,25 @@
 """Matrix assembly: Hermiticity, block structure, selection rules."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from torusmag import basis as basis_module
+from torusmag import hamiltonian
 from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import _term_table, assemble
 from torusmag.solver import eigensolve, hermiticity_defect
 
+from helpers import assemble_variant, reference_assemble
+
 
 @pytest.fixture(scope="module")
 def h_tilted(basis):
-    return assemble(FieldConfig(1.5, 0.8), basis)
+    return assemble_variant(FieldConfig(1.5, 0.8), basis)
 
 
 class TestHermiticity:
@@ -24,13 +29,13 @@ class TestHermiticity:
          (0.0, 2.0, True), (0.7, -1.3, False)],
     )
     def test_full_matrix_hermitian(self, basis, tau0, tau1, vc):
-        h = assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=True), basis)
+        h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=True), basis)
         assert hermiticity_defect(h) < 1e-10
 
     def test_magnetic_coupling_off_breaks_hermiticity_inplane(self, basis):
         # dropping the magnetic curvature coupling removes exactly the
         # anti-Hermitian compensation of the in-plane paramagnetic terms
-        h = assemble(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
+        h = assemble_variant(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
         assert hermiticity_defect(h) > 1e-4
 
     def test_diagonal_elements_real(self, h_tilted):
@@ -39,7 +44,7 @@ class TestHermiticity:
 
 class TestBlockStructure:
     def test_axial_field_preserves_nu_and_parity(self, basis):
-        h = assemble(FieldConfig(1.7, 0.0), basis)
+        h = assemble_variant(FieldConfig(1.7, 0.0), basis)
         labels = basis.labels()
         for i, (ki, ni, nui) in enumerate(labels):
             for j, (kj, nj, nuj) in enumerate(labels):
@@ -54,7 +59,7 @@ class TestBlockStructure:
                     assert h_tilted[i, j] == 0.0
 
     def test_constant_mode_annihilated_without_potentials(self, basis):
-        h = assemble(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
+        h = assemble_variant(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
         i = basis.labels().index(("f", 0, 0))
         assert np.max(np.abs(h[i, :])) < 1e-12
         assert np.max(np.abs(h[:, i])) < 1e-12
@@ -68,7 +73,7 @@ def element(h, basis, row, col):
 class TestSingleElements:
     def test_centrifugal_diagonal_closed_form(self, alpha, basis):
         # f0 diagonal of the azimuthal kinetic term: -nu^2 alpha^2/sqrt(1-alpha^2)
-        h = assemble(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
+        h = assemble_variant(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
         for nu in (-2, 1, 2):
             value = element(h, basis, ("f", 0, nu), ("f", 0, nu))
             expected = -(nu**2) * alpha**2 / math.sqrt(1.0 - alpha**2)
@@ -76,23 +81,23 @@ class TestSingleElements:
             assert value.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_delta_nu_three_vanishes(self, basis):
-        h = assemble(FieldConfig(1.0, 1.0), basis)
+        h = assemble_variant(FieldConfig(1.0, 1.0), basis)
         assert element(h, basis, ("f", 0, 1), ("f", 0, -2)) == 0.0
 
     def test_parity_decoupling_at_axial_field(self, basis):
-        h = assemble(FieldConfig(1.3, 0.0), basis)
+        h = assemble_variant(FieldConfig(1.3, 0.0), basis)
         assert abs(element(h, basis, ("f", 0, 0), ("g", 1, 0))) < 1e-13
 
 
 class TestToggles:
     def test_vmag_toggle_noop_for_axial_field(self, basis):
-        on = assemble(FieldConfig(1.5, 0.0, vmag_on=True), basis)
-        off = assemble(FieldConfig(1.5, 0.0, vmag_on=False), basis)
+        on = assemble_variant(FieldConfig(1.5, 0.0, vmag_on=True), basis)
+        off = assemble_variant(FieldConfig(1.5, 0.0, vmag_on=False), basis)
         assert np.array_equal(on, off)
 
     def test_vc_shifts_only_diagonal_blocks(self, basis):
-        on = assemble(FieldConfig(0.5, 0.0, vc_on=True), basis)
-        off = assemble(FieldConfig(0.5, 0.0, vc_on=False), basis)
+        on = assemble_variant(FieldConfig(0.5, 0.0, vc_on=True), basis)
+        off = assemble_variant(FieldConfig(0.5, 0.0, vc_on=False), basis)
         diff = on - off
         assert np.max(np.abs(diff.imag)) < 1e-14
         labels = basis.labels()
@@ -104,8 +109,8 @@ class TestToggles:
 
 class TestSymmetries:
     def test_field_reversal_leaves_spectrum(self, basis):
-        fwd = eigensolve(assemble(FieldConfig(1.2, 0.9), basis))
-        rev = eigensolve(assemble(FieldConfig(-1.2, -0.9), basis))
+        fwd = eigensolve(assemble_variant(FieldConfig(1.2, 0.9), basis))
+        rev = eigensolve(assemble_variant(FieldConfig(-1.2, -0.9), basis))
         assert np.max(np.abs(fwd.eigenvalues - rev.eigenvalues)) < 1e-10
 
     @pytest.mark.parametrize(
@@ -117,7 +122,7 @@ class TestSymmetries:
         # (theta, phi) -> (-theta, phi + pi) multiplies f_n e^{i nu phi} by
         # (-1)^nu and g_n e^{i nu phi} by -(-1)^nu; a uniform field at any
         # tilt, with or without either potential, keeps the two sectors apart
-        h = assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+        h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
         sector = np.array([(nu + (kind == "g")) % 2 for kind, _, nu in basis.labels()])
         cross = h[sector[:, None] != sector[None, :]]
         assert np.max(np.abs(cross)) < 1e-12
@@ -133,7 +138,7 @@ class TestSymmetries:
             basis = gram_schmidt_basis(0.8, n_even=8, n_odd=7, nu_range=(-3, 4))
         fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2)]
         for tau0, tau1 in fields:
-            h = assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+            h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
             assert np.max(np.abs(h.imag)) == 0.0, (tau0, tau1)
 
     def test_quadrature_resolution_converged(self, alpha, monkeypatch):
@@ -144,7 +149,7 @@ class TestSymmetries:
             monkeypatch.setattr(basis_module, "N_QUAD", n_quad)
             fresh = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
             assert fresh.quadrature_tables[0].shape[1] == n_quad
-            h[n_quad] = assemble(field, fresh)
+            h[n_quad] = assemble_variant(field, fresh)
         assert np.max(np.abs(h[256] - h[1024])) < 1e-12
 
 
@@ -205,7 +210,55 @@ class TestOperatorAudit:
 class TestInterface:
     def test_even_only_basis_assembles(self, alpha):
         basis = gram_schmidt_basis(alpha, n_even=3, n_odd=0, nu_range=(-1, 1))
-        h = assemble(FieldConfig(0.8, 0.6), basis)
+        h = assemble_variant(FieldConfig(0.8, 0.6), basis)
         assert h.shape == (9, 9)
         assert basis.labels() == [("f", n, nu) for n in range(3) for nu in (-1, 0, 1)]
         assert hermiticity_defect(h) < 1e-10
+
+
+#: (alpha, n_even, n_odd, nu_range) of the bases the shared assembly is
+#: compared on: the default, one theta-function (nu only) and 8+8 functions.
+SHARED_BASES = {
+    "default": (0.5, 6, 6, (-2, 2)),
+    "nu-only": (0.5, 1, 0, (-3, 3)),
+    "8x8-nu4": (0.8, 8, 8, (-4, 4)),
+}
+
+
+class TestSharedAssembly:
+    """`assemble` builds the four toggle pairs of a field from shared parts."""
+
+    @pytest.mark.parametrize("shape", list(SHARED_BASES))
+    def test_bitwise_equal_to_term_by_term_assembly(self, shape):
+        alpha, n_even, n_odd, nu_range = SHARED_BASES[shape]
+        basis = gram_schmidt_basis(alpha, n_even, n_odd, nu_range)
+        # axial, in-plane, tilted, reversed tilted, negative in-plane and
+        # negative axial fields
+        fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2),
+                  (-2.5, 0.0)]
+        toggles = [(False, False), (False, True), (True, False), (True, True)]
+        for tau0, tau1 in fields:
+            matrices = assemble(tau0, tau1, basis)
+            assert sorted(matrices) == toggles
+            for (vc, vmag), h in matrices.items():
+                field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
+                ref = reference_assemble(field, basis)
+                assert h.dtype == ref.dtype and h.shape == ref.shape
+                assert h.tobytes() == ref.tobytes(), (tau0, tau1, vc, vmag)
+
+    def test_variants_do_not_share_storage(self, basis):
+        first = assemble(0.6, -1.1, basis)
+        for h in first.values():
+            h[...] = 7.0
+        again = assemble(0.6, -1.1, basis)
+        for (vc, vmag), h in again.items():
+            ref = reference_assemble(FieldConfig(0.6, -1.1, vc_on=vc, vmag_on=vmag), basis)
+            assert h.tobytes() == ref.tobytes()
+
+    def test_field_free_terms_freed_with_the_basis(self, alpha):
+        basis = gram_schmidt_basis(alpha, n_even=2, n_odd=1, nu_range=(-1, 1))
+        assemble(0.3, 0.2, basis)
+        terms = weakref.ref(hamiltonian._BASIS_TERMS[basis])
+        del basis
+        gc.collect()
+        assert terms() is None

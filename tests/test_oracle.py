@@ -14,7 +14,6 @@ import pytest
 
 from torusmag import oracle
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import assemble
 from torusmag.oracle import (
     AccuracyError,
     GridSpec,
@@ -25,6 +24,8 @@ from torusmag.oracle import (
     grid_solve,
 )
 from torusmag.solver import eigensolve
+
+from helpers import assemble_variant
 
 
 def _build_operator(
@@ -176,7 +177,7 @@ class TestGridSolve:
 
     def test_matches_basis_solution_field_free(self, alpha, basis):
         field = FieldConfig(0.0, 0.0, vc_on=True, vmag_on=True)
-        eps_basis = eigensolve(assemble(field, basis)).ground()[0]
+        eps_basis = eigensolve(assemble_variant(field, basis)).ground()[0]
         eps_grid = grid_solve(alpha, field, GridSpec(64, 16))[0]
         assert eps_grid == pytest.approx(eps_basis, rel=1e-3)
 
