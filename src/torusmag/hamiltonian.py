@@ -122,7 +122,7 @@ def _increment(
     basis: BasisSet, f: np.ndarray, row: tuple, phi: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """A `_term_table` row's entries on its harmonic matrix's nonzeros,
-    where they form np.kron(theta matrix, harmonic matrix)."""
+    where they form the Kronecker product (theta matrix) x (harmonic matrix)."""
     coeff, _, jt, _ = row
     deriv = basis.quadrature_tables
     dtheta = 2.0 * np.pi / deriv[0].shape[1]

@@ -25,16 +25,29 @@ the operator splits into two real symmetric blocks of half the grid size:
 sector A = (theta-even x even nu) + (theta-odd x odd nu) and sector B =
 (theta-even x odd nu) + (theta-odd x even nu).
 
+An in-plane field (tau0 = 0) along x is also invariant under C2, the
+rotation by pi about the field axis, (theta, phi) -> (-theta, -phi): every
+term that flips theta parity is odd under nu -> -nu, every other term even.
+In the nu-reflection combinations (e_nu +- e_-nu)/sqrt(2), with nu = 0 and
+the Nyquist nu fixed, each inversion sector splits once more, into four
+blocks of about a quarter of the grid (545, 479, 481 and 543 wide at
+64 x 32).  A tilted field is solved in the two inversion sectors.  Each
+block is built term by term: the term's theta matrix projected on the
+theta parts is added at every nonzero entry of its projected nu matrix,
+so no product with a zero nu entry is formed.
+
 An axial field (tau1 = 0) commutes with rotations about the torus axis, so
-it conserves nu: every nu matrix of its operator is diagonal, and the
-operator is one real symmetric theta block per nu, n_phi blocks of
-n_theta x n_theta held as one stack.  Any other field is solved in the two
-inversion sectors.  Every block is diagonalized with a dense real
-eigenvalue-only solve, a stack in one batched call.
+it conserves nu: every nu matrix of its operator is diagonal.  It is also
+symmetric under z -> -z, theta -> -theta, so its operator is one real
+symmetric block per nu and theta parity, held as a theta-even stack of
+n_phi blocks (n_theta/2 + 1 wide) and a theta-odd one (n_theta/2 - 1).
+Every block is diagonalized with a dense real eigenvalue-only solve, a
+stack in one batched call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +107,13 @@ def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
     return np.real(np.fft.ifft(spec[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
 
 
-def _theta_parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns spanning theta-even and theta-odd grid vectors.
+def _reflection_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the vectors on n periodic points that are
+    even and odd under the reflection i -> -i (mod n).
 
     Even: delta_0, (delta_i + delta_{n-i})/sqrt(2) for 0 < i < n/2, and
     delta_{n/2}; odd: (delta_i - delta_{n-i})/sqrt(2) for 0 < i < n/2.
+    Column c of the even set is led by index c, of the odd set by c + 1.
     """
     i = np.arange(1, n // 2)
     even = np.zeros((n, n // 2 + 1))
@@ -143,7 +158,9 @@ def _grid_terms(
     if field.vc_on:
         pot = pot + 0.25 / f**2
     # (theta matrix, nu matrix, flips parity): terms that flip theta parity
-    # also flip nu parity, so every term keeps the inversion sector
+    # also flip nu parity, so every term keeps the inversion sector; at
+    # tau0 = 0 they are also the ones odd under nu -> -nu (the tilted cross
+    # term, even under it, vanishes), so every term keeps the C2 sector
     terms = [
         (fourier_diff_matrix(nt, 2) + np.diag(pot), np.eye(np_), False),
         # centrifugal phi term, Nyquist kept
@@ -174,46 +191,102 @@ def _grid_terms(
     return terms
 
 
-def _nu_blocks(al: float, field: FieldConfig, grid: GridSpec) -> np.ndarray:
-    """The axial-field grid operator as one real symmetric theta block per nu.
+def _nu_blocks(
+    al: float, field: FieldConfig, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The axial-field grid operator as real symmetric theta blocks per nu.
 
-    Entry k of the (n_phi, n_theta, n_theta) stack is the operator
-    restricted to the k-th nu in FFT order.  Only valid at tau1 = 0, where
-    every nu matrix of the operator is diagonal.
+    Two stacks, theta-even then theta-odd: entry k of each is the operator
+    restricted to the k-th nu in FFT order and that theta parity, so the
+    stacks are (n_phi, n_theta/2 + 1, n_theta/2 + 1) and
+    (n_phi, n_theta/2 - 1, n_theta/2 - 1).  Only valid at tau1 = 0, where
+    every nu matrix of the operator is diagonal and no term flips theta
+    parity.
     """
     terms = _grid_terms(al, field, grid)
-    return sum(a * np.diag(b)[:, None, None] for a, b, _ in terms)
+    return tuple(
+        sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b, _ in terms)
+        for q in _reflection_bases(grid.n_theta)
+    )
+
+
+def _nu_bases(n: int, in_plane: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal nu columns of the theta-even and theta-odd part of each
+    sector block.
+
+    Sector A pairs theta-even with even nu and theta-odd with odd nu, sector
+    B the other way.  In plane each part is split further by nu-reflection
+    parity into (e_nu +- e_-nu)/sqrt(2), nu = 0 and the Nyquist nu fixed:
+    C2 even pairs theta-even with reflection-even nu, C2 odd the other way.
+    """
+    eye = np.eye(n)
+    if not in_plane:
+        return [(eye[:, m::2], eye[:, 1 - m::2]) for m in (0, 1)]
+    sym, anti = _reflection_bases(n)
+    parts = {}  # (nu parity, reflection parity): column c of anti leads with nu c + 1
+    for m in (0, 1):
+        parts[m, 1] = sym[:, m::2]
+        parts[m, -1] = anti[:, 1 - m::2]
+    return [(parts[m, r], parts[1 - m, -r]) for m in (0, 1) for r in (1, -1)]
+
+
+def _scattered_block(
+    q_theta: tuple[np.ndarray, np.ndarray],
+    nus: tuple[np.ndarray, np.ndarray],
+    projected: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]],
+) -> np.ndarray:
+    """One sector block from its theta-even and theta-odd parts' columns and
+    the projected theta matrices of each quadrant's terms."""
+    sizes = [(q.shape[1], n.shape[1]) for q, n in zip(q_theta, nus)]
+    cut = sizes[0][0] * sizes[0][1]
+    block = np.empty((cut + sizes[1][0] * sizes[1][1],) * 2)
+    parts = (slice(0, cut), slice(cut, None))
+    for (i, j), products in projected.items():
+        # summed nu-major, (nu row, nu col, theta row, theta col), so that
+        # every nonzero nu entry adds one contiguous theta matrix
+        quad = np.zeros((sizes[i][1], sizes[j][1], sizes[i][0], sizes[j][0]))
+        for t, b in products:
+            nu = nus[i].T @ b @ nus[j]
+            r, c = np.nonzero(nu)
+            quad[r, c] += nu[r, c, None, None] * t
+        # a view of the block: splitting each axis in two never copies
+        view = block[parts[i], parts[j]].reshape(*sizes[i], *sizes[j])
+        view[...] = quad.transpose(2, 0, 3, 1)
+    return block
 
 
 def _sector_blocks(
     al: float, field: FieldConfig, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid operator as its two real symmetric inversion-sector blocks.
+) -> Iterator[np.ndarray]:
+    """The grid operator as one real symmetric block per symmetry sector,
+    each built when the iteration reaches it, so that a caller dropping
+    every block before it takes the next holds one at a time.
 
-    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
-    sector B rows (theta-even x odd nu) then (theta-odd x even nu); within
-    each part the theta index runs slowest, and nu keeps its FFT order.
+    Off the plane (tau0 != 0) the sectors are inversion's: sector A rows
+    are (theta-even x even nu) then (theta-odd x odd nu), sector B rows
+    (theta-even x odd nu) then (theta-odd x even nu), with nu in FFT order.
+    In plane (tau0 == 0) the C2 rotation about the field axis splits each
+    of them in two, giving four blocks in the order (A, C2 even), (A, C2
+    odd), (B, C2 even), (B, C2 odd), with nu columns from `_nu_bases`.
+    Within each part the theta index runs slowest.
+
+    Each term's projected theta matrix is added at the nonzero entries of
+    its projected nu matrix only, in term order, starting from zero; off
+    the plane every sum is then bit for bit the one that Kronecker products
+    over all entries give.
     """
     terms = _grid_terms(al, field, grid)
-    nt, np_ = grid.n_theta, grid.n_phi
-    q_even, q_odd = _theta_parity_bases(nt)
-    half = np_ // 2
-    even_nu, odd_nu = slice(0, None, 2), slice(1, None, 2)
-    blocks = []
-    for first, second in ((even_nu, odd_nu), (odd_nu, even_nu)):
-        parts = ((q_even, first), (q_odd, second))
-        rows = []
-        for i, (qa, sa) in enumerate(parts):
-            row = []
-            for j, (qb, sb) in enumerate(parts):
-                quad = np.zeros((qa.shape[1] * half, qb.shape[1] * half))
-                for a, b, flips in terms:
-                    if flips == (i != j):
-                        quad += np.kron(qa.T @ a @ qb, b[sa, sb])
-                row.append(quad)
-            rows.append(row)
-        blocks.append(np.block(rows))
-    return blocks[0], blocks[1]
+    q_theta = _reflection_bases(grid.n_theta)
+    # (theta matrix, nu matrix) of every term in each quadrant (row part,
+    # column part), in term order: a term that flips theta parity joins the
+    # theta-even part 0 and the theta-odd part 1, any other keeps each
+    projected = {(0, 0): [], (0, 1): [], (1, 0): [], (1, 1): []}
+    for a, b, flips in terms:
+        for i, j in ((0, 1), (1, 0)) if flips else ((0, 0), (1, 1)):
+            projected[i, j].append((q_theta[i].T @ a @ q_theta[j], b))
+    for nus in _nu_bases(grid.n_phi, field.tau0 == 0.0):
+        # built in a call, so this frame keeps no reference to a yielded block
+        yield _scattered_block(q_theta, nus, projected)
 
 
 def grid_solve(
@@ -225,8 +298,10 @@ def grid_solve(
     """Raw eigenvalues of the grid operator at aspect ratio alpha, ground
     state (largest) first.
 
-    An axial field (tau1 == 0.0) is solved nu by nu, any other field in
-    its two inversion sectors; both give the whole n_theta * n_phi spectrum.
+    An axial field (tau1 == 0.0) is solved nu by nu in each theta parity,
+    an in-plane field (tau0 == 0.0) in its four inversion x C2 sectors and
+    any other field in its two inversion sectors; each gives the whole
+    n_theta * n_phi spectrum.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
@@ -241,10 +316,12 @@ def grid_solve(
             "non-Hermitian variant it cannot discretize"
         )
     if field.tau1 == 0.0:
-        blocks = (_nu_blocks(alpha, field, grid),)
+        blocks = _nu_blocks(alpha, field, grid)
     else:
         blocks = _sector_blocks(alpha, field, grid)
-    w = np.sort(np.concatenate([eigh(b).ravel() for b in blocks]))[::-1]
+    # map keeps no block past its solve, and _sector_blocks builds the next
+    # one only when asked, so one sector block is alive at a time
+    w = np.sort(np.concatenate([e.ravel() for e in map(eigh, blocks)]))[::-1]
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine[0] - w[0])

@@ -5,6 +5,7 @@ import numpy as np
 
 from torusmag.basis import quadrature_nodes
 from torusmag.hamiltonian import _term_table, assemble
+from torusmag.oracle import _grid_terms, _reflection_bases
 
 
 def assemble_variant(field, basis) -> np.ndarray:
@@ -36,6 +37,35 @@ def reference_assemble(field, basis) -> np.ndarray:
         r, c = np.nonzero(phi)
         h[:, r, :, c] += tmat * phi[r, c, None, None]
     return h.reshape(nf * nnu, nf * nnu)
+
+
+def reference_sector_blocks(al, field, grid) -> list[np.ndarray]:
+    """The grid operator's two inversion-sector blocks, each quadrant the
+    sum of `np.kron(theta matrix, nu matrix)` over its terms, in term order.
+
+    The reference that `oracle._sector_blocks` must match bit for bit off
+    the plane (tau0 != 0): it adds the same products, skipping only those
+    with a zero nu entry.
+    """
+    terms = _grid_terms(al, field, grid)
+    q_even, q_odd = _reflection_bases(grid.n_theta)
+    half = grid.n_phi // 2
+    even_nu, odd_nu = slice(0, None, 2), slice(1, None, 2)
+    blocks = []
+    for first, second in ((even_nu, odd_nu), (odd_nu, even_nu)):
+        parts = ((q_even, first), (q_odd, second))
+        rows = []
+        for i, (qa, sa) in enumerate(parts):
+            row = []
+            for j, (qb, sb) in enumerate(parts):
+                quad = np.zeros((qa.shape[1] * half, qb.shape[1] * half))
+                for a, b, flips in terms:
+                    if flips == (i != j):
+                        quad += np.kron(qa.T @ a @ qb, b[sa, sb])
+                row.append(quad)
+            rows.append(row)
+        blocks.append(np.block(rows))
+    return blocks
 
 
 def amplitude(comp, label) -> complex:

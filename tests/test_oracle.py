@@ -2,9 +2,14 @@
 
 `_build_operator` below is the oracle's operator as a dense complex matrix
 on the (theta, phi) grid, with every coupling written on the grid points.
-It is the reference the program's real blocks (two inversion sectors, or
-one theta block per nu for an axial field) are checked against: the exact
-symmetries are tested on it, and the blocks must reproduce its spectrum.
+It is the reference the program's real blocks are checked against: one
+theta block per nu and theta parity for an axial field, four inversion x
+C2 sectors for an in-plane field, two inversion sectors for a tilted one.
+The exact symmetries behind those splits are tested on it as maps of the
+grid points (inversion, C2 about the in-plane field axis, theta-reflection
+at tau1 = 0), and the blocks must reproduce its spectrum.
+`helpers.reference_sector_blocks` is the np.kron build of the two
+inversion sectors that the scatter build must match bit for bit.
 """
 
 import math
@@ -25,7 +30,7 @@ from torusmag.oracle import (
 )
 from torusmag.solver import eigensolve
 
-from helpers import assemble_variant
+from helpers import assemble_variant, reference_sector_blocks
 
 
 def _build_operator(
@@ -76,25 +81,56 @@ def _build_operator(
     return m
 
 
-def sector_rows(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(theta key, nu) of every row of the sector A and sector B blocks.
+def sector_rows(
+    grid: GridSpec, in_plane: bool = False
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(theta key, nu, sign) of every row of each `_sector_blocks` block.
 
-    Sector A rows are (theta-even x even nu) then (theta-odd x odd nu),
-    sector B rows (theta-even x odd nu) then (theta-odd x even nu); the
-    theta index runs slowest and nu keeps its FFT order.  Theta keys number
-    the even combinations 0..n_theta/2 and the odd ones after them.
+    Each block's rows are its theta-even part then its theta-odd part, the
+    theta index slowest; theta keys number the even combinations
+    0..n_theta/2 and the odd ones after them.  Off the plane the nu columns
+    are e_nu in FFT order and sign is +1: sector A pairs theta-even with
+    even nu and theta-odd with odd nu, sector B the other way.  In plane
+    the columns are (e_nu + sign e_-nu)/sqrt(2), labelled nu = |nu| (the
+    Nyquist one by n_phi/2), and each sector's part with theta parity p
+    takes the nu-reflection sign p * C2, C2 even first.
     """
-    nu = np.fft.fftfreq(grid.n_phi, d=1.0 / grid.n_phi).astype(int)
     n_even, n_odd = grid.n_theta // 2 + 1, grid.n_theta // 2 - 1
-    key = np.concatenate([
-        np.repeat(np.arange(n_even), grid.n_phi // 2),
-        np.repeat(n_even + np.arange(n_odd), grid.n_phi // 2),
-    ])
-    even, odd = nu[0::2], nu[1::2]
+    theta_keys = (np.arange(n_even), n_even + np.arange(n_odd))
+
+    def rows(parts):
+        # parts: (nu labels, signs) of the theta-even part, then the theta-odd
+        pairs = list(zip(theta_keys, parts))
+        key = np.concatenate([np.repeat(t, len(nu)) for t, (nu, _) in pairs])
+        nu = np.concatenate([np.tile(nu, len(t)) for t, (nu, _) in pairs])
+        sign = np.concatenate([np.tile(sg, len(t)) for t, (_, sg) in pairs])
+        return key, nu, sign
+
+    n = grid.n_phi
+    if not in_plane:
+        nu = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        by_parity = [(nu[m::2], np.ones(n // 2, dtype=int)) for m in (0, 1)]
+        return [rows([by_parity[m], by_parity[1 - m]]) for m in (0, 1)]
+    k = np.arange(n // 2 + 1)
+    reflected = {}
+    for m in (0, 1):
+        sym, anti = k[k % 2 == m], k[(k % 2 == m) & (k > 0) & (k < n // 2)]
+        reflected[m, 1] = (sym, np.ones(len(sym), dtype=int))
+        reflected[m, -1] = (anti, -np.ones(len(anti), dtype=int))
     return [
-        (key, np.concatenate([np.tile(even, n_even), np.tile(odd, n_odd)])),
-        (key, np.concatenate([np.tile(odd, n_even), np.tile(even, n_odd)])),
+        rows([reflected[m, r], reflected[1 - m, -r]]) for m in (0, 1) for r in (1, -1)
     ]
+
+
+def point_map_defect(
+    m: np.ndarray, grid: GridSpec, theta_sign: int, phi_sign: int
+) -> float:
+    """Largest entry of m minus m with its grid points relabelled by
+    (i, j) -> (theta_sign * i, phi_sign * j), both modulo the grid."""
+    i = theta_sign * np.arange(grid.n_theta) % grid.n_theta
+    j = phi_sign * np.arange(grid.n_phi) % grid.n_phi
+    perm = (i[:, None] * grid.n_phi + j[None, :]).ravel()
+    return float(np.max(np.abs(m[np.ix_(perm, perm)] - m)))
 
 
 GRID = GridSpec(32, 16)
@@ -195,6 +231,44 @@ class TestGridSolve:
         assert np.max(np.abs(m[np.ix_(perm, perm)] - m)) < 1e-12
 
     @pytest.mark.parametrize(
+        "field",
+        [
+            FieldConfig(0.0, 2.0),
+            FieldConfig(0.0, -1.3, vc_on=False),
+            FieldConfig(0.0, 0.0),
+            FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
+        ],
+    )
+    def test_in_plane_operator_commutes_with_c2(self, alpha, field):
+        # the rotation by pi about the in-plane field axis, (theta, phi) ->
+        # (-theta, -phi), permutes the grid points (i, j) -> (-i, -j)
+        m = _build_operator(alpha, field, GRID)
+        assert point_map_defect(m, GRID, theta_sign=-1, phi_sign=-1) < 1e-12
+
+    @pytest.mark.parametrize("field", [FieldConfig(1.3, 0.7), FieldConfig(2.0, 0.0)])
+    def test_axial_component_breaks_c2(self, alpha, field):
+        m = _build_operator(alpha, field, GRID)
+        assert point_map_defect(m, GRID, theta_sign=-1, phi_sign=-1) > 0.1
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FieldConfig(2.0, 0.0),
+            FieldConfig(-3.0, 0.0, vc_on=False),
+            FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
+        ],
+    )
+    def test_axial_operator_commutes_with_theta_reflection(self, alpha, field):
+        # z -> -z maps (theta, phi) -> (-theta, phi): (i, j) -> (-i, j)
+        m = _build_operator(alpha, field, GRID)
+        assert point_map_defect(m, GRID, theta_sign=-1, phi_sign=1) < 1e-12
+
+    @pytest.mark.parametrize("field", [FieldConfig(0.0, 2.0), FieldConfig(1.3, 0.7)])
+    def test_in_plane_component_breaks_theta_reflection(self, alpha, field):
+        m = _build_operator(alpha, field, GRID)
+        assert point_map_defect(m, GRID, theta_sign=-1, phi_sign=1) > 0.1
+
+    @pytest.mark.parametrize(
         "tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)]
     )
     def test_field_reversal_conjugates_operator(self, alpha, tau0, tau1):
@@ -234,6 +308,7 @@ class TestSectorBlocks:
             FieldConfig(0.0, 2.0, vc_on=False),
             FieldConfig(2.0, 0.0),
             FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False),
+            FieldConfig(0.0, 2.0),
         ],
     )
     def test_joined_spectra_match_dense_reference(self, alpha, field):
@@ -243,44 +318,99 @@ class TestSectorBlocks:
         assert np.max(np.abs(joined - reference)) < 1e-10
 
     def test_blocks_are_real_symmetric(self, alpha):
-        for block in _sector_blocks(alpha, FieldConfig(1.3, 0.7), GRID):
-            assert block.dtype == np.float64
-            assert np.max(np.abs(block - block.T)) < 1e-12
+        for field in (FieldConfig(1.3, 0.7), FieldConfig(0.0, 2.0)):
+            for block in _sector_blocks(alpha, field, GRID):
+                assert block.dtype == np.float64
+                assert np.max(np.abs(block - block.T)) < 1e-12
+
+    def test_in_plane_field_splits_into_four_sectors(self, alpha):
+        # inversion x C2 about the field axis: four blocks of about a
+        # quarter of the grid each, where a tilted field has two halves
+        blocks = _sector_blocks(alpha, FieldConfig(0.0, 2.0), GridSpec(64, 32))
+        assert [b.shape[0] for b in blocks] == [545, 479, 481, 543]
+        blocks = _sector_blocks(alpha, FieldConfig(1.3, 0.7), GridSpec(64, 32))
+        assert [b.shape[0] for b in blocks] == [1024, 1024]
+
+    @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 1.1)])
+    def test_rows_are_the_labelled_grid_vectors(self, alpha, tau0, tau1):
+        # each block is the dense operator between the grid vectors that
+        # sector_rows names, so the labels the other tests read are right
+        field = FieldConfig(tau0, tau1)
+        nt, n = GRID.n_theta, GRID.n_phi
+        phi = np.arange(n) * 2.0 * np.pi / n
+        nu_all = np.fft.fftfreq(n, d=1.0 / n)
+        harmonic = np.exp(1j * np.outer(phi, nu_all)) / np.sqrt(n)
+        theta_cols = np.hstack(oracle._reflection_bases(nt))
+        m = _build_operator(alpha, field, GRID)
+        blocks = _sector_blocks(alpha, field, GRID)
+        for block, (key, nu, sign) in zip(blocks, sector_rows(GRID, tau0 == 0.0)):
+            # (e_nu + sign e_-nu) / |.|: plain e_nu where -nu is nu itself
+            # or where the layout does not pair them
+            paired = (tau0 == 0.0) & (nu % n != -nu % n)
+            nu_cols = harmonic[:, nu % n] + paired * sign * harmonic[:, -nu % n]
+            nu_cols /= np.sqrt(1.0 + paired)
+            q = (theta_cols[:, None, key] * nu_cols[None, :, :]).reshape(nt * n, -1)
+            assert np.max(np.abs(q.conj().T @ m @ q - block)) < 1e-10
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
+    @pytest.mark.parametrize(
+        "tau0,tau1",
+        [(1.3, 0.7), (math.sin(math.pi / 4), math.cos(math.pi / 4)), (-2.0, 1.0), (2.0, 0.0)],
+    )
+    def test_off_plane_blocks_match_kron_reference_bitwise(self, alpha, tau0, tau1, grid):
+        # the nu scatter skips only products with a zero nu entry
+        field = FieldConfig(tau0, tau1)
+        blocks = list(_sector_blocks(alpha, field, grid))
+        reference = reference_sector_blocks(alpha, field, grid)
+        assert len(blocks) == len(reference) == 2
+        for block, ref in zip(blocks, reference):
+            assert np.array_equal(block, ref)
 
     @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)])
     def test_field_reversal_relabels_nu(self, alpha, tau0, tau1):
-        # reversing the field maps nu -> -nu (Nyquist fixed) and nothing else
+        # reversing the field maps nu -> -nu (Nyquist fixed) and nothing
+        # else; in plane the rows are eigenvectors of that map, so it only
+        # flips the sign of the reflection-odd ones
+        in_plane = tau0 == 0.0
         blocks = _sector_blocks(alpha, FieldConfig(tau0, tau1), GRID)
         reversed_ = _sector_blocks(alpha, FieldConfig(-tau0, -tau1), GRID)
-        for block, block_rev, (key, nu) in zip(blocks, reversed_, sector_rows(GRID)):
-            nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
-            row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
-            perm = np.array([row[k, n] for k, n in zip(key, nu_rev)])
-            assert np.max(np.abs(block_rev[np.ix_(perm, perm)] - block)) == 0.0
+        rows = sector_rows(GRID, in_plane)
+        for block, block_rev, (key, nu, sign) in zip(blocks, reversed_, rows):
+            if in_plane:
+                relabelled = sign[:, None] * block_rev * sign[None, :]
+            else:
+                nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
+                row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
+                perm = np.array([row[k, n] for k, n in zip(key, nu_rev)])
+                relabelled = block_rev[np.ix_(perm, perm)]
+            assert np.max(np.abs(relabelled - block)) == 0.0
             assert np.max(np.abs(block_rev - block)) > 0.1
 
     def test_axial_field_conserves_nu(self, alpha):
-        # largest entry between rows of different nu, over both blocks
+        # largest entry between rows of different nu (|nu| in plane), over
+        # every block
         def cross_nu(field):
             blocks = _sector_blocks(alpha, field, GRID)
             return max(
                 np.max(np.abs(block[nu[:, None] != nu[None, :]]))
-                for block, (_, nu) in zip(blocks, sector_rows(GRID))
+                for block, (_, nu, _) in zip(blocks, sector_rows(GRID, field.tau0 == 0.0))
             )
 
         assert cross_nu(FieldConfig(2.0, 0.0)) == 0.0
+        assert cross_nu(FieldConfig(0.0, 0.0)) == 0.0
         assert cross_nu(FieldConfig(0.0, 2.0)) > 0.1
 
     def test_free_particle_sector_a_annihilates_flat_state(self, alpha):
-        # sqrt(F) at nu = 0 is theta-even, so it lies in sector A; its
-        # coordinates on the even combinations carry sqrt(2) off the ends
+        # sqrt(F) at nu = 0 is theta-even and reflection-even, so it lies in
+        # the C2-even half of sector A, the first block; its coordinates on
+        # the even combinations carry sqrt(2) off the ends
         field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
-        block_a, _ = _sector_blocks(alpha, field, GRID)
+        block_a = next(_sector_blocks(alpha, field, GRID))
         half = GRID.n_theta // 2
         theta = np.arange(half + 1) * 2.0 * np.pi / GRID.n_theta
         coords = np.sqrt(1.0 + alpha * np.cos(theta))
         coords[1:half] *= np.sqrt(2.0)
-        key, nu = sector_rows(GRID)[0]
+        key, nu, _ = sector_rows(GRID, in_plane=True)[0]
         flat = np.zeros(block_a.shape[0])
         flat[(key <= half) & (nu == 0)] = coords
         assert np.linalg.norm(block_a @ flat) / np.linalg.norm(flat) < 1e-6
@@ -312,11 +442,17 @@ class TestNuBlocks:
 
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_stack_is_real_symmetric_per_nu(self, alpha, field):
-        stack = _nu_blocks(alpha, field, GRID)
-        assert stack.shape == (GRID.n_phi, GRID.n_theta, GRID.n_theta)
-        assert stack.dtype == np.float64
-        for block in stack:
-            assert np.max(np.abs(block - block.T)) < 1e-12
+        # one stack per theta parity, each one block per nu
+        stacks = _nu_blocks(alpha, field, GRID)
+        half = GRID.n_theta // 2
+        assert [stack.shape for stack in stacks] == [
+            (GRID.n_phi, half + 1, half + 1),
+            (GRID.n_phi, half - 1, half - 1),
+        ]
+        for stack in stacks:
+            assert stack.dtype == np.float64
+            for block in stack:
+                assert np.max(np.abs(block - block.T)) < 1e-12
 
     @pytest.mark.parametrize("field", [FieldConfig(0.0, 0.0), FieldConfig(2.0, 0.0)])
     def test_axial_field_never_builds_sector_blocks(self, alpha, monkeypatch, field):
@@ -338,3 +474,34 @@ class TestNuBlocks:
         monkeypatch.setattr(oracle, "_nu_blocks", _never)
         eps = grid_solve(alpha, field, GRID)
         assert eps.shape == (GRID.n_theta * GRID.n_phi,)
+
+
+@pytest.mark.parametrize(
+    "field,calls,ndim",
+    [
+        (FieldConfig(0.0, 2.0), 4, 2),
+        (FieldConfig(1.3, 0.7), 2, 2),
+        (FieldConfig(2.0, 0.0), 2, 3),
+        (FieldConfig(0.0, 0.0), 2, 3),
+    ],
+    ids=["in_plane", "tilted", "axial", "zero"],
+)
+def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field, calls, ndim):
+    # one oracle.eigh call per block (a stack per theta parity for an axial
+    # field) and no other dense solve, so timing that name times the oracle
+    shapes = []
+    solve = oracle.eigh
+
+    def counted(a):
+        shapes.append(a.ndim)
+        return solve(a)
+
+    def other_solve(*args, **kwargs):
+        raise AssertionError("dense solve outside oracle.eigh")
+
+    monkeypatch.setattr(oracle, "eigh", counted)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, other_solve)
+    eps = grid_solve(alpha, field, GRID)
+    assert shapes == [ndim] * calls
+    assert eps.shape == (GRID.n_theta * GRID.n_phi,)
