@@ -18,37 +18,32 @@ of the same grid, nu in FFT order.  The antiunitary map T = (complex
 conjugation) o (phi -> -phi) fixes every such vector and commutes with the
 operator, so the operator is real there: i d/dphi is -diag(nu), cos(phi)
 and sin(phi) shift nu by +-1 (mod n_phi, which is exact on the grid), and
-every term is a real theta matrix times a real nu matrix.  Inversion
-(theta, phi) -> (-theta, phi + pi) acts as theta-reflection times (-1)^nu,
-so in the theta-even and theta-odd combinations (delta_i +- delta_-i)/sqrt(2)
-the operator splits into two real symmetric blocks of half the grid size:
-sector A = (theta-even x even nu) + (theta-odd x odd nu) and sector B =
-(theta-even x odd nu) + (theta-odd x even nu).
+every term is a real theta matrix a times a real nu matrix b: on the real
+(theta, nu) array X the operator is the sum of a @ X @ b.T.  Inversion
+(theta, phi) -> (-theta, phi + pi) acts on X as X[-i mod n_theta, nu] (-1)^nu
+and commutes with every term; its +1 eigenspace is sector A = (theta-even x
+even nu) + (theta-odd x odd nu), its -1 eigenspace sector B.
 
-An in-plane field (tau0 = 0) along x is also invariant under C2, the
-rotation by pi about the field axis, (theta, phi) -> (-theta, -phi): every
-term that flips theta parity is odd under nu -> -nu, every other term even.
-In the nu-reflection combinations (e_nu +- e_-nu)/sqrt(2), with nu = 0 and
-the Nyquist nu fixed, each inversion sector splits once more, into four
-blocks of about a quarter of the grid (545, 479, 481 and 543 wide at
-64 x 32).  A tilted field is solved in the two inversion sectors.  Each
-block is built term by term: the term's theta matrix projected on the
-theta parts is added at every nonzero entry of its projected nu matrix,
-so no product with a zero nu entry is formed.
+Only the ground state, the largest eigenvalue, is computed.  At tau1 != 0
+the operator is applied matrix-free, and LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 517 (2001)) finds each inversion sector's largest eigenvalue
+from a seeded random start projected onto the sector, as is each
+preconditioned residual; run per sector, it converges at the gap within the
+sector, so it stays fast where the sectors' ground levels cross.  The
+preconditioner is 1/(k^2 + c nu^2 + 1 + alpha^2 (tau0^2 + tau1^2)/4) by an
+FFT along theta, c = alpha^2/(1 - alpha^2)^(3/2) the mean of alpha^2/F^2.
 
-An axial field (tau1 = 0) commutes with rotations about the torus axis, so
-it conserves nu: every nu matrix of its operator is diagonal.  It is also
-symmetric under z -> -z, theta -> -theta, so its operator is one real
-symmetric block per nu and theta parity, held as a theta-even stack of
-n_phi blocks (n_theta/2 + 1 wide) and a theta-odd one (n_theta/2 - 1).
-Every block is diagonalized with a dense real eigenvalue-only solve, a
-stack in one batched call.
+An axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
+theta -> -theta, so its operator is one real symmetric block per nu and
+theta parity (`_nu_blocks`), each stack diagonalized in one batched dense
+call, which at 64 x 32 is faster than the iterative solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,13 +60,28 @@ MAX_GRID_POINTS = 8192
 #: Largest move of the ground eigenvalue that the refine check accepts.
 REFINE_TOL = 1e-4
 
+#: Iterations allowed in one inversion sector; tilted and in-plane fields
+#: took at most 91 at alpha = 0.5, 399 at 0.8 and 1951 at 0.99 (64x32, 128x32).
+MAX_ITERATIONS = 5000
+
 
 class AccuracyError(ArithmeticError):
     """Grid refinement moved the ground eigenvalue by more than allowed."""
 
 
+class ConvergenceError(ArithmeticError):
+    """The iterative ground-state solve did not converge."""
+
+
 class UnsupportedVariantError(ValueError):
     """Requested operator variant is outside the oracle's Hermitian scope."""
+
+
+class GroundState(NamedTuple):
+    """Largest eigenvalue and its inversion sector (0: A, 1: B)."""
+
+    eps0: float
+    sector: int
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,11 @@ def _reflection_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_terms(
     al: float, field: FieldConfig, grid: GridSpec
-) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The grid operator as a sum of real (theta matrix) x (nu matrix) terms.
 
-    Each entry is (theta matrix, nu matrix, flips parity).  At tau1 = 0
-    only the three terms that keep theta parity remain, and each of their
-    nu matrices is diagonal.
+    At tau1 = 0 only the three terms that keep theta parity remain, and
+    each of their nu matrices is diagonal.
     """
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
@@ -157,16 +166,15 @@ def _grid_terms(
     pot = pot - 0.25 * t0**2 * al**2 * f**2 - 0.25 * t1**2 * al**4 * sin_t**2
     if field.vc_on:
         pot = pot + 0.25 / f**2
-    # (theta matrix, nu matrix, flips parity): terms that flip theta parity
-    # also flip nu parity, so every term keeps the inversion sector; at
-    # tau0 = 0 they are also the ones odd under nu -> -nu (the tilted cross
-    # term, even under it, vanishes), so every term keeps the C2 sector
+    # (theta matrix, nu matrix): the last three terms flip theta parity
+    # and nu parity, the others keep both, so every term keeps the
+    # inversion sector
     terms = [
-        (fourier_diff_matrix(nt, 2) + np.diag(pot), np.eye(np_), False),
+        (fourier_diff_matrix(nt, 2) + np.diag(pot), np.eye(np_)),
         # centrifugal phi term, Nyquist kept
-        (np.diag(al**2 / f**2), np.diag(-(nu**2)), False),
+        (np.diag(al**2 / f**2), np.diag(-(nu**2))),
         # axial paramagnetic term i tau0 alpha^2 d/dphi
-        (np.eye(nt), -t0 * al**2 * n_op, False),
+        (np.eye(nt), -t0 * al**2 * n_op),
     ]
     if t1 != 0.0:
         d1t = fourier_diff_matrix(nt, 1)
@@ -176,17 +184,13 @@ def _grid_terms(
         terms += [
             # sin^2(phi) = 1/2 - (e^{2i phi} + e^{-2i phi})/4
             (np.diag(-0.25 * t1**2 * al**2 * f**2),
-             0.5 * np.eye(np_) - 0.25 * (shift_up @ shift_up + shift_down @ shift_down),
-             False),
+             0.5 * np.eye(np_) - 0.25 * (shift_up @ shift_up + shift_down @ shift_down)),
             # tilted cross term of |A|^2, proportional to cos(phi)
-            (np.diag(0.5 * t0 * t1 * al**3 * f * sin_t), cos_p, True),
+            (np.diag(0.5 * t0 * t1 * al**3 * f * sin_t), cos_p),
             # c_phi = -tau1 alpha^3 sin(theta) cos(phi)/F
-            (np.diag(-t1 * al**3 * sin_t / f),
-             -0.5 * (cos_p @ n_op + n_op @ cos_p),
-             True),
+            (np.diag(-t1 * al**3 * sin_t / f), -0.5 * (cos_p @ n_op + n_op @ cos_p)),
             # c_theta = c_th(theta) sin(phi), sin(phi) = (S+ - S-)/(2i)
-            (0.25 * (c_th[:, None] * d1t + d1t * c_th[None, :]),
-             shift_up - shift_down, True),
+            (0.25 * (c_th[:, None] * d1t + d1t * c_th[None, :]), shift_up - shift_down),
         ]
     return terms
 
@@ -194,99 +198,97 @@ def _grid_terms(
 def _nu_blocks(
     al: float, field: FieldConfig, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The axial-field grid operator as real symmetric theta blocks per nu.
-
-    Two stacks, theta-even then theta-odd: entry k of each is the operator
-    restricted to the k-th nu in FFT order and that theta parity, so the
-    stacks are (n_phi, n_theta/2 + 1, n_theta/2 + 1) and
-    (n_phi, n_theta/2 - 1, n_theta/2 - 1).  Only valid at tau1 = 0, where
-    every nu matrix of the operator is diagonal and no term flips theta
-    parity.
-    """
+    """The axial-field grid operator as real symmetric theta blocks per nu:
+    a theta-even stack (n_phi, n_theta/2 + 1, n_theta/2 + 1) and a theta-odd
+    one (n_phi, n_theta/2 - 1, n_theta/2 - 1), entry k at the k-th nu in FFT
+    order.  Only valid at tau1 = 0, where every nu matrix is diagonal and no
+    term flips theta parity."""
     terms = _grid_terms(al, field, grid)
     return tuple(
-        sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b, _ in terms)
+        sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b in terms)
         for q in _reflection_bases(grid.n_theta)
     )
 
 
-def _nu_bases(n: int, in_plane: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthonormal nu columns of the theta-even and theta-odd part of each
-    sector block.
-
-    Sector A pairs theta-even with even nu and theta-odd with odd nu, sector
-    B the other way.  In plane each part is split further by nu-reflection
-    parity into (e_nu +- e_-nu)/sqrt(2), nu = 0 and the Nyquist nu fixed:
-    C2 even pairs theta-even with reflection-even nu, C2 odd the other way.
-    """
-    eye = np.eye(n)
-    if not in_plane:
-        return [(eye[:, m::2], eye[:, 1 - m::2]) for m in (0, 1)]
-    sym, anti = _reflection_bases(n)
-    parts = {}  # (nu parity, reflection parity): column c of anti leads with nu c + 1
-    for m in (0, 1):
-        parts[m, 1] = sym[:, m::2]
-        parts[m, -1] = anti[:, 1 - m::2]
-    return [(parts[m, r], parts[1 - m, -r]) for m in (0, 1) for r in (1, -1)]
+def _ritz_coefficients(s: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Coefficients on the unit rows of s, [x, w] or [x, w, p], of the
+    largest Ritz vector of their span; hs holds H applied to each row.
+    Where the rows are numerically dependent, p is dropped: a Cholesky
+    pivot is a row's distance from the span of the rows before it."""
+    for k in range(len(s), 1, -1):
+        try:
+            chol = np.linalg.cholesky(s[:k] @ s[:k].T)
+        except np.linalg.LinAlgError:
+            continue
+        if chol.diagonal().min() >= 1e-8:
+            inv = np.linalg.inv(chol)
+            h = inv @ (s[:k] @ hs[:k].T) @ inv.T
+            return inv.T @ np.linalg.eigh(0.5 * (h + h.T))[1][:, -1]
+    raise ConvergenceError("the preconditioned residual lies along the iterate")
 
 
-def _scattered_block(
-    q_theta: tuple[np.ndarray, np.ndarray],
-    nus: tuple[np.ndarray, np.ndarray],
-    projected: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]],
-) -> np.ndarray:
-    """One sector block from its theta-even and theta-odd parts' columns and
-    the projected theta matrices of each quadrant's terms."""
-    sizes = [(q.shape[1], n.shape[1]) for q, n in zip(q_theta, nus)]
-    cut = sizes[0][0] * sizes[0][1]
-    block = np.empty((cut + sizes[1][0] * sizes[1][1],) * 2)
-    parts = (slice(0, cut), slice(cut, None))
-    for (i, j), products in projected.items():
-        # summed nu-major, (nu row, nu col, theta row, theta col), so that
-        # every nonzero nu entry adds one contiguous theta matrix
-        quad = np.zeros((sizes[i][1], sizes[j][1], sizes[i][0], sizes[j][0]))
-        for t, b in products:
-            nu = nus[i].T @ b @ nus[j]
-            r, c = np.nonzero(nu)
-            quad[r, c] += nu[r, c, None, None] * t
-        # a view of the block: splitting each axis in two never copies
-        view = block[parts[i], parts[j]].reshape(*sizes[i], *sizes[j])
-        view[...] = quad.transpose(2, 0, 3, 1)
-    return block
+def lobpcg_max(apply: Callable, precondition: Callable, x: np.ndarray) -> float:
+    """Largest eigenvalue of the real symmetric operator `apply` on the
+    subspace that x and `precondition` keep, by single-vector LOBPCG: each
+    step moves the unit iterate x to the largest Ritz vector of [x, w, p], w
+    the preconditioned residual and p the last step.  H x and H p are carried
+    along, one application of H a step, and H x is applied afresh before the
+    stop ||H x - eps x|| <= 1e-10 max(1, |eps|) may pass."""
+    x = x / np.linalg.norm(x)
+    hx, fresh = apply(x), True
+    p = hp = np.empty((0, x.size))  # no last step yet
+    for _ in range(MAX_ITERATIONS):
+        eps = float(x @ hx)
+        if np.linalg.norm(hx - eps * x) <= 1e-10 * max(1.0, abs(eps)):
+            if fresh:
+                return eps
+            hx, fresh = apply(x), True
+            continue
+        w = precondition(hx - eps * x)
+        w = w / np.linalg.norm(w)
+        s, hs = np.vstack([x, w, p]), np.vstack([hx, apply(w), hp])
+        c = _ritz_coefficients(s, hs)
+        k = len(c)
+        x, hx, fresh = c @ s[:k], c @ hs[:k], False
+        p, hp = c[1:] @ s[1:k], c[1:] @ hs[1:k]
+        p, hp = p / np.linalg.norm(p), hp / np.linalg.norm(p)
+    raise ConvergenceError(f"LOBPCG did not converge in {MAX_ITERATIONS} iterations")
 
 
-def _sector_blocks(
-    al: float, field: FieldConfig, grid: GridSpec
-) -> Iterator[np.ndarray]:
-    """The grid operator as one real symmetric block per symmetry sector,
-    each built when the iteration reaches it, so that a caller dropping
-    every block before it takes the next holds one at a time.
-
-    Off the plane (tau0 != 0) the sectors are inversion's: sector A rows
-    are (theta-even x even nu) then (theta-odd x odd nu), sector B rows
-    (theta-even x odd nu) then (theta-odd x even nu), with nu in FFT order.
-    In plane (tau0 == 0) the C2 rotation about the field axis splits each
-    of them in two, giving four blocks in the order (A, C2 even), (A, C2
-    odd), (B, C2 even), (B, C2 odd), with nu columns from `_nu_bases`.
-    Within each part the theta index runs slowest.
-
-    Each term's projected theta matrix is added at the nonzero entries of
-    its projected nu matrix only, in term order, starting from zero; off
-    the plane every sum is then bit for bit the one that Kronecker products
-    over all entries give.
-    """
+def _sector_ground(al: float, field: FieldConfig, grid: GridSpec) -> GroundState:
+    """Ground state at tau1 != 0: the larger of the two inversion sectors'
+    largest eigenvalues, each found by `lobpcg_max`."""
+    nt, n_phi = grid.n_theta, grid.n_phi
     terms = _grid_terms(al, field, grid)
-    q_theta = _reflection_bases(grid.n_theta)
-    # (theta matrix, nu matrix) of every term in each quadrant (row part,
-    # column part), in term order: a term that flips theta parity joins the
-    # theta-even part 0 and the theta-odd part 1, any other keeps each
-    projected = {(0, 0): [], (0, 1): [], (1, 0): [], (1, 1): []}
-    for a, b, flips in terms:
-        for i, j in ((0, 1), (1, 0)) if flips else ((0, 0), (1, 1)):
-            projected[i, j].append((q_theta[i].T @ a @ q_theta[j], b))
-    for nus in _nu_bases(grid.n_phi, field.tau0 == 0.0):
-        # built in a call, so this frame keeps no reference to a yielded block
-        yield _scattered_block(q_theta, nus, projected)
+    a_cat = np.hstack([a for a, _ in terms])
+    b_cat = np.hstack([b.T for _, b in terms])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        # the sum of a @ x @ b.T over the terms, as two products
+        xb = (x.reshape(nt, n_phi) @ b_cat).reshape(nt, len(terms), n_phi)
+        return (a_cat @ xb.swapaxes(0, 1).reshape(-1, n_phi)).ravel()
+
+    k, nu = np.arange(nt // 2 + 1)[:, None], np.fft.fftfreq(n_phi, d=1.0 / n_phi)
+    shift = 1.0 + 0.25 * al**2 * (field.tau0**2 + field.tau1**2)
+    inv_symbol = 1.0 / (k**2 + al**2 / (1.0 - al**2) ** 1.5 * nu**2 + shift)
+    reflected = -np.arange(nt) % nt
+    nu_signs = (-1.0) ** np.arange(n_phi)
+    start = np.random.default_rng(0).standard_normal(nt * n_phi)
+
+    def largest(sign: float) -> float:  # in the sector where inversion is sign
+        def project(x: np.ndarray) -> np.ndarray:
+            x = x.reshape(nt, n_phi)
+            return (0.5 * (x + sign * nu_signs * x[reflected])).ravel()
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            r = np.fft.rfft(r.reshape(nt, n_phi), axis=0)
+            return project(np.fft.irfft(inv_symbol * r, n=nt, axis=0))
+
+        return lobpcg_max(apply, precondition, project(start))
+
+    eps = [largest(1.0), largest(-1.0)]  # sectors A and B
+    sector = int(eps[1] > eps[0])
+    return GroundState(eps[sector], sector)
 
 
 def grid_solve(
@@ -294,14 +296,10 @@ def grid_solve(
     field: FieldConfig,
     grid: GridSpec = GridSpec(),
     refine: bool = False,
-) -> np.ndarray:
-    """Raw eigenvalues of the grid operator at aspect ratio alpha, ground
-    state (largest) first.
-
-    An axial field (tau1 == 0.0) is solved nu by nu in each theta parity,
-    an in-plane field (tau0 == 0.0) in its four inversion x C2 sectors and
-    any other field in its two inversion sectors; each gives the whole
-    n_theta * n_phi spectrum.
+) -> GroundState:
+    """Ground state of the grid operator at aspect ratio alpha: its largest
+    raw eigenvalue and inversion sector, by dense solves nu by nu for an
+    axial field (tau1 == 0.0) and matrix-free per sector for any other.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
@@ -316,19 +314,19 @@ def grid_solve(
             "non-Hermitian variant it cannot discretize"
         )
     if field.tau1 == 0.0:
-        blocks = _nu_blocks(alpha, field, grid)
+        # largest eigenvalue of each nu's block, per theta parity
+        top = np.array([eigh(stack)[:, -1] for stack in _nu_blocks(alpha, field, grid)])
+        parity, nu = np.unravel_index(np.argmax(top), top.shape)
+        ground = GroundState(float(top[parity, nu]), int(parity + nu) % 2)
     else:
-        blocks = _sector_blocks(alpha, field, grid)
-    # map keeps no block past its solve, and _sector_blocks builds the next
-    # one only when asked, so one sector block is alive at a time
-    w = np.sort(np.concatenate([e.ravel() for e in map(eigh, blocks)]))[::-1]
+        ground = _sector_ground(alpha, field, grid)
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
-        delta = abs(fine[0] - w[0])
+        delta = abs(fine.eps0 - ground.eps0)
         if delta > REFINE_TOL:
             raise AccuracyError(
                 f"ground eigenvalue moved by {delta:.3e} on refinement "
-                f"({w[0]:.8f} at n_theta={grid.n_theta} vs "
-                f"{fine[0]:.8f} at {2 * grid.n_theta})"
+                f"({ground.eps0:.8f} at n_theta={grid.n_theta} vs "
+                f"{fine.eps0:.8f} at {2 * grid.n_theta})"
             )
-    return w
+    return ground

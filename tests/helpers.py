@@ -40,31 +40,28 @@ def reference_assemble(field, basis) -> np.ndarray:
 
 
 def reference_sector_blocks(al, field, grid) -> list[np.ndarray]:
-    """The grid operator's two inversion-sector blocks, each quadrant the
-    sum of `np.kron(theta matrix, nu matrix)` over its terms, in term order.
+    """The grid operator's two inversion-sector blocks, A then B, each
+    quadrant the sum of `np.kron(theta matrix, nu matrix)` over the terms.
 
-    The reference that `oracle._sector_blocks` must match bit for bit off
-    the plane (tau0 != 0): it adds the same products, skipping only those
-    with a zero nu entry.
+    The dense reference for each sector's top eigenvalue: `grid_solve`'s
+    eps0 must be the largest eigenvalue of the two blocks, and its sector
+    the block that holds it.  Rows are the theta-even part, then the
+    theta-odd one, each with the theta index slowest and nu in FFT order:
+    sector A pairs theta-even with even nu and theta-odd with odd nu,
+    sector B the other way.
     """
     terms = _grid_terms(al, field, grid)
     q_even, q_odd = _reflection_bases(grid.n_theta)
-    half = grid.n_phi // 2
     even_nu, odd_nu = slice(0, None, 2), slice(1, None, 2)
     blocks = []
     for first, second in ((even_nu, odd_nu), (odd_nu, even_nu)):
         parts = ((q_even, first), (q_odd, second))
-        rows = []
-        for i, (qa, sa) in enumerate(parts):
-            row = []
-            for j, (qb, sb) in enumerate(parts):
-                quad = np.zeros((qa.shape[1] * half, qb.shape[1] * half))
-                for a, b, flips in terms:
-                    if flips == (i != j):
-                        quad += np.kron(qa.T @ a @ qb, b[sa, sb])
-                row.append(quad)
-            rows.append(row)
-        blocks.append(np.block(rows))
+        # a term that keeps theta parity has a zero nu matrix between nu of
+        # different parity, and one that flips it between nu of equal parity
+        blocks.append(np.block([
+            [sum(np.kron(qa.T @ a @ qb, b[sa, sb]) for a, b in terms) for qb, sb in parts]
+            for qa, sa in parts
+        ]))
     return blocks
 
 

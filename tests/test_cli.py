@@ -465,10 +465,19 @@ class TestVerifyCommand:
             raise AssertionError("built something for an oversized grid")
 
         monkeypatch.setattr(cli, "gram_schmidt_basis", never)
-        monkeypatch.setattr(oracle, "_sector_blocks", never)
-        monkeypatch.setattr(oracle, "_nu_blocks", never)
+        # every grid operator, dense or matrix-free, starts from _grid_terms
+        for name in ("_grid_terms", "_nu_blocks", "_sector_ground"):
+            monkeypatch.setattr(oracle, name, never)
         assert main(["verify", *argv]) == EXIT_CONFIG
         assert "8192" in capsys.readouterr().err
+
+    def test_unconverged_oracle_exits_numeric(self, monkeypatch, capsys):
+        # the iterative solve's cap reached on the first tilted field: one
+        # numerical error line, no traceback, exit 3
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+        assert main(["verify", "--n-theta", "16", "--n-phi", "16"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: ")
 
     def test_grid_solved_once_per_distinct_field(self, monkeypatch, capsys):
         # tau = 0 is one field in all three orientations: 7 distinct fields

@@ -2,14 +2,16 @@
 
 `_build_operator` below is the oracle's operator as a dense complex matrix
 on the (theta, phi) grid, with every coupling written on the grid points.
-It is the reference the program's real blocks are checked against: one
-theta block per nu and theta parity for an axial field, four inversion x
-C2 sectors for an in-plane field, two inversion sectors for a tilted one.
-The exact symmetries behind those splits are tested on it as maps of the
+The exact symmetries the oracle relies on are tested on it as maps of the
 grid points (inversion, C2 about the in-plane field axis, theta-reflection
-at tau1 = 0), and the blocks must reproduce its spectrum.
-`helpers.reference_sector_blocks` is the np.kron build of the two
-inversion sectors that the scatter build must match bit for bit.
+at tau1 = 0, field reversal).  An axial field's nu blocks must reproduce
+its spectrum, and `grid_solve` the ground state and inversion sector of its
+halves under inversion.  `helpers.reference_sector_blocks` builds the two
+inversion sectors with np.kron: each must be the dense operator between
+the grid vectors that `sector_rows` names, the oracle's matrix-free
+operator must match it in each sector, and the ground state that LOBPCG
+returns must be the largest of the two blocks' top eigenvalues, with its
+sector.
 """
 
 import math
@@ -21,12 +23,15 @@ from torusmag import oracle
 from torusmag.field import FieldConfig
 from torusmag.oracle import (
     AccuracyError,
+    ConvergenceError,
     GridSpec,
+    GroundState,
     UnsupportedVariantError,
     _nu_blocks,
-    _sector_blocks,
+    _ritz_coefficients,
     fourier_diff_matrix,
     grid_solve,
+    lobpcg_max,
 )
 from torusmag.solver import eigensolve
 
@@ -81,44 +86,53 @@ def _build_operator(
     return m
 
 
-def sector_rows(
-    grid: GridSpec, in_plane: bool = False
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(theta key, nu, sign) of every row of each `_sector_blocks` block.
+def sector_rows(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(theta key, nu) of every row of each `reference_sector_blocks` block.
 
     Each block's rows are its theta-even part then its theta-odd part, the
-    theta index slowest; theta keys number the even combinations
-    0..n_theta/2 and the odd ones after them.  Off the plane the nu columns
-    are e_nu in FFT order and sign is +1: sector A pairs theta-even with
-    even nu and theta-odd with odd nu, sector B the other way.  In plane
-    the columns are (e_nu + sign e_-nu)/sqrt(2), labelled nu = |nu| (the
-    Nyquist one by n_phi/2), and each sector's part with theta parity p
-    takes the nu-reflection sign p * C2, C2 even first.
+    theta index slowest and nu in FFT order; theta keys number the even
+    combinations of `oracle._reflection_bases` 0..n_theta/2 and the odd ones
+    after them.  Sector A pairs theta-even with even nu and theta-odd with
+    odd nu, sector B the other way.
     """
     n_even, n_odd = grid.n_theta // 2 + 1, grid.n_theta // 2 - 1
     theta_keys = (np.arange(n_even), n_even + np.arange(n_odd))
-
-    def rows(parts):
-        # parts: (nu labels, signs) of the theta-even part, then the theta-odd
-        pairs = list(zip(theta_keys, parts))
-        key = np.concatenate([np.repeat(t, len(nu)) for t, (nu, _) in pairs])
-        nu = np.concatenate([np.tile(nu, len(t)) for t, (nu, _) in pairs])
-        sign = np.concatenate([np.tile(sg, len(t)) for t, (_, sg) in pairs])
-        return key, nu, sign
-
-    n = grid.n_phi
-    if not in_plane:
-        nu = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        by_parity = [(nu[m::2], np.ones(n // 2, dtype=int)) for m in (0, 1)]
-        return [rows([by_parity[m], by_parity[1 - m]]) for m in (0, 1)]
-    k = np.arange(n // 2 + 1)
-    reflected = {}
+    nu = np.fft.fftfreq(grid.n_phi, d=1.0 / grid.n_phi).astype(int)
+    by_parity = (nu[0::2], nu[1::2])
+    blocks = []
     for m in (0, 1):
-        sym, anti = k[k % 2 == m], k[(k % 2 == m) & (k > 0) & (k < n // 2)]
-        reflected[m, 1] = (sym, np.ones(len(sym), dtype=int))
-        reflected[m, -1] = (anti, -np.ones(len(anti), dtype=int))
+        pairs = list(zip(theta_keys, (by_parity[m], by_parity[1 - m])))
+        key = np.concatenate([np.repeat(t, len(n)) for t, n in pairs])
+        blocks.append((key, np.concatenate([np.tile(n, len(t)) for t, n in pairs])))
+    return blocks
+
+
+def sector_columns(grid: GridSpec) -> list[np.ndarray]:
+    """Per inversion sector, its `sector_rows` as orthonormal columns on the
+    oracle's real (theta, nu) array, flattened with theta slowest."""
+    theta_cols = np.hstack(oracle._reflection_bases(grid.n_theta))
+    nu_cols = np.eye(grid.n_phi)
     return [
-        rows([reflected[m, r], reflected[1 - m, -r]]) for m in (0, 1) for r in (1, -1)
+        (theta_cols[:, None, key] * nu_cols[None, :, nu % grid.n_phi]).reshape(-1, len(key))
+        for key, nu in sector_rows(grid)
+    ]
+
+
+def dense_sector_spectra(m: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """Ascending spectra of the dense operator m on the grid vectors even
+    (sector A) and odd (sector B) under inversion, (i, j) -> (-i, j + n_phi/2).
+
+    Inversion pairs every grid point with another, so each half is spanned
+    by (delta_p +- delta_Ip)/sqrt(2), one per pair."""
+    i = -np.arange(grid.n_theta) % grid.n_theta
+    j = (np.arange(grid.n_phi) + grid.n_phi // 2) % grid.n_phi
+    image = (i[:, None] * grid.n_phi + j[None, :]).ravel()
+    p = np.flatnonzero(np.arange(len(image)) < image)  # one point of each pair
+    ip = image[p]
+    return [
+        np.linalg.eigvalsh(0.5 * (m[np.ix_(p, p)] + m[np.ix_(ip, ip)]
+                                  + sign * (m[np.ix_(p, ip)] + m[np.ix_(ip, p)])))
+        for sign in (1.0, -1.0)
     ]
 
 
@@ -293,14 +307,17 @@ class TestGridSolve:
     )
     def test_refinement_passes_at_production_grid(self, alpha, field):
         # no AccuracyError: the doubled grid agrees to REFINE_TOL, and the
-        # coarse grid's whole spectrum comes back, ground state first; the
-        # axial field takes the per-nu path, the tilted one the sector path
-        eps = grid_solve(alpha, field, GridSpec(64, 16), refine=True)
-        assert eps.shape == (64 * 16,)
-        assert eps[0] == np.max(eps)
+        # coarse grid's ground state comes back; the axial field takes the
+        # per-nu path, the tilted one the matrix-free sector path
+        ground = grid_solve(alpha, field, GridSpec(64, 16), refine=True)
+        assert isinstance(ground, GroundState)
+        assert ground.sector in (0, 1)
+        assert ground[0] == ground.eps0 == grid_solve(alpha, field, GridSpec(64, 16)).eps0
 
 
 class TestSectorBlocks:
+    """Checks on the test-side np.kron reference of the inversion sectors."""
+
     @pytest.mark.parametrize(
         "field",
         [
@@ -312,24 +329,16 @@ class TestSectorBlocks:
         ],
     )
     def test_joined_spectra_match_dense_reference(self, alpha, field):
-        blocks = _sector_blocks(alpha, field, GRID)
+        blocks = reference_sector_blocks(alpha, field, GRID)
         joined = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         reference = np.linalg.eigvalsh(_build_operator(alpha, field, GRID))
         assert np.max(np.abs(joined - reference)) < 1e-10
 
     def test_blocks_are_real_symmetric(self, alpha):
         for field in (FieldConfig(1.3, 0.7), FieldConfig(0.0, 2.0)):
-            for block in _sector_blocks(alpha, field, GRID):
+            for block in reference_sector_blocks(alpha, field, GRID):
                 assert block.dtype == np.float64
                 assert np.max(np.abs(block - block.T)) < 1e-12
-
-    def test_in_plane_field_splits_into_four_sectors(self, alpha):
-        # inversion x C2 about the field axis: four blocks of about a
-        # quarter of the grid each, where a tilted field has two halves
-        blocks = _sector_blocks(alpha, FieldConfig(0.0, 2.0), GridSpec(64, 32))
-        assert [b.shape[0] for b in blocks] == [545, 479, 481, 543]
-        blocks = _sector_blocks(alpha, FieldConfig(1.3, 0.7), GridSpec(64, 32))
-        assert [b.shape[0] for b in blocks] == [1024, 1024]
 
     @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 1.1)])
     def test_rows_are_the_labelled_grid_vectors(self, alpha, tau0, tau1):
@@ -338,62 +347,54 @@ class TestSectorBlocks:
         field = FieldConfig(tau0, tau1)
         nt, n = GRID.n_theta, GRID.n_phi
         phi = np.arange(n) * 2.0 * np.pi / n
-        nu_all = np.fft.fftfreq(n, d=1.0 / n)
-        harmonic = np.exp(1j * np.outer(phi, nu_all)) / np.sqrt(n)
+        harmonic = np.exp(1j * np.outer(phi, np.arange(n))) / np.sqrt(n)
         theta_cols = np.hstack(oracle._reflection_bases(nt))
         m = _build_operator(alpha, field, GRID)
-        blocks = _sector_blocks(alpha, field, GRID)
-        for block, (key, nu, sign) in zip(blocks, sector_rows(GRID, tau0 == 0.0)):
-            # (e_nu + sign e_-nu) / |.|: plain e_nu where -nu is nu itself
-            # or where the layout does not pair them
-            paired = (tau0 == 0.0) & (nu % n != -nu % n)
-            nu_cols = harmonic[:, nu % n] + paired * sign * harmonic[:, -nu % n]
-            nu_cols /= np.sqrt(1.0 + paired)
-            q = (theta_cols[:, None, key] * nu_cols[None, :, :]).reshape(nt * n, -1)
+        blocks = reference_sector_blocks(alpha, field, GRID)
+        for block, (key, nu) in zip(blocks, sector_rows(GRID)):
+            q = (theta_cols[:, None, key] * harmonic[None, :, nu % n]).reshape(nt * n, -1)
             assert np.max(np.abs(q.conj().T @ m @ q - block)) < 1e-10
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
     @pytest.mark.parametrize(
         "tau0,tau1",
         [(1.3, 0.7), (math.sin(math.pi / 4), math.cos(math.pi / 4)), (-2.0, 1.0), (2.0, 0.0)],
+        ids=["1.3-0.7", "quarter_tilt", "-2.0-1.0", "2.0-0.0"],
     )
-    def test_off_plane_blocks_match_kron_reference_bitwise(self, alpha, tau0, tau1, grid):
-        # the nu scatter skips only products with a zero nu entry
+    def test_apply_matches_kron_reference(self, alpha, monkeypatch, tau0, tau1, grid):
+        # the matrix-free operator that LOBPCG is handed, applied to each
+        # sector's columns, keeps the sector and is the kron block there; the
+        # preconditioner keeps the sector too
         field = FieldConfig(tau0, tau1)
-        blocks = list(_sector_blocks(alpha, field, grid))
-        reference = reference_sector_blocks(alpha, field, grid)
-        assert len(blocks) == len(reference) == 2
-        for block, ref in zip(blocks, reference):
-            assert np.array_equal(block, ref)
+        solves = captured_solves(monkeypatch, alpha, field, grid)
+        blocks = reference_sector_blocks(alpha, field, grid)
+        for (apply, precondition, start), q, block in zip(solves, sector_columns(grid), blocks):
+            hq = np.stack([apply(col) for col in q.T], axis=1)
+            scale = np.max(np.abs(block))
+            assert np.max(np.abs(q.T @ hq - block)) < 1e-13 * scale
+            assert np.max(np.abs(hq - q @ (q.T @ hq))) < 1e-13 * scale
+            for x in (start, precondition(start)):
+                assert np.linalg.norm(x - q @ (q.T @ x)) < 1e-13 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("tau0,tau1", [(1.3, 0.7), (0.0, 2.0), (2.0, 0.0)])
     def test_field_reversal_relabels_nu(self, alpha, tau0, tau1):
-        # reversing the field maps nu -> -nu (Nyquist fixed) and nothing
-        # else; in plane the rows are eigenvectors of that map, so it only
-        # flips the sign of the reflection-odd ones
-        in_plane = tau0 == 0.0
-        blocks = _sector_blocks(alpha, FieldConfig(tau0, tau1), GRID)
-        reversed_ = _sector_blocks(alpha, FieldConfig(-tau0, -tau1), GRID)
-        rows = sector_rows(GRID, in_plane)
-        for block, block_rev, (key, nu, sign) in zip(blocks, reversed_, rows):
-            if in_plane:
-                relabelled = sign[:, None] * block_rev * sign[None, :]
-            else:
-                nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
-                row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
-                perm = np.array([row[k, n] for k, n in zip(key, nu_rev)])
-                relabelled = block_rev[np.ix_(perm, perm)]
-            assert np.max(np.abs(relabelled - block)) == 0.0
+        # reversing the field maps nu -> -nu (Nyquist fixed) and nothing else
+        blocks = reference_sector_blocks(alpha, FieldConfig(tau0, tau1), GRID)
+        reversed_ = reference_sector_blocks(alpha, FieldConfig(-tau0, -tau1), GRID)
+        for block, block_rev, (key, nu) in zip(blocks, reversed_, sector_rows(GRID)):
+            nu_rev = np.where(nu == -GRID.n_phi // 2, nu, -nu)
+            row = {(k, n): r for r, (k, n) in enumerate(zip(key, nu))}
+            perm = np.array([row[k, n] for k, n in zip(key, nu_rev)])
+            assert np.max(np.abs(block_rev[np.ix_(perm, perm)] - block)) == 0.0
             assert np.max(np.abs(block_rev - block)) > 0.1
 
     def test_axial_field_conserves_nu(self, alpha):
-        # largest entry between rows of different nu (|nu| in plane), over
-        # every block
+        # largest entry between rows of different nu, over both blocks
         def cross_nu(field):
-            blocks = _sector_blocks(alpha, field, GRID)
+            blocks = reference_sector_blocks(alpha, field, GRID)
             return max(
                 np.max(np.abs(block[nu[:, None] != nu[None, :]]))
-                for block, (_, nu, _) in zip(blocks, sector_rows(GRID, field.tau0 == 0.0))
+                for block, (_, nu) in zip(blocks, sector_rows(GRID))
             )
 
         assert cross_nu(FieldConfig(2.0, 0.0)) == 0.0
@@ -401,19 +402,124 @@ class TestSectorBlocks:
         assert cross_nu(FieldConfig(0.0, 2.0)) > 0.1
 
     def test_free_particle_sector_a_annihilates_flat_state(self, alpha):
-        # sqrt(F) at nu = 0 is theta-even and reflection-even, so it lies in
-        # the C2-even half of sector A, the first block; its coordinates on
-        # the even combinations carry sqrt(2) off the ends
+        # sqrt(F) at nu = 0 is theta-even, so it lies in sector A, the first
+        # block; its coordinates on the even combinations carry sqrt(2) off
+        # the ends
         field = FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False)
-        block_a = next(_sector_blocks(alpha, field, GRID))
+        block_a = reference_sector_blocks(alpha, field, GRID)[0]
         half = GRID.n_theta // 2
         theta = np.arange(half + 1) * 2.0 * np.pi / GRID.n_theta
         coords = np.sqrt(1.0 + alpha * np.cos(theta))
         coords[1:half] *= np.sqrt(2.0)
-        key, nu, _ = sector_rows(GRID, in_plane=True)[0]
+        key, nu = sector_rows(GRID)[0]
         flat = np.zeros(block_a.shape[0])
         flat[(key <= half) & (nu == 0)] = coords
         assert np.linalg.norm(block_a @ flat) / np.linalg.norm(flat) < 1e-6
+
+
+def captured_solves(monkeypatch, alpha, field, grid):
+    """(apply, precondition, start) of each `lobpcg_max` call, sector A then
+    B, that the matrix-free path makes for the field; nothing is solved."""
+    calls = []
+
+    def capture(apply, precondition, x):
+        calls.append((apply, precondition, x))
+        return 0.0
+
+    monkeypatch.setattr(oracle, "lobpcg_max", capture)
+    oracle._sector_ground(alpha, field, grid)
+    return calls
+
+
+TILT = (math.sin(math.pi / 4), math.cos(math.pi / 4))
+# the seven distinct fields of `verify`: tau = 0, then axial, tilted and in
+# plane at tau = 1 and 2
+VERIFY_FIELDS = [FieldConfig(0.0, 0.0)] + [
+    FieldConfig(tau * t0, tau * t1)
+    for t0, t1 in ((1.0, 0.0), TILT, (0.0, 1.0))
+    for tau in (1.0, 2.0)
+]
+# the pi/4 tilt around the crossing of the two sectors' ground levels
+CROSSING_FIELDS = [FieldConfig(tau * TILT[0], tau * TILT[1]) for tau in (2.5, 2.62, 2.63, 2.8)]
+
+
+@pytest.mark.parametrize(
+    "al,field",
+    [(al, f) for al in (0.5, 0.8) for f in VERIFY_FIELDS] + [(0.5, f) for f in CROSSING_FIELDS],
+    ids=[f"verify{k}-{al}" for al in (0.5, 0.8) for k in range(7)]
+    + [f"crossing{tau}" for tau in (2.5, 2.62, 2.63, 2.8)],
+)
+def test_ground_matches_reference_sector_blocks(al, field):
+    grid = GridSpec(64, 32)
+    tops = [np.linalg.eigvalsh(b)[-1] for b in reference_sector_blocks(al, field, grid)]
+    ground = grid_solve(al, field, grid)
+    assert abs(ground.eps0 - max(tops)) < 1e-10
+    assert ground.sector == int(np.argmax(tops))
+
+
+def test_crossing_changes_the_ground_sector(alpha):
+    # on the pi/4 tilt the grid's ground state moves from sector A to sector
+    # B at tau = 2.5948, so the crossing fields above hold both sectors
+    sectors = [grid_solve(alpha, f, GridSpec(64, 32)).sector for f in CROSSING_FIELDS]
+    assert sectors == [0, 1, 1, 1]
+
+
+def test_seeded_start_repeats_bitwise(alpha):
+    field = FieldConfig(0.7, 0.7)
+    assert grid_solve(alpha, field, GRID).eps0 == grid_solve(alpha, field, GRID).eps0
+
+
+def test_iteration_cap_raises_convergence_error(alpha, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="1 iterations"):
+        grid_solve(alpha, FieldConfig(0.7, 0.7), GRID)
+    assert issubclass(ConvergenceError, ArithmeticError)
+
+
+def test_lobpcg_finds_largest_of_diagonal_operator():
+    # the preconditioner keeps the even entries only: the largest
+    # eigenvalue there, 4.0, not the overall 9.0
+    d = np.array([1.0, 9.0, 4.0, -2.0, 0.5, 3.0])
+    even = np.arange(6) % 2 == 0
+    start = np.where(even, 1.0, 0.0)
+    largest = lobpcg_max(lambda x: d * x, lambda r: np.where(even, r, 0.0), start)
+    assert largest == pytest.approx(4.0, abs=1e-12)
+    assert lobpcg_max(lambda x: d * x, lambda r: r, np.ones(6)) == pytest.approx(9.0)
+
+
+class TestRitzStep:
+    def _rows(self):
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((8, 8))
+        h = h + h.T
+        x, w = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 8)))
+        return h, x, w
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-12], ids=["equal", "nearly"])
+    def test_dependent_last_step_is_dropped(self, nudge):
+        # p along x makes [x, w, p] rank-deficient: the step is taken on
+        # [x, w] alone, with no LinAlgError from the Cholesky factorization
+        h, x, w = self._rows()
+        p = x + nudge * w
+        p /= np.linalg.norm(p)
+        s = np.array([x, w, p])
+        c = _ritz_coefficients(s, s @ h)
+        assert len(c) == 2
+        assert np.allclose(c, _ritz_coefficients(s[:2], s[:2] @ h))
+
+    def test_ritz_vector_is_the_largest_on_the_span(self):
+        h, x, w = self._rows()
+        s = np.array([x, w])
+        v = _ritz_coefficients(s, s @ h) @ s
+        q, _ = np.linalg.qr(s.T)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert v @ h @ v == pytest.approx(np.linalg.eigvalsh(q.T @ h @ q)[-1])
+
+    def test_residual_along_iterate_is_a_numerical_error(self):
+        h, x, _ = self._rows()
+        s = np.array([x, x])
+        with pytest.raises(ConvergenceError):
+            _ritz_coefficients(s, s @ h)
 
 
 AXIAL_FIELDS = [
@@ -425,20 +531,23 @@ AXIAL_FIELDS = [
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("built the blocks of the other path")
+    raise AssertionError("took the other path")
 
 
 class TestNuBlocks:
     @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_spectrum_matches_dense_reference_and_sectors(self, alpha, field, grid):
-        eps = grid_solve(alpha, field, grid)
-        reference = np.linalg.eigvalsh(_build_operator(alpha, field, grid))[::-1]
-        assert np.max(np.abs(eps - reference)) < 1e-10
-        blocks = _sector_blocks(alpha, field, grid)
-        joined = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
-        assert np.max(np.abs(eps - joined)) < 1e-10
-        assert abs(eps[0] - joined[0]) < 1e-11
+        # the stacks hold the dense operator's whole spectrum, and grid_solve
+        # returns its largest eigenvalue and the inversion half holding it
+        halves = dense_sector_spectra(_build_operator(alpha, field, grid), grid)
+        stacks = np.concatenate([oracle.eigh(s).ravel() for s in _nu_blocks(alpha, field, grid)])
+        assert np.max(np.abs(np.sort(stacks) - np.sort(np.concatenate(halves)))) < 1e-10
+        ground = grid_solve(alpha, field, grid)
+        tops = [h[-1] for h in halves]
+        assert abs(ground.eps0 - max(tops)) < 1e-10
+        assert ground.sector == int(np.argmax(tops))
+        assert abs(tops[0] - tops[1]) > 1e-3  # the sector is not a tie
 
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_stack_is_real_symmetric_per_nu(self, alpha, field):
@@ -456,9 +565,9 @@ class TestNuBlocks:
 
     @pytest.mark.parametrize("field", [FieldConfig(0.0, 0.0), FieldConfig(2.0, 0.0)])
     def test_axial_field_never_builds_sector_blocks(self, alpha, monkeypatch, field):
-        monkeypatch.setattr(oracle, "_sector_blocks", _never)
-        eps = grid_solve(alpha, field, GRID, refine=True)
-        assert eps.shape == (GRID.n_theta * GRID.n_phi,)
+        monkeypatch.setattr(oracle, "_sector_ground", _never)
+        ground = grid_solve(alpha, field, GRID, refine=True)
+        assert isinstance(ground, GroundState)
 
     @pytest.mark.parametrize(
         "field",
@@ -472,36 +581,46 @@ class TestNuBlocks:
     def test_in_plane_component_never_builds_nu_blocks(self, alpha, monkeypatch, field):
         assert field.tau1 != 0.0
         monkeypatch.setattr(oracle, "_nu_blocks", _never)
-        eps = grid_solve(alpha, field, GRID)
-        assert eps.shape == (GRID.n_theta * GRID.n_phi,)
+        ground = grid_solve(alpha, field, GRID)
+        assert isinstance(ground, GroundState)
 
 
 @pytest.mark.parametrize(
-    "field,calls,ndim",
+    "field,stacks,solves",
     [
-        (FieldConfig(0.0, 2.0), 4, 2),
-        (FieldConfig(1.3, 0.7), 2, 2),
-        (FieldConfig(2.0, 0.0), 2, 3),
-        (FieldConfig(0.0, 0.0), 2, 3),
+        (FieldConfig(0.0, 2.0), 0, 2),
+        (FieldConfig(1.3, 0.7), 0, 2),
+        (FieldConfig(2.0, 0.0), 2, 0),
+        (FieldConfig(0.0, 0.0), 2, 0),
     ],
     ids=["in_plane", "tilted", "axial", "zero"],
 )
-def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field, calls, ndim):
-    # one oracle.eigh call per block (a stack per theta parity for an axial
-    # field) and no other dense solve, so timing that name times the oracle
-    shapes = []
-    solve = oracle.eigh
+def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field, stacks, solves):
+    # an axial field makes one oracle.eigh call per theta-parity stack, any
+    # other one lobpcg_max call per inversion sector; no other eigensolve
+    # sees more than a Rayleigh-Ritz step's 3 x 3 matrix
+    eigh_shapes, sizes, runs = [], [], []
+    dense, iterative = oracle.eigh, oracle.lobpcg_max
 
-    def counted(a):
-        shapes.append(a.ndim)
-        return solve(a)
+    def counted_eigh(a):
+        eigh_shapes.append(a.shape)
+        return dense(a)
 
-    def other_solve(*args, **kwargs):
-        raise AssertionError("dense solve outside oracle.eigh")
+    def counted_lobpcg(*args):
+        runs.append(1)
+        return iterative(*args)
 
-    monkeypatch.setattr(oracle, "eigh", counted)
+    monkeypatch.setattr(oracle, "eigh", counted_eigh)
+    monkeypatch.setattr(oracle, "lobpcg_max", counted_lobpcg)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, other_solve)
-    eps = grid_solve(alpha, field, GRID)
-    assert shapes == [ndim] * calls
-    assert eps.shape == (GRID.n_theta * GRID.n_phi,)
+        def small_only(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sizes.append(a.shape[-1])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, small_only)
+    ground = grid_solve(alpha, field, GRID)
+    assert [len(shape) for shape in eigh_shapes] == [3] * stacks
+    assert len(runs) == solves
+    assert max(sizes, default=0) <= 3
+    assert bool(sizes) == bool(solves)
+    assert isinstance(ground, GroundState)
