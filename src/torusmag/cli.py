@@ -30,14 +30,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
-    SpectrumResult,
+    StateComposition,
     eigensolve,
     eigensolve_general,
     ground_state_composition,
@@ -191,22 +189,23 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _solve(basis: BasisSet, field: FieldConfig, h: np.ndarray) -> SpectrumResult:
-    """Diagonalize H of the field's variant; the general solver runs only
-    where H is non-Hermitian, on the basis's two inversion sectors."""
-    return eigensolve(h) if field.hermitian else eigensolve_general(h, basis.sectors)
-
-
-def _variant_spectra(
+def _ground_states(
     basis: BasisSet, tau0: float, tau1: float
-) -> list[tuple[str, SpectrumResult]]:
-    """(name, spectrum) of each variant at one field, assembled once."""
+) -> list[tuple[str, float, StateComposition]]:
+    """(name, eps0, ground-state composition) of each variant at one field,
+    assembled once.  The general solver runs only where H is non-Hermitian,
+    on the basis's two inversion sectors."""
+    fields = [(name, FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag))
+              for name, vc, vmag in VARIANTS]
     matrices = assemble(tau0, tau1, basis)
-    return [
-        (name, _solve(basis, FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag),
-                      matrices[vc, vmag]))
-        for name, vc, vmag in VARIANTS
-    ]
+    states = []
+    for name, field in fields:
+        h = matrices[field.vc_on, field.vmag_on]
+        spectrum = (eigensolve(h) if field.hermitian
+                    else eigensolve_general(h, basis.sectors))
+        eps0, _ = spectrum.ground()
+        states.append((name, eps0, ground_state_composition(spectrum, basis)))
+    return states
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -221,9 +220,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if scale is not None:
         lines[0] += ",e_mev"
     for tau in cfg.taus():
-        for name, spectrum in _variant_spectra(basis, *cfg.split_tau(tau)):
-            eps0, _ = spectrum.ground()
-            nu = ground_state_composition(spectrum, basis).dominant_nu()
+        for name, eps0, comp in _ground_states(basis, *cfg.split_tau(tau)):
+            nu = comp.dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
             if scale is not None:
                 row += f",{-eps0 * scale:.12g}"
@@ -243,9 +241,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # solved tau by tau, one assembly each, and reported variant by variant
     rows: dict[str, list[tuple[dict, str]]] = {name: [] for name, _, _ in VARIANTS}
     for tau in taus:
-        for name, spectrum in _variant_spectra(basis, *cfg.split_tau(tau)):
-            eps0, _ = spectrum.ground()
-            comp = ground_state_composition(spectrum, basis)
+        for name, eps0, comp in _ground_states(basis, *cfg.split_tau(tau)):
             row = {
                 "variant": name,
                 "tau": tau,
@@ -280,10 +276,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
-            # only on-on is compared; holding the other three matrices through
-            # the solve adds 0.2-0.5 MB to verify's 40.5 MB peak RSS (2 cores)
+            # only on-on, which is Hermitian, is compared; the other two
+            # matrices are dropped before the solve
             h = assemble(field.tau0, field.tau1, basis)[True, True]
-            eps_basis, _ = _solve(basis, field, h).ground()
+            eps_basis, _ = eigensolve(h).ground()
             if field not in grid_eps0:
                 ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = ground.eps0

@@ -28,8 +28,9 @@ class FieldConfig:
     """Dimensionless field strengths and potential toggles.
 
     tau0 is the axial flux parameter, tau1 the in-plane one; either sign is
-    allowed.  vc_on / vmag_on independently enable the curvature potential
-    and the magnetic curvature coupling in the assembled Hamiltonian.
+    allowed.  vc_on / vmag_on switch the curvature potential and the
+    magnetic curvature coupling on; `hamiltonian.assemble` keys the three
+    printed variants by the pair.
     """
 
     tau0: float

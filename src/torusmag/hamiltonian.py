@@ -21,21 +21,20 @@ which is 2 a^2 (e/hbar) h A_N for the mean curvature h and the normal
 component A_N of the vector potential.  With that sign the term exactly
 cancels the anti-self-adjoint residue of the paramagnetic in-plane
 couplings, so the assembled matrix is Hermitian to machine precision; with
-the opposite sign it is not.  Dropping the term (vmag_on=False) while
-tau1 != 0 therefore leaves a slightly non-Hermitian matrix by construction
-(`FieldConfig.hermitian` is False), which `solver.eigensolve_general`
-handles.
+the opposite sign it is not.  Dropping the term while tau1 != 0 therefore
+leaves a slightly non-Hermitian matrix by construction (`FieldConfig.hermitian`
+is False), which `solver.eigensolve_general` handles.
 
-`assemble` builds one field's matrices for all four (vc_on, vmag_on)
-toggle pairs at once.  The parts that do not depend on the field are built
-once per basis and dropped with it: the sum of the three kinetic terms,
-the 1/(4F^2) curvature term and every term's nu x nu harmonic matrix with
-its nonzero indices.  Per field, the tau terms are added to a copy of the
-kinetic sum in `_term_table` order, giving off-off; then on-off = off-off
-+ curvature term, on-on = on-off + coupling term and off-on = off-off +
-coupling term.  That is the float addition order of adding every row of
-`_term_table` in turn to a zero matrix, so each matrix is bitwise what a
-term-by-term assembly of its variant gives.
+`assemble` builds one field's matrices for the three printed variants,
+off-off, on-off and on-on (curvature potential, magnetic coupling), at
+once.  The parts that do not depend on the field are built once per basis
+and dropped with it: the sum of the three kinetic terms, the 1/(4F^2)
+curvature term and every term's nu x nu harmonic matrix with its nonzero
+indices.  Per field, the tau terms are added to a copy of the kinetic sum
+in `_term_table` order, giving off-off; then on-off = off-off + curvature
+term and on-on = on-off + coupling term.  That is the float addition order
+of adding the variant's rows of `_term_table` in turn to a zero matrix, so
+each matrix is bitwise what a term-by-term assembly of its variant gives.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, quadrature_nodes
-from .field import FieldConfig
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
 _ONE = {0: 1.0}
@@ -56,40 +54,41 @@ _SIN2 = {0: 0.5, 2: -0.25, -2: -0.25}
 
 
 def _term_table(
-    al: float,
-    field: FieldConfig,
-    theta: np.ndarray,
+    al: float, t0: float, t1: float, theta: np.ndarray
 ) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
     """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
-    each term of the operator at aspect ratio al."""
-    t0, t1 = field.tau0, field.tau1
+    each term of the operator at aspect ratio al and field (t0, t1), both
+    potentials included.  Raises OverflowError, naming the field, when a
+    tau squared leaves the float range."""
+    try:
+        t0_sq, t1_sq = t0**2, t1**2
+    except OverflowError:
+        raise OverflowError(
+            f"field tau0={t0:g}, tau1={t1:g} is out of range: its square "
+            "overflows a float"
+        ) from None
     st, ct = np.sin(theta), np.cos(theta)
     f = 1.0 + al * ct
     one = np.ones_like(theta)
-
-    terms: list[tuple[np.ndarray, dict[int, complex], int, int]] = [
+    return [
         (one + 0j, _ONE, 2, 0),
         (-al * st / f + 0j, _ONE, 1, 0),
         (al**2 / f**2 + 0j, _ONE, 0, 2),
         (1j * t0 * al**2 * one, _ONE, 0, 1),
         (-1j * t1 * al**3 * st / f, _COS, 0, 1),
         (1j * al * t1 * (al + ct), _SIN, 1, 0),
-        (-0.25 * t0**2 * al**2 * f**2 + 0j, _ONE, 0, 0),
-        (-0.25 * t1**2 * al**2 * f**2 + 0j, _SIN2, 0, 0),
-        (-0.25 * t1**2 * al**4 * st**2 + 0j, _ONE, 0, 0),
+        (-0.25 * t0_sq * al**2 * f**2 + 0j, _ONE, 0, 0),
+        (-0.25 * t1_sq * al**2 * f**2 + 0j, _SIN2, 0, 0),
+        (-0.25 * t1_sq * al**4 * st**2 + 0j, _ONE, 0, 0),
         (0.5 * t0 * t1 * al**3 * f * st + 0j, _COS, 0, 0),
-    ]
-    if field.vc_on:
-        terms.append((0.25 / f**2 + 0j, _ONE, 0, 0))
-    if field.vmag_on:
+        (0.25 / f**2 + 0j, _ONE, 0, 0),
         # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
-        vmag = 0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f
-        terms.append((-1j * vmag, _SIN, 0, 0))
-    return terms
+        (-1j * (0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _SIN, 0, 0),
+    ]
 
 
-#: Rows of `_term_table` for a field with both potentials on, by role.  The
-#: kinetic rows and the curvature row do not depend on the field.
+#: Rows of `_term_table` by role.  The kinetic rows and the curvature row
+#: do not depend on the field.
 _KINETIC = range(0, 3)
 _TAU = range(3, 10)
 _CURVATURE, _COUPLING = 10, 11
@@ -146,7 +145,7 @@ def _basis_terms(basis: BasisSet) -> _BasisTerms:
     f = 1.0 + basis.alpha * np.cos(theta)
     nus = np.array(basis.nus)
     nf, nnu = len(basis.functions), len(nus)
-    rows = _term_table(basis.alpha, FieldConfig(0.0, 0.0), theta)
+    rows = _term_table(basis.alpha, 0.0, 0.0, theta)
     phi = []
     for _, harm, _, jp in rows:
         # exact phi integrals: harmonic m moves nu_col to nu_col + m
@@ -166,12 +165,13 @@ def assemble(
 ) -> dict[tuple[bool, bool], np.ndarray]:
     """Dense complex matrices of the surface Hamiltonian at one field.
 
-    Keyed by (vc_on, vmag_on), one matrix for each of the four potential
-    toggles; rows and columns follow `basis.labels()`.  The curvature
-    potential enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.
+    Keyed by (vc_on, vmag_on), one matrix for each of the three printed
+    variants: (False, False), (True, False) and (True, True); rows and
+    columns follow `basis.labels()`.  The curvature potential enters as
+    1/(4 F^2), which is a^2 (h^2 - k) on the torus.
     """
     fixed = _basis_terms(basis)
-    rows = _term_table(basis.alpha, FieldConfig(tau0, tau1), fixed.theta)
+    rows = _term_table(basis.alpha, tau0, tau1, fixed.theta)
     phi = fixed.phi
 
     def increment(i: int) -> np.ndarray:
@@ -180,13 +180,11 @@ def assemble(
     off_off = fixed.kinetic.copy()
     for i in _TAU:
         _added(off_off, phi[i], increment(i))
-    coupling = increment(_COUPLING)
     on_off = _added(off_off.copy(), phi[_CURVATURE], fixed.curvature)
     matrices = {
         (False, False): off_off,
         (True, False): on_off,
-        (True, True): _added(on_off.copy(), phi[_COUPLING], coupling),
-        (False, True): _added(off_off.copy(), phi[_COUPLING], coupling),
+        (True, True): _added(on_off.copy(), phi[_COUPLING], increment(_COUPLING)),
     }
     dim = off_off.shape[0] * off_off.shape[1]
     return {key: h.reshape(dim, dim) for key, h in matrices.items()}

@@ -5,11 +5,12 @@ the physical ground state is the eigenvector with the LARGEST raw
 eigenvalue eps.  `SpectrumResult.ground()` encapsulates that selector so
 callers never trip over the sign.
 
-`eigensolve` requires a Hermitian matrix and refuses otherwise.  The
-variant with the magnetic curvature coupling removed at nonzero in-plane
-field is intrinsically non-Hermitian (the dropped term is exactly the
+`eigensolve` requires a Hermitian matrix and refuses otherwise; it solves
+on-on, and off-off and on-off at zero in-plane field.  The two printed
+variants without the magnetic curvature coupling are intrinsically
+non-Hermitian at nonzero in-plane field (the dropped term is exactly the
 anti-Hermitian part of the remaining operator); `eigensolve_general`
-handles it with a general eigensolver.  That operator commutes with the
+handles them with a general eigensolver.  That operator commutes with the
 antiunitary map (complex conjugation composed with phi -> -phi), so its
 eigenvalues are real or come in conjugate pairs.  The states of `basis`
 are invariant under that map, so the assembled matrix is exactly real and
@@ -21,7 +22,7 @@ parts are reported.
 
 The operator also commutes with the inversion (theta, phi) -> (-theta,
 phi + pi), so H has no entries between the two inversion sectors that
-`BasisSet.sectors` labels (at most ~5e-16 relative, from rounding).
+`BasisSet.sectors` labels 0 and 1 (at most ~5e-16 relative, from rounding).
 `eigensolve_general` checks that, then solves the two half-size blocks,
 about twice as fast as the whole matrix, and scatters their eigenvectors
 back with exact zeros in the other sector.  `eigensolve` still
@@ -99,11 +100,12 @@ def eigensolve(h: np.ndarray) -> SpectrumResult:
 
 
 def eigensolve_general(h: np.ndarray, sector: np.ndarray) -> SpectrumResult:
-    """Spectrum of a general matrix that splits into sectors, sorted by real part.
+    """Spectrum of a general matrix that splits into two sectors, sorted by
+    real part.
 
-    sector[i] labels state i (`BasisSet.sectors` for an assembled H); each
-    sector's block is solved on its own and its eigenvectors are scattered
-    back with exact zeros in the other sectors.  Raises ArithmeticError
+    sector[i] labels state i as 0 or 1 (`BasisSet.sectors` for an assembled
+    H); each sector's block is solved on its own and its eigenvectors are
+    scattered back with exact zeros in the other sector.  Raises ArithmeticError
     when an entry coupling two sectors exceeds
     HERMITICITY_TOL * max(1, max|H|), before those entries are dropped.
     A complex matrix whose imaginary part is all zero is solved as a real
@@ -121,8 +123,7 @@ def eigensolve_general(h: np.ndarray, sector: np.ndarray) -> SpectrumResult:
             f"matrix couples the inversion sectors: max|H_AB| = {leak:.3e} "
             f"exceeds {bound:.1e}"
         )
-    # set, not np.unique, which imports numpy.ma (~1.3 MB of resident memory)
-    blocks = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
+    blocks = [np.flatnonzero(sector == s) for s in (0, 1)]
     solved = [np.linalg.eig(h[np.ix_(idx, idx)]) for idx in blocks]
     w = np.concatenate([wb for wb, _ in solved])
     ground_imag = abs(w[np.argmax(w.real)].imag)

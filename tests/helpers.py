@@ -4,22 +4,38 @@ helpers the tests share."""
 import numpy as np
 
 from torusmag.basis import quadrature_nodes
-from torusmag.hamiltonian import _term_table, assemble
+from torusmag.cli import VARIANTS
+from torusmag.hamiltonian import _COUPLING, _CURVATURE, _term_table, assemble
 from torusmag.oracle import _grid_terms, _reflection_bases
 
 
+#: The (vc_on, vmag_on) pairs the commands print; `assemble` builds these.
+PRINTED = {(vc, vmag) for _, vc, vmag in VARIANTS}
+
+
 def assemble_variant(field, basis) -> np.ndarray:
-    """The assembled matrix of the variant that field's toggles name."""
+    """The assembled matrix of the printed variant that field's toggles name."""
     return assemble(field.tau0, field.tau1, basis)[field.vc_on, field.vmag_on]
 
 
+def variant_rows(al, field, theta) -> list:
+    """The `_term_table` rows of field's variant, in table order: every row,
+    less the curvature row when vc is off and the coupling row when vmag is
+    off.  Any of the four toggle pairs, off-on included."""
+    rows = _term_table(al, field.tau0, field.tau1, theta)
+    return [row for i, row in enumerate(rows)
+            if (i != _CURVATURE or field.vc_on) and (i != _COUPLING or field.vmag_on)]
+
+
 def reference_assemble(field, basis) -> np.ndarray:
-    """One variant assembled term by term: every `_term_table` row of the
-    field, in table order, added to a zero matrix.
+    """One variant assembled term by term: its `variant_rows`, in table
+    order, added to a zero matrix.
 
     The reference that `assemble` must match bit for bit: it builds the
     field-free rows once per basis and shares the field's rows among the
-    variants, which is only exact if every sum keeps this order.
+    variants, which is only exact if every sum keeps this order.  It also
+    builds the off-on variant, which no command prints and `assemble` does
+    not return, so the tests check that operator here.
     """
     deriv = basis.quadrature_tables
     vals = deriv[0]
@@ -31,7 +47,7 @@ def reference_assemble(field, basis) -> np.ndarray:
     nf, nnu = len(vals), len(nus)
     h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
     dtheta = 2.0 * np.pi / n_quad
-    for coeff, harm, jt, jp in _term_table(basis.alpha, field, theta):
+    for coeff, harm, jt, jp in variant_rows(basis.alpha, field, theta):
         tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
         phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
         r, c = np.nonzero(phi)
@@ -63,6 +79,14 @@ def reference_sector_blocks(al, field, grid) -> list[np.ndarray]:
             for qa, sa in parts
         ]))
     return blocks
+
+
+def operator_matrix(field, basis) -> np.ndarray:
+    """`assemble`'s matrix for a printed variant; for off-on, which no
+    command prints, the term-by-term reference."""
+    if (field.vc_on, field.vmag_on) in PRINTED:
+        return assemble_variant(field, basis)
+    return reference_assemble(field, basis)
 
 
 def amplitude(comp, label) -> complex:

@@ -36,7 +36,7 @@ from torusmag.solver import (
     hermiticity_defect,
 )
 
-from helpers import amplitude, assemble_variant, circulation, residuals
+from helpers import amplitude, assemble_variant, circulation, operator_matrix, residuals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -282,7 +282,7 @@ class TestCriterion6Properties:
          (1.0, 1.0, True, True), (0.0, 2.0, False, True)],
     )
     def test_hermiticity(self, basis, tau0, tau1, vc, vmag):
-        h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+        h = operator_matrix(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
         assert hermiticity_defect(h) < 1e-10
 
     def test_basis_orthonormality(self, basis):

@@ -284,6 +284,14 @@ class TestTableCommand:
         assert comp[("f", 0)] == pytest.approx(0.968, abs=2e-3)
         assert abs(comp[("f", 1)]) == pytest.approx(0.244, abs=2e-3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_tau_exits_config_code_before_assembly(
+        self, value, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "assemble", never_assemble)
+        assert main(["table", "--tau", value]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
 
 TABLE_KEYS = [key for key in CLI_COLD if key.startswith("table ")]
 
@@ -399,8 +407,8 @@ class TestErrorPaths:
             ),
             # tau**2 overflows a float
             pytest.param(
-                None, ["table", "--tau", "1e200"], r".*out of range.*",
-                id="table-huge-tau",
+                None, ["table", "--tau", "1e200"],
+                r"field tau0=1e\+200, tau1=0 is out of range.*", id="table-huge-tau",
             ),
             pytest.param(
                 None, ["sweep", "--tau-max", "1e200", "--tau-step", "1e199"],
@@ -552,3 +560,18 @@ class TestTraceTargets:
         for module_name, attr, _ in spans.TARGETS:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+    def test_commands_reach_every_traced_layer(self, tmp_path, monkeypatch):
+        # a command that calls a layer other than through the name the
+        # tracer wraps would leave that layer's per-layer metrics empty
+        spans = load_perfbench(SPANS)
+        for module_name, attr, _ in spans.TARGETS:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after
+        tracer = spans.Tracer()
+        tracer.install()
+        assert tracer.missing == []
+        argv = ["sweep", "--orientation", "tilted", "--tau-max", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        assert cli.main(["verify"]) == EXIT_OK
+        assert {span[1] for span in tracer.spans} == set(spans.SPAN_NAMES)

@@ -15,7 +15,7 @@ import pytest
 
 from test_geometry import MAJOR_RADIUS, MINOR_RADIUS, torus_curvatures, w
 from torusmag.field import FieldConfig, energy_scale_mev, tau_from_tesla
-from torusmag.hamiltonian import _SIN, _term_table
+from torusmag.hamiltonian import _COUPLING, _SIN, _term_table
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ def vmag_potential(field: FieldConfig, theta, phi):
     value is the real V(theta) times that phi factor.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    coeff, harm, jt, jp = _term_table(MINOR_RADIUS / MAJOR_RADIUS, field, theta)[-1]
+    al = MINOR_RADIUS / MAJOR_RADIUS
+    coeff, harm, jt, jp = _term_table(al, field.tau0, field.tau1, theta)[_COUPLING]
     assert harm is _SIN and (jt, jp) == (0, 0)
     p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
     value = (1j * coeff).real * p_phi.real

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 from torusmag.basis import _primitive_gram, gram_schmidt_basis
 from torusmag.cli import ConfigError, RunConfig
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import _term_table
+from torusmag.hamiltonian import _CURVATURE, _term_table
 from torusmag.oracle import GridSpec, grid_solve
 
 #: The reference torus in angstrom; MINOR_RADIUS / MAJOR_RADIUS is 0.5.
@@ -35,8 +35,7 @@ def w(theta):
 
 def curvature_potential(alpha: float, theta) -> np.ndarray:
     """The program's dimensionless curvature potential, read from its term table."""
-    field = FieldConfig(0.0, 0.0, vc_on=True, vmag_on=False)
-    coeff, harm, jt, jp = _term_table(alpha, field, np.atleast_1d(theta))[-1]
+    coeff, harm, jt, jp = _term_table(alpha, 0.0, 0.0, np.atleast_1d(theta))[_CURVATURE]
     assert (harm, jt, jp) == ({0: 1.0}, 0, 0)
     return coeff.real
 

@@ -11,10 +11,16 @@ from torusmag import basis as basis_module
 from torusmag import hamiltonian
 from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import _term_table, assemble
+from torusmag.hamiltonian import assemble
 from torusmag.solver import eigensolve, hermiticity_defect
 
-from helpers import assemble_variant, reference_assemble
+from helpers import (
+    PRINTED,
+    assemble_variant,
+    operator_matrix,
+    reference_assemble,
+    variant_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +35,7 @@ class TestHermiticity:
          (0.0, 2.0, True), (0.7, -1.3, False)],
     )
     def test_full_matrix_hermitian(self, basis, tau0, tau1, vc):
-        h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=True), basis)
+        h = operator_matrix(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=True), basis)
         assert hermiticity_defect(h) < 1e-10
 
     def test_magnetic_coupling_off_breaks_hermiticity_inplane(self, basis):
@@ -96,8 +102,8 @@ class TestToggles:
         assert np.array_equal(on, off)
 
     def test_vc_shifts_only_diagonal_blocks(self, basis):
-        on = assemble_variant(FieldConfig(0.5, 0.0, vc_on=True), basis)
-        off = assemble_variant(FieldConfig(0.5, 0.0, vc_on=False), basis)
+        on = assemble_variant(FieldConfig(0.5, 0.0, vc_on=True, vmag_on=False), basis)
+        off = assemble_variant(FieldConfig(0.5, 0.0, vc_on=False, vmag_on=False), basis)
         diff = on - off
         assert np.max(np.abs(diff.imag)) < 1e-14
         labels = basis.labels()
@@ -116,13 +122,14 @@ class TestSymmetries:
     @pytest.mark.parametrize(
         "tau0,tau1,vc,vmag",
         [(1.3, 0.7, True, True), (-0.4, 2.1, True, True),
-         (0.9, 1.6, False, False), (0.0, 1.0, True, False)],
+         (0.9, 1.6, False, False), (0.0, 1.0, True, False),
+         (0.9, 1.6, False, True)],
     )
     def test_inversion_sectors_decouple(self, basis, tau0, tau1, vc, vmag):
         # (theta, phi) -> (-theta, phi + pi) multiplies f_n e^{i nu phi} by
         # (-1)^nu and g_n e^{i nu phi} by -(-1)^nu; a uniform field at any
         # tilt, with or without either potential, keeps the two sectors apart
-        h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+        h = operator_matrix(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
         sector = np.array([(nu + (kind == "g")) % 2 for kind, _, nu in basis.labels()])
         cross = h[sector[:, None] != sector[None, :]]
         assert np.max(np.abs(cross)) < 1e-12
@@ -138,7 +145,7 @@ class TestSymmetries:
             basis = gram_schmidt_basis(0.8, n_even=8, n_odd=7, nu_range=(-3, 4))
         fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2)]
         for tau0, tau1 in fields:
-            h = assemble_variant(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+            h = operator_matrix(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
             assert np.max(np.abs(h.imag)) == 0.0, (tau0, tau1)
 
     def test_quadrature_resolution_converged(self, alpha, monkeypatch):
@@ -200,7 +207,7 @@ class TestOperatorAudit:
         assert np.max(np.abs(identity)) < 1e-12
         field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
         got = np.zeros_like(tt, dtype=complex)
-        for coeff, harm, jt, jp in _term_table(alpha, field, theta):
+        for coeff, harm, jt, jp in variant_rows(alpha, field, theta):
             p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
             dpsi = sp.lambdify((th, ph), psi.diff(th, jt, ph, jp), "numpy")(tt, pp)
             got += coeff[:, None] * p_phi[None, :] * dpsi
@@ -226,7 +233,11 @@ SHARED_BASES = {
 
 
 class TestSharedAssembly:
-    """`assemble` builds the four toggle pairs of a field from shared parts."""
+    """`assemble` builds the printed variants of a field from shared parts."""
+
+    def test_builds_exactly_the_printed_variants(self, basis):
+        # a printed variant cannot lose its matrix, and no unread one is built
+        assert set(assemble(0.6, -1.1, basis)) == PRINTED
 
     @pytest.mark.parametrize("shape", list(SHARED_BASES))
     def test_bitwise_equal_to_term_by_term_assembly(self, shape):
@@ -236,11 +247,8 @@ class TestSharedAssembly:
         # negative axial fields
         fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2),
                   (-2.5, 0.0)]
-        toggles = [(False, False), (False, True), (True, False), (True, True)]
         for tau0, tau1 in fields:
-            matrices = assemble(tau0, tau1, basis)
-            assert sorted(matrices) == toggles
-            for (vc, vmag), h in matrices.items():
+            for (vc, vmag), h in assemble(tau0, tau1, basis).items():
                 field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
                 ref = reference_assemble(field, basis)
                 assert h.dtype == ref.dtype and h.shape == ref.shape
