@@ -10,9 +10,6 @@ function-major: state i * len(nus) + j is function i times nu index j.
 
 With F = 1 + alpha cos(theta) the weighted Gram matrix of the primitives is
 exact and tridiagonal, so Gram-Schmidt runs on coefficient vectors alone.
-The values of every function and its first two theta-derivatives on the
-N_QUAD-point quadrature grid depend only on the basis, so each basis
-computes them once and keeps them.
 """
 
 from __future__ import annotations
@@ -29,17 +26,9 @@ Label = tuple[str, int, int]
 #: Largest deviation of the coefficient Gram products from the identity.
 ORTHO_TOL = 1e-10
 
-#: Nodes of the periodic trapezoid rule for the theta integrals.
-N_QUAD = 512
-
 
 class DegeneracyError(ArithmeticError):
     """Orthogonalization lost too much precision at some primitive index."""
-
-
-def quadrature_nodes(n_quad: int) -> np.ndarray:
-    """The n_quad equally spaced nodes of the periodic trapezoid rule."""
-    return np.arange(n_quad) * 2.0 * np.pi / n_quad
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +67,6 @@ class BasisSet:
                 out = out + coeffs[:, k, None] * sign * m**order * base(m * theta)
             blocks.append(out)
         return np.concatenate(blocks)
-
-    @cached_property
-    def quadrature_tables(self) -> tuple[np.ndarray, ...]:
-        """Read-only `values` of orders 0, 1, 2 at `quadrature_nodes(N_QUAD)`."""
-        theta = quadrature_nodes(N_QUAD)
-        tables = tuple(self.values(theta, order) for order in range(3))
-        for table in tables:
-            table.flags.writeable = False
-        return tables
 
     @property
     def functions(self) -> list[tuple[str, int]]:

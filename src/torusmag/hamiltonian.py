@@ -25,26 +25,25 @@ the opposite sign it is not.  Dropping the term while tau1 != 0 therefore
 leaves a slightly non-Hermitian matrix by construction (`FieldConfig.hermitian`
 is False), which `solver.eigensolve_general` handles.
 
-`assemble` builds one field's matrices for the three printed variants,
-off-off, on-off and on-on (curvature potential, magnetic coupling), at
-once.  The parts that do not depend on the field are built once per basis
-and dropped with it: the sum of the three kinetic terms, the 1/(4F^2)
-curvature term and every term's nu x nu harmonic matrix with its nonzero
-indices.  Per field, the tau terms are added to a copy of the kinetic sum
-in `_term_table` order, giving off-off; then on-off = off-off + curvature
-term and on-on = on-off + coupling term.  That is the float addition order
-of adding the variant's rows of `_term_table` in turn to a zero matrix, so
-each matrix is bitwise what a term-by-term assembly of its variant gives.
+The three printed variants, off-off, on-off and on-on (curvature
+potential, magnetic coupling), are nested prefixes of `_term_table`, whose
+last two rows are the curvature potential and the coupling.  `assemble`
+adds the rows in table order to a zero matrix and copies it before each of
+those two, the same ordered loop as a term-by-term assembly of each
+variant, so each matrix keeps its bits.  What does not depend on the field
+is kept per basis in `_BasisTerms`.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, quadrature_nodes
+from .basis import BasisSet
+
+#: Nodes of the periodic trapezoid rule for the theta integrals.
+N_QUAD = 512
 
 #: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
 _ONE = {0: 1.0}
@@ -53,20 +52,18 @@ _SIN = {1: -0.5j, -1: 0.5j}
 _SIN2 = {0: 0.5, 2: -0.25, -2: -0.25}
 
 
+def quadrature_nodes(n_quad: int) -> np.ndarray:
+    """The n_quad equally spaced nodes of the periodic trapezoid rule."""
+    return np.arange(n_quad) * 2.0 * np.pi / n_quad
+
+
 def _term_table(
     al: float, t0: float, t1: float, theta: np.ndarray
 ) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
     """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
     each term of the operator at aspect ratio al and field (t0, t1), both
-    potentials included.  Raises OverflowError, naming the field, when a
-    tau squared leaves the float range."""
-    try:
-        t0_sq, t1_sq = t0**2, t1**2
-    except OverflowError:
-        raise OverflowError(
-            f"field tau0={t0:g}, tau1={t1:g} is out of range: its square "
-            "overflows a float"
-        ) from None
+    potentials included.  A tau squared beyond the float range is inf."""
+    t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2
     st, ct = np.sin(theta), np.cos(theta)
     f = 1.0 + al * ct
     one = np.ones_like(theta)
@@ -87,77 +84,52 @@ def _term_table(
     ]
 
 
-#: Rows of `_term_table` by role.  The kinetic rows and the curvature row
-#: do not depend on the field.
-_KINETIC = range(0, 3)
-_TAU = range(3, 10)
+#: Rows of `_term_table`: the curvature potential, the magnetic coupling
+#: and those that do not depend on the field.
 _CURVATURE, _COUPLING = 10, 11
+_FIELD_FREE = (0, 1, 2, _CURVATURE)
 
 
-@dataclass(frozen=True, eq=False)
 class _BasisTerms:
-    """The field-free parts of assembly for one basis.
+    """The field-free parts of assembly for one basis, on N_QUAD nodes.
 
-    `phi[i]` holds row i's nu x nu harmonic matrix as its nonzero (row,
-    column) indices and their values; `kinetic` is the sum of the kinetic
-    rows, added from zero in table order; `curvature` is the curvature
-    row's increment on its nonzero entries.
+    `tables[j]` holds the j-th theta-derivative of every basis function at
+    `theta`, read-only; `phi[i]` holds row i's nu x nu harmonic matrix as
+    its nonzero (row, column) indices and their values; `fixed[i]` is the
+    increment of each field-free row i.
     """
 
-    theta: np.ndarray
-    f: np.ndarray
-    phi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    kinetic: np.ndarray
-    curvature: np.ndarray
+    def __init__(self, basis: BasisSet):
+        self.theta = quadrature_nodes(N_QUAD)
+        self.dtheta = 2.0 * np.pi / N_QUAD
+        self.f = 1.0 + basis.alpha * np.cos(self.theta)
+        self.tables = tuple(basis.values(self.theta, j) for j in range(3))
+        for table in self.tables:
+            table.flags.writeable = False
+        nus = np.array(basis.nus)
+        rows = _term_table(basis.alpha, 0.0, 0.0, self.theta)
+        self.phi = []
+        for _, harm, _, jp in rows:
+            # exact phi integrals: harmonic m moves nu_col to nu_col + m
+            full = sum(cm * np.eye(nus.size, k=-m) for m, cm in harm.items())
+            full = full * (1j * nus) ** jp
+            r, c = np.nonzero(full)
+            self.phi.append((r, c, full[r, c, None, None]))
+        self.fixed = {i: self.increment(i, rows[i]) for i in _FIELD_FREE}
+
+    def increment(self, i: int, row: tuple) -> np.ndarray:
+        """Row i's entries on its harmonic matrix's nonzeros, where they form
+        the Kronecker product (theta matrix) x (harmonic matrix)."""
+        coeff, _, jt, _ = row
+        # theta integrals for all basis-function pairs at once
+        tmat = (self.tables[0] * (coeff * self.f)) @ self.tables[jt].T * self.dtheta
+        return tmat * self.phi[i][2]
 
 
 #: Each basis's field-free terms, dropped when the basis is.
 _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
     weakref.WeakKeyDictionary()
 )
-
-
-def _increment(
-    basis: BasisSet, f: np.ndarray, row: tuple, phi: tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """A `_term_table` row's entries on its harmonic matrix's nonzeros,
-    where they form the Kronecker product (theta matrix) x (harmonic matrix)."""
-    coeff, _, jt, _ = row
-    deriv = basis.quadrature_tables
-    dtheta = 2.0 * np.pi / deriv[0].shape[1]
-    # theta integrals for all basis-function pairs at once
-    tmat = (deriv[0] * (coeff * f)) @ deriv[jt].T * dtheta
-    return tmat * phi[2]
-
-
-def _added(h: np.ndarray, phi: tuple[np.ndarray, ...], inc: np.ndarray) -> np.ndarray:
-    """h, an (f, nu, f, nu) array, with an increment added in place."""
-    r, c, _ = phi
-    h[:, r, :, c] += inc
-    return h
-
-
-def _basis_terms(basis: BasisSet) -> _BasisTerms:
-    terms = _BASIS_TERMS.get(basis)
-    if terms is not None:
-        return terms
-    theta = quadrature_nodes(basis.quadrature_tables[0].shape[1])
-    f = 1.0 + basis.alpha * np.cos(theta)
-    nus = np.array(basis.nus)
-    nf, nnu = len(basis.functions), len(nus)
-    rows = _term_table(basis.alpha, 0.0, 0.0, theta)
-    phi = []
-    for _, harm, _, jp in rows:
-        # exact phi integrals: harmonic m moves nu_col to nu_col + m
-        full = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
-        r, c = np.nonzero(full)
-        phi.append((r, c, full[r, c, None, None]))
-    kinetic = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
-    for i in _KINETIC:
-        _added(kinetic, phi[i], _increment(basis, f, rows[i], phi[i]))
-    curvature = _increment(basis, f, rows[_CURVATURE], phi[_CURVATURE])
-    terms = _BASIS_TERMS[basis] = _BasisTerms(theta, f, phi, kinetic, curvature)
-    return terms
 
 
 def assemble(
@@ -168,23 +140,29 @@ def assemble(
     Keyed by (vc_on, vmag_on), one matrix for each of the three printed
     variants: (False, False), (True, False) and (True, True); rows and
     columns follow `basis.labels()`.  The curvature potential enters as
-    1/(4 F^2), which is a^2 (h^2 - k) on the torus.
+    1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises OverflowError,
+    naming the field, when a matrix is not finite.
     """
-    fixed = _basis_terms(basis)
-    rows = _term_table(basis.alpha, tau0, tau1, fixed.theta)
-    phi = fixed.phi
-
-    def increment(i: int) -> np.ndarray:
-        return _increment(basis, fixed.f, rows[i], phi[i])
-
-    off_off = fixed.kinetic.copy()
-    for i in _TAU:
-        _added(off_off, phi[i], increment(i))
-    on_off = _added(off_off.copy(), phi[_CURVATURE], fixed.curvature)
-    matrices = {
-        (False, False): off_off,
-        (True, False): on_off,
-        (True, True): _added(on_off.copy(), phi[_COUPLING], increment(_COUPLING)),
-    }
-    dim = off_off.shape[0] * off_off.shape[1]
-    return {key: h.reshape(dim, dim) for key, h in matrices.items()}
+    terms = _BASIS_TERMS.get(basis)
+    if terms is None:
+        terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
+    nf, nnu = len(basis.functions), len(basis.nus)
+    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
+    matrices = {}
+    # a non-finite sum stays non-finite, so the last matrix shows an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(_term_table(basis.alpha, tau0, tau1, terms.theta)):
+            if i == _CURVATURE:
+                matrices[False, False] = h.copy()
+            elif i == _COUPLING:
+                matrices[True, False] = h.copy()
+            r, c, _ = terms.phi[i]
+            inc = terms.fixed[i] if i in terms.fixed else terms.increment(i, row)
+            h[:, r, :, c] += inc
+    if not np.isfinite(h).all():
+        raise OverflowError(
+            f"field tau0={tau0:g}, tau1={tau1:g} is out of range: its matrices "
+            "are not finite"
+        )
+    matrices[True, True] = h
+    return {key: m.reshape(nf * nnu, nf * nnu) for key, m in matrices.items()}

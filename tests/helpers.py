@@ -3,9 +3,11 @@ helpers the tests share."""
 
 import numpy as np
 
-from torusmag.basis import quadrature_nodes
+from torusmag import hamiltonian
 from torusmag.cli import VARIANTS
-from torusmag.hamiltonian import _COUPLING, _CURVATURE, _term_table, assemble
+from torusmag.hamiltonian import (
+    _COUPLING, _CURVATURE, _term_table, assemble, quadrature_nodes,
+)
 from torusmag.oracle import _grid_terms, _reflection_bases
 
 
@@ -31,16 +33,18 @@ def reference_assemble(field, basis) -> np.ndarray:
     """One variant assembled term by term: its `variant_rows`, in table
     order, added to a zero matrix.
 
-    The reference that `assemble` must match bit for bit: it builds the
-    field-free rows once per basis and shares the field's rows among the
-    variants, which is only exact if every sum keeps this order.  It also
-    builds the off-on variant, which no command prints and `assemble` does
-    not return, so the tests check that operator here.
+    The reference that `assemble` must match bit for bit: it keeps the
+    field-free rows per basis and copies its running sum for the nested
+    variants, which is only exact if every sum keeps this order.  The
+    theta tables here are `basis.values` at the nodes, not the per-basis
+    record under test.  It also builds the off-on variant, which no
+    command prints and `assemble` does not return, so the tests check that
+    operator here.
     """
-    deriv = basis.quadrature_tables
-    vals = deriv[0]
-    n_quad = vals.shape[1]
+    n_quad = hamiltonian.N_QUAD
     theta = quadrature_nodes(n_quad)
+    deriv = [basis.values(theta, j) for j in range(3)]
+    vals = deriv[0]
     f = 1.0 + basis.alpha * np.cos(theta)
 
     nus = np.array(basis.nus)

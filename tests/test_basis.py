@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmag import basis as basis_module
-from torusmag.basis import (
-    BasisSet,
-    _primitive_gram,
-    gram_schmidt_basis,
-    quadrature_nodes,
-)
+from torusmag.basis import BasisSet, _primitive_gram, gram_schmidt_basis
 
 
 def quadrature_inner_product(alpha: float, f, g, n: int = 256) -> np.ndarray:
@@ -63,27 +57,6 @@ class TestThetaFunction:
         fd2 = (hi - 2.0 * mid + lo) / eps**2
         assert np.max(np.abs(fg.values(theta, 1) - fd1)) < 1e-7
         assert np.max(np.abs(fg.values(theta, 2) - fd2)) < 1e-3
-
-
-class TestQuadratureTables:
-    def test_equal_to_values_at_the_nodes(self, basis):
-        theta = quadrature_nodes(basis_module.N_QUAD)
-        assert np.array_equal(theta, np.arange(512) * 2.0 * np.pi / 512)
-        for order, table in enumerate(basis.quadrature_tables):
-            assert np.array_equal(table, basis.values(theta, order))
-
-    def test_kept_per_grid_size_and_read_only(self, alpha, monkeypatch):
-        # the grid size is read when a basis first builds its tables
-        monkeypatch.setattr(basis_module, "N_QUAD", 16)
-        small = gram_schmidt_basis(alpha, n_even=2, n_odd=1, nu_range=(0, 0))
-        first = small.quadrature_tables
-        assert all(a is b for a, b in zip(first, small.quadrature_tables))
-        assert [t.shape for t in first] == [(3, 16)] * 3
-        for table in first:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 1.0
-        assert "quadrature_tables" not in repr(small)
 
 
 class TestInversionSectors:

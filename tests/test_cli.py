@@ -414,6 +414,21 @@ class TestErrorPaths:
                 None, ["sweep", "--tau-max", "1e200", "--tau-step", "1e199"],
                 r".*out of range.*", id="sweep-huge-tau",
             ),
+            # tau**2 is a float, but the theta integrals overflow
+            pytest.param(
+                None, ["table", "--tau", "1e154"],
+                r"field tau0=1e\+154, tau1=0 is out of range.*",
+                id="table-overflowing-integrals",
+            ),
+            pytest.param(
+                None, ["table", "--orientation", "in_plane", "--tau", "1e154"],
+                r"field tau0=0, tau1=1e\+154 is out of range.*",
+                id="in-plane-overflowing-integrals",
+            ),
+            pytest.param(
+                None, ["sweep", "--tau-max", "1e154", "--tau-step", "1e153"],
+                r".*out of range.*", id="sweep-overflowing-integrals",
+            ),
         ],
     )
     def test_numerical_failure_exits_numeric_code(
@@ -423,7 +438,10 @@ class TestErrorPaths:
             monkeypatch.setattr(*patch)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_NUMERIC
-        assert re.fullmatch(f"numerical error: {message}\n", capsys.readouterr().err)
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"numerical error: {message}\n", err)
+        # no result of the failed run is printed or written
+        assert "nan" not in out and not list(tmp_path.iterdir())
 
     def test_unwritable_json_out_exits_config_code(
         self, tmp_path, monkeypatch, capsys

@@ -7,11 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from torusmag import basis as basis_module
 from torusmag import hamiltonian
 from torusmag.basis import gram_schmidt_basis
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import assemble
+from torusmag.hamiltonian import assemble, quadrature_nodes
 from torusmag.solver import eigensolve, hermiticity_defect
 
 from helpers import (
@@ -149,14 +148,14 @@ class TestSymmetries:
             assert np.max(np.abs(h.imag)) == 0.0, (tau0, tau1)
 
     def test_quadrature_resolution_converged(self, alpha, monkeypatch):
-        # each basis builds its tables once, at the N_QUAD of that moment
+        # each basis keeps its tables at the N_QUAD of its first assembly
         field = FieldConfig(1.1, 0.7)
         h = {}
         for n_quad in (256, 1024):
-            monkeypatch.setattr(basis_module, "N_QUAD", n_quad)
+            monkeypatch.setattr(hamiltonian, "N_QUAD", n_quad)
             fresh = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
-            assert fresh.quadrature_tables[0].shape[1] == n_quad
             h[n_quad] = assemble_variant(field, fresh)
+            assert hamiltonian._BASIS_TERMS[fresh].tables[0].shape[1] == n_quad
         assert np.max(np.abs(h[256] - h[1024])) < 1e-12
 
 
@@ -270,3 +269,54 @@ class TestSharedAssembly:
         del basis
         gc.collect()
         assert terms() is None
+
+
+def _arrays(obj):
+    """Every ndarray in obj, looking through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+
+
+class TestBasisTerms:
+    """The field-free parts `assemble` keeps per basis."""
+
+    def test_equal_to_values_at_the_nodes(self, basis):
+        assemble(0.0, 0.0, basis)
+        terms = hamiltonian._BASIS_TERMS[basis]
+        theta = quadrature_nodes(hamiltonian.N_QUAD)
+        assert np.array_equal(theta, np.arange(512) * 2.0 * np.pi / 512)
+        assert np.array_equal(terms.theta, theta)
+        for order, table in enumerate(terms.tables):
+            assert np.array_equal(table, basis.values(theta, order))
+
+    def test_kept_per_grid_size_and_read_only(self, alpha, monkeypatch):
+        # the grid size is read when a basis is first assembled
+        monkeypatch.setattr(hamiltonian, "N_QUAD", 16)
+        small = gram_schmidt_basis(alpha, n_even=2, n_odd=1, nu_range=(0, 0))
+        before = repr(small)
+        assemble(0.3, 0.2, small)
+        first = hamiltonian._BASIS_TERMS[small]
+        assemble(-0.7, 1.1, small)
+        assert hamiltonian._BASIS_TERMS[small] is first
+        assert [t.shape for t in first.tables] == [(3, 16)] * 3
+        for table in first.tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert repr(small) == before
+
+    def test_holds_no_dense_matrix(self):
+        # 4+4 functions and nu in [-8, 8]: dimension 136; the record holds
+        # per-function-pair and per-node data, never a whole matrix
+        basis = gram_schmidt_basis(0.5, n_even=4, n_odd=4, nu_range=(-8, 8))
+        h = assemble(1.2, 0.9, basis)[True, True]
+        assert h.shape == (136, 136)
+        arrays = list(_arrays(vars(hamiltonian._BASIS_TERMS[basis])))
+        assert arrays and all(a.size < h.size for a in arrays)
+        assert sum(a.nbytes for a in arrays) < h.nbytes
