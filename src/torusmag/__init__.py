@@ -12,6 +12,7 @@ from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
+    GroundState,
     SpectrumResult,
     StateComposition,
     eigensolve,
@@ -28,6 +29,7 @@ __all__ = [
     "assemble",
     "GridSpec",
     "grid_solve",
+    "GroundState",
     "SpectrumResult",
     "StateComposition",
     "eigensolve",

@@ -193,19 +193,16 @@ def _ground_states(
     basis: BasisSet, tau0: float, tau1: float
 ) -> list[tuple[str, float, StateComposition]]:
     """(name, eps0, ground-state composition) of each variant at one field,
-    assembled once.  The general solver runs only where H is non-Hermitian,
-    on the basis's two inversion sectors."""
-    fields = [(name, FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag))
-              for name, vc, vmag in VARIANTS]
+    assembled once: at tau1 = 0 one whole-matrix Hermitian solve each, else
+    one sector solve for all three."""
+    fields = [FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
+              for _, vc, vmag in VARIANTS]
     matrices = assemble(tau0, tau1, basis)
-    states = []
-    for name, field in fields:
-        h = matrices[field.vc_on, field.vmag_on]
-        spectrum = (eigensolve(h) if field.hermitian
-                    else eigensolve_general(h, basis.sectors))
-        eps0, _ = spectrum.ground()
-        states.append((name, eps0, ground_state_composition(spectrum, basis)))
-    return states
+    stack = [matrices[field.vc_on, field.vmag_on] for field in fields]
+    grounds = ([eigensolve(h).ground() for h in stack] if tau1 == 0.0 else
+               eigensolve_general(stack, [f.hermitian for f in fields], basis.sectors))
+    return [(name, ground[0], ground_state_composition(ground[1], basis))
+            for (name, _, _), ground in zip(VARIANTS, grounds)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

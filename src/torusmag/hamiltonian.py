@@ -23,7 +23,8 @@ cancels the anti-self-adjoint residue of the paramagnetic in-plane
 couplings, so the assembled matrix is Hermitian to machine precision; with
 the opposite sign it is not.  Dropping the term while tau1 != 0 therefore
 leaves a slightly non-Hermitian matrix by construction (`FieldConfig.hermitian`
-is False), which `solver.eigensolve_general` handles.
+is False).  So a field with tau1 != 0 goes to `solver.eigensolve_general`,
+and at tau1 = 0 each matrix goes whole to `solver.eigensolve`.
 
 The three printed variants, off-off, on-off and on-on (curvature
 potential, magnetic coupling), are nested prefixes of `_term_table`, whose
@@ -31,7 +32,7 @@ last two rows are the curvature potential and the coupling.  `assemble`
 adds the rows in table order to a zero matrix and copies it before each of
 those two, the same ordered loop as a term-by-term assembly of each
 variant, so each matrix keeps its bits.  What does not depend on the field
-is kept per basis in `_BasisTerms`.
+is kept per basis in `_BasisTerms`, so a field builds only its field rows.
 """
 
 from __future__ import annotations
@@ -57,52 +58,59 @@ def quadrature_nodes(n_quad: int) -> np.ndarray:
     return np.arange(n_quad) * 2.0 * np.pi / n_quad
 
 
-def _term_table(
-    al: float, t0: float, t1: float, theta: np.ndarray
-) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
-    """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
-    each term of the operator at aspect ratio al and field (t0, t1), both
-    potentials included.  A tau squared beyond the float range is inf."""
-    t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2
-    st, ct = np.sin(theta), np.cos(theta)
-    f = 1.0 + al * ct
-    one = np.ones_like(theta)
-    return [
-        (one + 0j, _ONE, 2, 0),
-        (-al * st / f + 0j, _ONE, 1, 0),
-        (al**2 / f**2 + 0j, _ONE, 0, 2),
-        (1j * t0 * al**2 * one, _ONE, 0, 1),
-        (-1j * t1 * al**3 * st / f, _COS, 0, 1),
-        (1j * al * t1 * (al + ct), _SIN, 1, 0),
-        (-0.25 * t0_sq * al**2 * f**2 + 0j, _ONE, 0, 0),
-        (-0.25 * t1_sq * al**2 * f**2 + 0j, _SIN2, 0, 0),
-        (-0.25 * t1_sq * al**4 * st**2 + 0j, _ONE, 0, 0),
-        (0.5 * t0 * t1 * al**3 * f * st + 0j, _COS, 0, 0),
-        (0.25 / f**2 + 0j, _ONE, 0, 0),
-        # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
-        (-1j * (0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _SIN, 0, 0),
-    ]
-
-
 #: Rows of `_term_table`: the curvature potential, the magnetic coupling
 #: and those that do not depend on the field.
 _CURVATURE, _COUPLING = 10, 11
 _FIELD_FREE = (0, 1, 2, _CURVATURE)
 
 
+def _field_rows(al: float, t0: float, t1: float, st, ct, f) -> dict[int, tuple]:
+    """`_term_table`'s rows that depend on the field, by index (tau^2 may be inf)."""
+    t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2
+    return {
+        3: (1j * t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
+        4: (-1j * t1 * al**3 * st / f, _COS, 0, 1),
+        5: (1j * al * t1 * (al + ct), _SIN, 1, 0),
+        6: (-0.25 * t0_sq * al**2 * f**2 + 0j, _ONE, 0, 0),
+        7: (-0.25 * t1_sq * al**2 * f**2 + 0j, _SIN2, 0, 0),
+        8: (-0.25 * t1_sq * al**4 * st**2 + 0j, _ONE, 0, 0),
+        9: (0.5 * t0 * t1 * al**3 * f * st + 0j, _COS, 0, 0),
+        # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
+        _COUPLING: (-1j * (0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _SIN, 0, 0),
+    }
+
+
+def _term_table(
+    al: float, t0: float, t1: float, theta: np.ndarray
+) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
+    """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
+    each term of the operator at aspect ratio al and field (t0, t1), both
+    potentials included."""
+    st, ct = np.sin(theta), np.cos(theta)
+    f = 1.0 + al * ct
+    rows = _field_rows(al, t0, t1, st, ct, f) | {
+        0: (np.ones_like(theta) + 0j, _ONE, 2, 0),
+        1: (-al * st / f + 0j, _ONE, 1, 0),
+        2: (al**2 / f**2 + 0j, _ONE, 0, 2),
+        _CURVATURE: (0.25 / f**2 + 0j, _ONE, 0, 0),
+    }
+    return [rows[i] for i in range(len(rows))]
+
+
 class _BasisTerms:
     """The field-free parts of assembly for one basis, on N_QUAD nodes.
 
-    `tables[j]` holds the j-th theta-derivative of every basis function at
-    `theta`, read-only; `phi[i]` holds row i's nu x nu harmonic matrix as
-    its nonzero (row, column) indices and their values; `fixed[i]` is the
-    increment of each field-free row i.
+    `st`, `ct`, `f` and `tables[j]` (read-only) hold sin, cos, F and the
+    j-th theta-derivative of every basis function at `theta`; `phi[i]` holds
+    row i's nu x nu harmonic matrix as its nonzero (row, column) indices and
+    their values; `fixed[i]` is the increment of each field-free row i.
     """
 
     def __init__(self, basis: BasisSet):
         self.theta = quadrature_nodes(N_QUAD)
         self.dtheta = 2.0 * np.pi / N_QUAD
-        self.f = 1.0 + basis.alpha * np.cos(self.theta)
+        self.st, self.ct = np.sin(self.theta), np.cos(self.theta)
+        self.f = 1.0 + basis.alpha * self.ct
         self.tables = tuple(basis.values(self.theta, j) for j in range(3))
         for table in self.tables:
             table.flags.writeable = False
@@ -151,13 +159,13 @@ def assemble(
     matrices = {}
     # a non-finite sum stays non-finite, so the last matrix shows an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(_term_table(basis.alpha, tau0, tau1, terms.theta)):
+        rows = _field_rows(basis.alpha, tau0, tau1, terms.st, terms.ct, terms.f)
+        for i, (r, c, _) in enumerate(terms.phi):
             if i == _CURVATURE:
                 matrices[False, False] = h.copy()
             elif i == _COUPLING:
                 matrices[True, False] = h.copy()
-            r, c, _ = terms.phi[i]
-            inc = terms.fixed[i] if i in terms.fixed else terms.increment(i, row)
+            inc = terms.fixed[i] if i in terms.fixed else terms.increment(i, rows[i])
             h[:, r, :, c] += inc
     if not np.isfinite(h).all():
         raise OverflowError(

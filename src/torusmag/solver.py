@@ -1,44 +1,27 @@
-"""Dense eigendecomposition and ground-state composition analysis.
+"""Dense eigensolves and ground-state composition analysis.
 
 The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
-the physical ground state is the eigenvector with the LARGEST raw
-eigenvalue eps.  `SpectrumResult.ground()` encapsulates that selector so
-callers never trip over the sign.
+the physical ground state is the eigenvector with the LARGEST raw eps.
 
-`eigensolve` requires a Hermitian matrix and refuses otherwise; it solves
-on-on, and off-off and on-off at zero in-plane field.  The two printed
-variants without the magnetic curvature coupling are intrinsically
-non-Hermitian at nonzero in-plane field (the dropped term is exactly the
-anti-Hermitian part of the remaining operator); `eigensolve_general`
-handles them with a general eigensolver.  That operator commutes with the
-antiunitary map (complex conjugation composed with phi -> -phi), so its
-eigenvalues are real or come in conjugate pairs.  The states of `basis`
-are invariant under that map, so the assembled matrix is exactly real and
-the general solve runs in real arithmetic, where the pairing is structural
-and the phase fix of a real eigenvector is a sign.  The ground eigenvalue
-must be real to GROUND_IMAG_TOL; high levels may pair up into complex
-conjugates, so the bound is not applied to the whole spectrum.  The real
-parts are reported.
-
-The operator also commutes with the inversion (theta, phi) -> (-theta,
-phi + pi), so H has no entries between the two inversion sectors that
-`BasisSet.sectors` labels 0 and 1 (at most ~5e-16 relative, from rounding).
-`eigensolve_general` checks that, then solves the two half-size blocks,
-about twice as fast as the whole matrix, and scatters their eigenvectors
-back with exact zeros in the other sector.  `eigensolve` still
-diagonalizes the whole matrix: a split Hermitian solve moves eps0 in its
-last printed digits, and the stored outputs of `sweep` and `table` are
-compared byte for byte.
+`eigensolve` diagonalizes a whole Hermitian matrix; the commands use it at
+tau1 = 0, where every printed variant is Hermitian, since the stored
+`sweep` and `table` outputs pin its rounding byte for byte.  Other fields
+go through `eigensolve_general`, all variants at once: every assembled H is
+exactly real (the operator commutes with conjugation composed with
+phi -> -phi, which fixes the basis states, so its eigenvalues are real or
+conjugate pairs) and has no entries between the inversion sectors of
+`BasisSet.sectors`.  It takes each sector block's top eigenvalue from one
+batched `eigvalsh` (Hermitian) or `eigvals` call; the larger top is the
+ground, which must be real to GROUND_IMAG_TOL (high levels may pair up),
+and inverse iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of the basis
-and the oracle, so a caller can handle all numerical failures at once.
-The API is what the commands read: the ground eigenpair, the ground-state
-composition as a (function x nu) array, its dominant nu and cos/sin rows.
-"""
+and the oracle, so a caller can handle all numerical failures at once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +32,12 @@ GROUND_IMAG_TOL = 1e-8
 
 #: Largest max|H - H^dagger| / max(1, max|H|) that `eigensolve` accepts.
 HERMITICITY_TOL = 1e-12
+
+#: Largest |B x - eps0 x| / max(1, max|H|) of a sector solve's ground vector.
+RESIDUAL_TOL = 1e-10
+
+#: Inverse iteration shifts the block by eps0 + INVERSE_SHIFT * max(1, |eps0|).
+INVERSE_SHIFT = 1e-13
 
 #: Smallest amplitude magnitude shown by the composition display methods.
 DISPLAY_THRESHOLD = 0.09
@@ -99,47 +88,71 @@ def eigensolve(h: np.ndarray) -> SpectrumResult:
     return SpectrumResult(eigenvalues=w, eigenvectors=v)
 
 
-def eigensolve_general(h: np.ndarray, sector: np.ndarray) -> SpectrumResult:
-    """Spectrum of a general matrix that splits into two sectors, sorted by
-    real part.
+class GroundState(NamedTuple):
+    """Largest raw eigenvalue, its unit eigenvector and inversion sector."""
 
-    sector[i] labels state i as 0 or 1 (`BasisSet.sectors` for an assembled
-    H); each sector's block is solved on its own and its eigenvectors are
-    scattered back with exact zeros in the other sector.  Raises ArithmeticError
-    when an entry coupling two sectors exceeds
-    HERMITICITY_TOL * max(1, max|H|), before those entries are dropped.
-    A complex matrix whose imaginary part is all zero is solved as a real
-    one; the eigenvectors are then real wherever the eigenvalues are.
-    Eigenvectors are normalized to unit Euclidean norm.  Raises
-    ComplexGroundError when the eigenvalue of largest real part, over all
-    sectors, has |imag| above GROUND_IMAG_TOL.
-    """
-    if not h.imag.any():
-        h = h.real
-    leak = float(np.max(np.abs(h[sector[:, None] != sector]), initial=0.0))
-    bound = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h))))
-    if leak > bound:
-        raise ArithmeticError(
-            f"matrix couples the inversion sectors: max|H_AB| = {leak:.3e} "
-            f"exceeds {bound:.1e}"
-        )
-    blocks = [np.flatnonzero(sector == s) for s in (0, 1)]
-    solved = [np.linalg.eig(h[np.ix_(idx, idx)]) for idx in blocks]
-    w = np.concatenate([wb for wb, _ in solved])
-    ground_imag = abs(w[np.argmax(w.real)].imag)
-    if ground_imag > GROUND_IMAG_TOL:
-        raise ComplexGroundError(
-            f"ground eigenvalue has imaginary part {ground_imag:.3e}, "
-            f"above {GROUND_IMAG_TOL:.0e}"
-        )
-    v = np.zeros(h.shape, dtype=np.result_type(*(vb for _, vb in solved)))
-    col = 0
-    for idx, (_, vb) in zip(blocks, solved):
-        v[idx, col : col + len(idx)] = vb
-        col += len(idx)
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    order = np.argsort(w.real, kind="stable")
-    return SpectrumResult(eigenvalues=w.real[order], eigenvectors=v[:, order])
+    eps0: float
+    vector: np.ndarray
+    sector: int
+
+
+def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
+    """Ground state of each matrix of a stack h (k, n, n) or sequence of k
+    matrices whose states split into the sectors labelled by sector[j]; h[i]
+    must be Hermitian where hermitian[i].  Raises ArithmeticError when h is
+    not finite and real, a check of the module's bounds fails (a Hermitian
+    one with HermiticityError, a complex ground with ComplexGroundError) or
+    the shifted block is exactly singular."""
+    h = np.asarray(h)
+    if h.imag.any() or not np.isfinite(h).all():
+        raise ArithmeticError("matrix is not finite and real")
+    h, hermitian = h.real, np.asarray(hermitian, dtype=bool)
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    leak = np.max(np.abs(h) * (sector[:, None] != sector), axis=(1, 2))
+    defect = np.max(np.abs(h - h.transpose(0, 2, 1)), axis=(1, 2)) * hermitian
+    for i, bound in enumerate(HERMITICITY_TOL * scale):
+        if leak[i] > bound:
+            raise ArithmeticError(f"matrix couples the inversion sectors: "
+                                  f"max|H_AB| = {leak[i]:.3e} exceeds {bound:.1e}")
+        if defect[i] > bound:
+            raise HermiticityError(f"matrix is not Hermitian: max|H - H^dagger| "
+                                   f"= {defect[i]:.3e} exceeds {bound:.1e}")
+    idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
+    blocks = [h[:, i[:, None], i] for i in idx]
+    # one batched call per solver, over both sectors when their sizes match
+    if len({len(i) for i in idx}) == 1:
+        groups = [(np.stack(blocks, axis=1), slice(None))]
+    else:
+        groups = [(b[:, None], slice(s, s + 1)) for s, b in enumerate(blocks)]
+    top = np.empty((len(h), len(idx)), dtype=complex)  # per matrix and sector
+    for g, cols in groups:
+        top[hermitian, cols] = np.linalg.eigvalsh(g[hermitian])[..., -1]
+        # complex values sort by real part first
+        top[~hermitian, cols] = np.sort(np.linalg.eigvals(g[~hermitian]))[..., -1]
+    states = []
+    for i, s in enumerate(np.argmax(top.real, axis=1)):
+        if abs(top[i, s].imag) > GROUND_IMAG_TOL:
+            raise ComplexGroundError(
+                f"ground eigenvalue has imaginary part {abs(top[i, s].imag):.3e}, "
+                f"above {GROUND_IMAG_TOL:.0e}")
+        eps0, block = top[i, s].real, blocks[s][i]
+        # inverse iteration from a start of ones, shifted just past eps0
+        shift = eps0 + INVERSE_SHIFT * max(1.0, abs(eps0))
+        shifted = block - shift * np.eye(len(block))
+        try:
+            x = np.linalg.solve(shifted, np.ones(len(block)))
+            x = np.linalg.solve(shifted, x / np.linalg.norm(x))
+        except np.linalg.LinAlgError as exc:  # a LinAlgError is a ValueError
+            raise ArithmeticError(f"shifted ground block is singular: {exc}") from exc
+        x /= np.linalg.norm(x)
+        residual, bound = np.linalg.norm(block @ x - eps0 * x), RESIDUAL_TOL * scale[i]
+        if not residual <= bound:
+            raise ArithmeticError(
+                f"ground vector residual {residual:.3e} exceeds {bound:.1e}")
+        vector = np.zeros(h.shape[1])
+        vector[idx[s]] = x
+        states.append(GroundState(float(eps0), vector, int(sector[idx[s][0]])))
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +216,8 @@ class StateComposition:
         return "  ".join(parts) if parts else "(no terms above threshold)"
 
 
-def ground_state_composition(
-    s: SpectrumResult, basis: BasisSet
-) -> StateComposition:
-    """Amplitudes of the physical ground state (maximal raw eps) in basis."""
-    _, vec = s.ground()
+def ground_state_composition(vec: np.ndarray, basis: BasisSet) -> StateComposition:
+    """Amplitudes of a ground vector in basis, phase-fixed."""
     top = int(np.argmax(np.abs(vec)))
     vec = vec / (vec[top] / abs(vec[top]))
     functions, nus = basis.functions, basis.nus

@@ -27,14 +27,10 @@ import numpy as np
 import pytest
 
 from torusmag.basis import gram_schmidt_basis
+from torusmag.cli import VARIANTS, _ground_states
 from torusmag.field import FieldConfig
 from torusmag.oracle import GridSpec, grid_solve
-from torusmag.solver import (
-    eigensolve,
-    eigensolve_general,
-    ground_state_composition,
-    hermiticity_defect,
-)
+from torusmag.solver import eigensolve, hermiticity_defect
 
 from helpers import amplitude, assemble_variant, circulation, operator_matrix, residuals
 
@@ -50,24 +46,25 @@ def split(orientation: str, tau: float) -> tuple[float, float]:
 
 
 class PointCache:
-    """Solve each (orientation, tau, variant) point once."""
+    """Solve each (orientation, tau) field once, as the commands do: all
+    three variants from one assembly, through `cli._ground_states`."""
 
     def __init__(self, basis):
         self.basis = basis
         self._store = {}
 
     def solve(self, orientation, tau, vc, vmag):
-        key = (orientation, tau, vc, vmag)
+        key = (orientation, tau)
         if key not in self._store:
-            t0, t1 = split(orientation, tau)
-            field = FieldConfig(t0, t1, vc_on=vc, vmag_on=vmag)
-            h = assemble_variant(field, self.basis)
-            s = eigensolve(h) if field.hermitian else eigensolve_general(h, self.basis.sectors)
-            self._store[key] = (s, ground_state_composition(s, self.basis))
-        return self._store[key]
+            states = _ground_states(self.basis, *split(orientation, tau))
+            self._store[key] = {
+                (vc_on, vmag_on): (eps0, comp)
+                for (_, vc_on, vmag_on), (_, eps0, comp) in zip(VARIANTS, states)
+            }
+        return self._store[key][vc, vmag]
 
     def eps0(self, orientation, tau, vc, vmag):
-        return self.solve(orientation, tau, vc, vmag)[0].ground()[0]
+        return self.solve(orientation, tau, vc, vmag)[0]
 
     def comp(self, orientation, tau, vc, vmag):
         return self.solve(orientation, tau, vc, vmag)[1]

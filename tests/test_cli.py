@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusmag import basis as basis_module
-from torusmag import cli, oracle
+from torusmag import cli, oracle, solver
 from torusmag.basis import BasisSet, DegeneracyError
 from torusmag.cli import (
     EXIT_CONFIG,
@@ -237,9 +238,9 @@ class TestSweepCommand:
         assert sorted(calls) == [0, 1, 2]
 
     def test_one_assembly_per_field(self, tmp_path, monkeypatch):
-        # the three variants of a field share one assembly, and only the
-        # variants without the magnetic coupling at tau1 != 0 reach the
-        # general solver; counted at the names the benchmark's tracer wraps
+        # the three variants of a field share one assembly, and a field with
+        # tau1 != 0 reaches the sector solve once, for all three variants;
+        # counted at the names the benchmark's tracer wraps
         calls = {"assemble": 0, "eigensolve_general": 0}
 
         def counter(name):
@@ -258,8 +259,8 @@ class TestSweepCommand:
         calls.update(assemble=0, eigensolve_general=0)
         argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
-        # tau = 0.25 ... 1 with the off-off and on-off variants
-        assert calls == {"assemble": 5, "eigensolve_general": 2 * 4}
+        # tau = 0.25 ... 1
+        assert calls == {"assemble": 5, "eigensolve_general": 4}
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
@@ -330,6 +331,12 @@ class TestBasisDump:
 
 def never_assemble(*args, **kwargs):
     raise AssertionError("solved a point before the output was checked")
+
+
+def diagonal_assemble(tau0, tau1, basis):
+    """A stand-in for `assemble`: the same diagonal H for every variant."""
+    h = np.diag(np.arange(len(basis.labels()), dtype=complex))
+    return {(vc, vmag): h for _, vc, vmag in cli.VARIANTS}
 
 
 def refuse(exc):
@@ -442,6 +449,30 @@ class TestErrorPaths:
         assert re.fullmatch(f"numerical error: {message}\n", err)
         # no result of the failed run is printed or written
         assert "nan" not in out and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "patches,message",
+        [
+            # the rounding-sized residual of every ground vector exceeds a
+            # bound of 1e-30 * max|H|
+            pytest.param([(solver, "RESIDUAL_TOL", 1e-30)],
+                         r"ground vector residual \S+ exceeds \S+", id="residual"),
+            # a diagonal H has its top eigenvalue exactly, so an unshifted
+            # block is exactly singular
+            pytest.param([(solver, "INVERSE_SHIFT", 0.0), (cli, "assemble", diagonal_assemble)],
+                         "shifted ground block is singular: Singular matrix", id="singular"),
+        ],
+    )
+    def test_sector_solve_failure_exits_numeric_code(
+        self, patches, message, tmp_path, monkeypatch, capsys
+    ):
+        for patch in patches:
+            monkeypatch.setattr(*patch)
+        argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"numerical error: {message}\n", err)
+        assert out == "" and not list(tmp_path.iterdir())
 
     def test_unwritable_json_out_exits_config_code(
         self, tmp_path, monkeypatch, capsys

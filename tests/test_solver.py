@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from torusmag.basis import gram_schmidt_basis
-from torusmag.cli import main
+from torusmag.cli import VARIANTS, RunConfig, main
 from torusmag.field import FieldConfig
+from torusmag.hamiltonian import assemble
+from torusmag.oracle import GridSpec, grid_solve
+from torusmag import solver
 from torusmag.solver import (
+    GROUND_IMAG_TOL,
     ComplexGroundError,
     HermiticityError,
-    SpectrumResult,
     eigensolve,
     eigensolve_general,
     ground_state_composition,
@@ -81,28 +84,35 @@ class TestEigensolve:
             assert max(weights.values()) == pytest.approx(1.0, abs=1e-10)
 
 
+def general_ground(h, sector, hermitian=False):
+    """The sector solve of one matrix: its `GroundState`."""
+    [ground] = eigensolve_general([h], [hermitian], sector)
+    return ground
+
+
 class TestEigensolveGeneral:
     def test_matches_hermitian_solver_on_hermitian_input(self, basis):
         h = assemble_variant(FieldConfig(0.6, 1.1), basis)
-        sh = eigensolve(h)
-        sg = eigensolve_general(h, basis.sectors)
-        assert np.max(np.abs(sh.eigenvalues - sg.eigenvalues)) < 1e-8
+        eps0, vec = eigensolve(h).ground()
+        for hermitian in (False, True):
+            g = general_ground(h, basis.sectors, hermitian)
+            assert abs(g.eps0 - eps0) < 1e-8
+            assert 1.0 - abs(np.vdot(vec, g.vector)) < 1e-8
         assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-10
 
     def test_handles_magnetic_coupling_off_variant(self, basis):
         h = assemble_variant(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
-        s = eigensolve_general(h, basis.sectors)
+        g = general_ground(h, basis.sectors)
         # antiunitary symmetry (conjugation with phi -> -phi) keeps the low
         # spectrum real
         assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-8
-        eps0, _ = s.ground()
-        assert eps0 == pytest.approx(-0.050844, abs=1e-5)
+        assert g.eps0 == pytest.approx(-0.050844, abs=1e-5)
 
     def test_refuses_complex_ground_eigenvalue(self):
         # eigenvalues +i and -i: the ground (largest real part) is not real
         h = toy_matrix([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ComplexGroundError, match="imaginary part 1.000e"):
-            eigensolve_general(h, one_block(h))
+            general_ground(h, one_block(h))
 
     @pytest.mark.parametrize(
         "field",
@@ -117,31 +127,51 @@ class TestEigensolveGeneral:
         # general solve of the whole matrix
         h = assemble_variant(field, basis)
         assert h.dtype == complex and not field.hermitian
-        s = eigensolve_general(h, basis.sectors)
-        assert s.eigenvectors.dtype == np.float64
+        g = general_ground(h, basis.sectors)
+        assert g.vector.dtype == np.float64
         w, v = np.linalg.eig(h)
-        order = np.argsort(w.real, kind="stable")
-        ref = SpectrumResult(w.real[order], (v / np.linalg.norm(v, axis=0))[:, order])
-        assert np.max(np.abs(s.eigenvalues - ref.eigenvalues)) < 1e-12
-        got = ground_state_composition(s, basis)
-        want = ground_state_composition(ref, basis)
+        top = np.argmax(w.real)
+        assert abs(g.eps0 - w[top].real) < 1e-12
+        got = ground_state_composition(g.vector, basis)
+        want = ground_state_composition(v[:, top] / np.linalg.norm(v[:, top]), basis)
         assert np.max(np.abs(got.amps - want.amps)) < 1e-12
 
     def test_genuinely_complex_matrix(self):
+        # every assembled H is exactly real; a complex one is refused, not
+        # solved in complex arithmetic
         h = toy_matrix([[1.0, 1j], [0.0, 2.0]])
-        s = eigensolve_general(h, one_block(h))
-        assert np.allclose(s.eigenvalues, [1.0, 2.0], atol=1e-12)
-        eps0, vec = s.ground()
-        assert eps0 == pytest.approx(2.0, abs=1e-12)
-        # the ground eigenvector (i, 1)/sqrt(2) is not real in any phase
-        assert abs(vec[0] / vec[1] - 1j) < 1e-12
-        assert np.max(residuals(s, h)) < 1e-12
+        with pytest.raises(ArithmeticError, match="not finite and real"):
+            general_ground(h, one_block(h))
 
     def test_complex_excited_pair_is_accepted(self):
         # a real ground level above a conjugate pair 0 +/- 0.5i
         h = toy_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, -0.5, 0.0]])
-        s = eigensolve_general(h, one_block(h))
-        assert s.ground()[0] == pytest.approx(1.0, abs=1e-12)
+        assert general_ground(h, one_block(h)).eps0 == pytest.approx(1.0, abs=1e-12)
+
+    def test_hermitian_member_must_be_hermitian(self, basis):
+        # the on-off variant at tau1 != 0 is not Hermitian; flagged as one it
+        # is refused with its defect, while the stack's other members pass
+        field = FieldConfig(0.0, 1.0, vc_on=True, vmag_on=False)
+        h = assemble_variant(field, basis)
+        assert len(eigensolve_general([h, h], [False, False], basis.sectors)) == 2
+        with pytest.raises(HermiticityError, match=r"max\|H - H\^dagger\| = "):
+            eigensolve_general([h, h], [False, True], basis.sectors)
+
+    def test_residual_bound_and_singular_block(self, monkeypatch):
+        h = toy_matrix(np.diag([1.0, 3.0, 2.0]))
+        g = general_ground(h, one_block(h))
+        assert (g.eps0, g.sector) == (3.0, 0)
+        assert np.allclose(np.abs(g.vector), [0.0, 1.0, 0.0], rtol=0.0, atol=1e-20)
+        monkeypatch.setattr(solver, "INVERSE_SHIFT", 0.0)
+        with pytest.raises(ArithmeticError, match="block is singular") as info:
+            general_ground(h, one_block(h))
+        assert not isinstance(info.value, ValueError)
+        monkeypatch.undo()
+        # the rounding-sized residual of an exact eigenvector, against a
+        # bound of 1e-30 * max|H|
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
+        with pytest.raises(ArithmeticError, match=r"residual \S+ exceeds 3.0e-30"):
+            general_ground(h, one_block(h))
 
 
 class TestSectorSplit:
@@ -150,10 +180,11 @@ class TestSectorSplit:
     @pytest.mark.parametrize("tau1", [1.0, -2.5])
     def test_ground_vector_is_exactly_zero_in_the_other_sector(self, basis, tau1):
         h = assemble_variant(FieldConfig(0.4, tau1, vc_on=True, vmag_on=False), basis)
-        _, vec = eigensolve_general(h, basis.sectors).ground()
-        own = basis.sectors == basis.sectors[np.argmax(np.abs(vec))]
-        assert np.all(vec[~own] == 0.0)
-        assert np.linalg.norm(vec[own]) == pytest.approx(1.0, abs=1e-14)
+        g = general_ground(h, basis.sectors)
+        own = basis.sectors == g.sector
+        assert own[np.argmax(np.abs(g.vector))]
+        assert np.all(g.vector[~own] == 0.0)
+        assert np.linalg.norm(g.vector[own]) == pytest.approx(1.0, abs=1e-14)
 
     def test_cross_sector_entry_raises(self, basis):
         h = assemble_variant(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
@@ -163,17 +194,17 @@ class TestSectorSplit:
         # the bound is 1e-12 * max|H|, about 4e-11 here
         with pytest.raises(ArithmeticError, match=r"couples the inversion sectors: "
                            r"max\|H_AB\| = 1\.000e-06 exceeds 3\.8e-11"):
-            eigensolve_general(h, basis.sectors)
+            general_ground(h, basis.sectors)
 
     def test_complex_level_in_one_block_passes_unless_it_is_the_ground(self):
         # sector A holds one real level, sector B the pair +/- i
         sector = np.array([0, 1, 1])
         pair = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]
         h = toy_matrix(pair) + np.diag([5.0, 0.0, 0.0])
-        assert eigensolve_general(h, sector).ground()[0] == 5.0
+        assert general_ground(h, sector).eps0 == 5.0
         h = toy_matrix(pair) + np.diag([-5.0, 0.0, 0.0])
         with pytest.raises(ComplexGroundError, match="imaginary part 1.000e"):
-            eigensolve_general(h, sector)
+            general_ground(h, sector)
 
 
 class TestComposition:
@@ -184,32 +215,32 @@ class TestComposition:
 
     def test_norm_preserved(self, basis):
         s = eigensolve(assemble_variant(FieldConfig(0.8, 0.8), basis))
-        comp = ground_state_composition(s, basis)
+        comp = ground_state_composition(s.ground()[1], basis)
         assert norm_sq(comp) == pytest.approx(1.0, abs=1e-10)
 
     def test_global_phase_fixed(self, basis):
         s = eigensolve(assemble_variant(FieldConfig(1.9, 0.4), basis))
-        comp = ground_state_composition(s, basis)
+        comp = ground_state_composition(s.ground()[1], basis)
         lead = comp.amps.flat[np.argmax(np.abs(comp.amps))]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0.0
 
     def test_zero_field_composition(self, basis):
         s = eigensolve(assemble_variant(FieldConfig(0.0, 0.0), basis))
-        comp = ground_state_composition(s, basis)
+        comp = ground_state_composition(s.ground()[1], basis)
         assert abs(amplitude(comp, ("f", 0, 0))) == pytest.approx(0.968, abs=2e-3)
         assert abs(amplitude(comp, ("f", 1, 0))) == pytest.approx(0.244, abs=2e-3)
         assert comp.dominant_nu() == 0
 
     def test_axial_crossover_state_has_nu_minus_one(self, basis):
         s = eigensolve(assemble_variant(FieldConfig(2.0, 0.0), basis))
-        comp = ground_state_composition(s, basis)
+        comp = ground_state_composition(s.ground()[1], basis)
         assert comp.dominant_nu() == -1
         assert circulation(comp) == pytest.approx(-1.0, abs=1e-8)
 
     def test_real_combinations_group_sin_pairs(self, basis):
         h = assemble_variant(FieldConfig(0.0, 2.0), basis)
-        comp = ground_state_composition(eigensolve(h), basis)
+        comp = ground_state_composition(eigensolve(h).ground()[1], basis)
         rows = {(k, n, m): amp for k, n, m, amp in comp.real_combinations()}
         # g1 appears as an i sin(phi) combination: amplitudes at nu = +/-1
         # with opposite signs
@@ -225,7 +256,7 @@ class TestComposition:
         if shape is not None:
             basis = gram_schmidt_basis(0.5, *shape)
         s = eigensolve(assemble_variant(FieldConfig(0.7, 1.3), basis))
-        comp = ground_state_composition(s, basis)
+        comp = ground_state_composition(s.ground()[1], basis)
         _, vec = s.ground()
         top = np.argmax(np.abs(vec))
         vec = vec / (vec[top] / abs(vec[top]))
@@ -237,7 +268,7 @@ class TestComposition:
 
     def test_format_text_mentions_dominant_function(self, basis):
         s = eigensolve(assemble_variant(FieldConfig(0.0, 0.0), basis))
-        text = ground_state_composition(s, basis).format_text()
+        text = ground_state_composition(s.ground()[1], basis).format_text()
         assert "f0" in text and "f1" in text
 
 
@@ -265,3 +296,57 @@ class TestVariationalBehaviour:
         jumps = np.abs(np.diff(values))
         secant = np.maximum.accumulate(jumps)  # local scale of variation
         assert np.all(jumps[1:] <= 3.0 * np.maximum(secant[:-1], 1e-3))
+
+
+class TestSectorSolveAgainstFullMatrix:
+    def test_ground_pairs_and_refusals_match(self):
+        # seeded fields, tau0 in [-3, 3] and tau1 in [0.25, 5], at three
+        # aspect ratios and four bases,
+        # the last with sector blocks of unequal size; the reference solves
+        # the whole matrix, eigh for the Hermitian variant and eig for the
+        # others, and refuses a field whose top eigenvalue is not real
+        rng = np.random.default_rng(19)
+        solved = refused = 0
+        for alpha in (0.3, 0.5, 0.8):
+            for shape in [(6, 6, (-2, 2)), (8, 8, (-4, 4)), (10, 10, (-6, 6)),
+                          (4, 0, (-1, 3))]:
+                basis = gram_schmidt_basis(alpha, *shape)
+                for tau0, tau1 in rng.uniform((-3.0, 0.25), (3.0, 5.0), (3, 2)):
+                    matrices = assemble(tau0, tau1, basis)
+                    stack = [matrices[vc, vmag] for _, vc, vmag in VARIANTS]
+                    hermitian = [vmag for _, _, vmag in VARIANTS]
+                    want = []
+                    for h, herm in zip(stack, hermitian):
+                        w, v = np.linalg.eigh(h) if herm else np.linalg.eig(h.real)
+                        top = np.argmax(w.real)
+                        want.append((w[top], v[:, top] / np.linalg.norm(v[:, top])))
+                    if any(abs(w.imag) > GROUND_IMAG_TOL for w, _ in want):
+                        with pytest.raises(ComplexGroundError):
+                            eigensolve_general(stack, hermitian, basis.sectors)
+                        refused += 1
+                        continue
+                    got = eigensolve_general(stack, hermitian, basis.sectors)
+                    for g, (w, v) in zip(got, want):
+                        assert abs(g.eps0 - w.real) <= 1e-12 * max(1.0, abs(w.real))
+                        assert 1.0 - abs(np.vdot(v, g.vector)) <= 1e-12
+                    solved += 1
+        assert solved > 0 and refused > 0, (solved, refused)
+
+
+#: The fields of `verify` with tau1 != 0, and the pi/4 tilt at tau = 2.7,
+#: past the ground's sector crossing in both the grid (2.595) and the
+#: default basis (2.629).
+VERIFY_FIELDS = [
+    RunConfig(orientation=o).split_tau(tau)
+    for o in ("tilted", "in_plane") for tau in (1.0, 2.0)
+] + [RunConfig(orientation="tilted").split_tau(2.7)]
+
+
+class TestGroundSector:
+    @pytest.mark.parametrize("tau0,tau1", VERIFY_FIELDS)
+    def test_on_on_sector_matches_the_grid_oracle(self, alpha, basis, tau0, tau1):
+        h = assemble(tau0, tau1, basis)[True, True]
+        g = general_ground(h, basis.sectors, hermitian=True)
+        assert g.sector == basis.sectors[np.argmax(np.abs(g.vector))]
+        field = FieldConfig(tau0, tau1)
+        assert g.sector == grid_solve(alpha, field, GridSpec(64, 32)).sector
