@@ -189,18 +189,24 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
+def _grounds(stack, hermitian, basis: BasisSet, tau1: float) -> list[tuple]:
+    """(eps0, vector) of each matrix of one field: at tau1 = 0 one whole-matrix
+    Hermitian solve each, whose rounding the stored outputs pin, else one
+    sector solve for the stack."""
+    if tau1 == 0.0:
+        return [eigensolve(h).ground() for h in stack]
+    return eigensolve_general(stack, hermitian, basis.sectors)
+
+
 def _ground_states(
     basis: BasisSet, tau0: float, tau1: float
 ) -> list[tuple[str, float, StateComposition]]:
-    """(name, eps0, ground-state composition) of each variant at one field,
-    assembled once: at tau1 = 0 one whole-matrix Hermitian solve each, else
-    one sector solve for all three."""
+    """(name, eps0, composition) of each variant at one field, assembled once."""
     fields = [FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
               for _, vc, vmag in VARIANTS]
     matrices = assemble(tau0, tau1, basis)
     stack = [matrices[field.vc_on, field.vmag_on] for field in fields]
-    grounds = ([eigensolve(h).ground() for h in stack] if tau1 == 0.0 else
-               eigensolve_general(stack, [f.hermitian for f in fields], basis.sectors))
+    grounds = _grounds(stack, [f.hermitian for f in fields], basis, tau1)
     return [(name, ground[0], ground_state_composition(ground[1], basis))
             for (name, _, _), ground in zip(VARIANTS, grounds)]
 
@@ -273,10 +279,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ocfg = dataclasses.replace(cfg, orientation=orientation)
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
-            # only on-on, which is Hermitian, is compared; the other two
-            # matrices are dropped before the solve
+            # only on-on, which is Hermitian, is compared, on the printed path
             h = assemble(field.tau0, field.tau1, basis)[True, True]
-            eps_basis, _ = eigensolve(h).ground()
+            eps_basis = _grounds([h], [True], basis, field.tau1)[0][0]
             if field not in grid_eps0:
                 ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = ground.eps0

@@ -10,9 +10,9 @@ go through `eigensolve_general`, all variants at once: every assembled H is
 exactly real (the operator commutes with conjugation composed with
 phi -> -phi, which fixes the basis states, so its eigenvalues are real or
 conjugate pairs) and has no entries between the inversion sectors of
-`BasisSet.sectors`.  It takes each sector block's top eigenvalue from one
-batched `eigvalsh` (Hermitian) or `eigvals` call; the larger top is the
-ground, which must be real to GROUND_IMAG_TOL (high levels may pair up),
+`BasisSet.sectors`.  Per sector, one batched `eigvalsh` call (Hermitian
+members) and one `eigvals` call give each block's top eigenvalue; the
+larger top is the ground, which must be real (high levels may pair up),
 and inverse iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of the basis
@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisSet
 
-#: Largest |imag| accepted for the ground eigenvalue of a general solve.
+#: Largest |imag| of a general solve's ground; the residual bound caps it.
 GROUND_IMAG_TOL = 1e-8
 
 #: Largest max|H - H^dagger| / max(1, max|H|) that `eigensolve` accepts.
@@ -119,22 +119,17 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
                                    f"= {defect[i]:.3e} exceeds {bound:.1e}")
     idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
     blocks = [h[:, i[:, None], i] for i in idx]
-    # one batched call per solver, over both sectors when their sizes match
-    if len({len(i) for i in idx}) == 1:
-        groups = [(np.stack(blocks, axis=1), slice(None))]
-    else:
-        groups = [(b[:, None], slice(s, s + 1)) for s, b in enumerate(blocks)]
     top = np.empty((len(h), len(idx)), dtype=complex)  # per matrix and sector
-    for g, cols in groups:
-        top[hermitian, cols] = np.linalg.eigvalsh(g[hermitian])[..., -1]
+    for s, b in enumerate(blocks):
+        top[hermitian, s] = np.linalg.eigvalsh(b[hermitian])[..., -1]
         # complex values sort by real part first
-        top[~hermitian, cols] = np.sort(np.linalg.eigvals(g[~hermitian]))[..., -1]
+        top[~hermitian, s] = np.sort(np.linalg.eigvals(b[~hermitian]))[..., -1]
     states = []
     for i, s in enumerate(np.argmax(top.real, axis=1)):
-        if abs(top[i, s].imag) > GROUND_IMAG_TOL:
-            raise ComplexGroundError(
-                f"ground eigenvalue has imaginary part {abs(top[i, s].imag):.3e}, "
-                f"above {GROUND_IMAG_TOL:.0e}")
+        imag, bound = abs(top[i, s].imag), RESIDUAL_TOL * scale[i]
+        if imag > min(GROUND_IMAG_TOL, bound):
+            raise ComplexGroundError(f"ground eigenvalue has imaginary part {imag:.3e}, "
+                                     f"above {min(GROUND_IMAG_TOL, bound):.1e}")
         eps0, block = top[i, s].real, blocks[s][i]
         # inverse iteration from a start of ones, shifted just past eps0
         shift = eps0 + INVERSE_SHIFT * max(1.0, abs(eps0))
@@ -145,7 +140,7 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
         except np.linalg.LinAlgError as exc:  # a LinAlgError is a ValueError
             raise ArithmeticError(f"shifted ground block is singular: {exc}") from exc
         x /= np.linalg.norm(x)
-        residual, bound = np.linalg.norm(block @ x - eps0 * x), RESIDUAL_TOL * scale[i]
+        residual = np.linalg.norm(block @ x - eps0 * x)
         if not residual <= bound:
             raise ArithmeticError(
                 f"ground vector residual {residual:.3e} exceeds {bound:.1e}")

@@ -551,6 +551,26 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len([line for line in lines if " tau=0 " in line]) == 3
 
+    def test_basis_side_solves_on_the_printed_path(self, monkeypatch):
+        # on-on is solved as sweep and table solve it: the whole matrix at
+        # the five tau1 = 0 fields, the sector solve at the four others
+        calls = {"eigensolve": [], "eigensolve_general": []}
+
+        def recorder(name):
+            layer = getattr(cli, name)
+
+            def recorded(h, *rest):
+                calls[name].append(rest)
+                return layer(h, *rest)
+
+            return recorded
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, recorder(name))
+        main(["verify", "--n-theta", "16", "--n-phi", "16"])
+        assert len(calls["eigensolve"]) == 5
+        assert [hermitian for hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
+
     def test_each_line_reports_its_margin(self, capsys):
         # the exit code is not checked: only the printed margins are tested
         main(["verify", "--n-theta", "16", "--n-phi", "16"])

@@ -114,6 +114,18 @@ class TestEigensolveGeneral:
         with pytest.raises(ComplexGroundError, match="imaginary part 1.000e"):
             general_ground(h, one_block(h))
 
+    def test_near_real_ground_is_held_to_the_residual_bound(self):
+        # eigenvalues 1 +/- ib: a real vector leaves a residual of b, so an
+        # imaginary part under GROUND_IMAG_TOL but above the residual bound
+        # (1e-10 * max(1, max|H|)) is refused as complex, not as a residual
+        def pair(b):
+            return toy_matrix([[1.0, b], [-b, 1.0]])
+        with pytest.raises(ComplexGroundError, match="part 1.000e-09, above 1.0e-10"):
+            general_ground(pair(1e-9), one_block(pair(1e-9)))
+        g = general_ground(pair(1e-12), one_block(pair(1e-12)))
+        assert g.eps0 == 1.0
+        assert np.linalg.norm(pair(1e-12).real @ g.vector - g.vector) < 1e-10
+
     @pytest.mark.parametrize(
         "field",
         [FieldConfig(0.0, 2.0, vc_on=False, vmag_on=False),
