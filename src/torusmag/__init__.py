@@ -13,7 +13,6 @@ from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
     GroundState,
-    SpectrumResult,
     StateComposition,
     eigensolve,
     eigensolve_general,
@@ -30,7 +29,6 @@ __all__ = [
     "GridSpec",
     "grid_solve",
     "GroundState",
-    "SpectrumResult",
     "StateComposition",
     "eigensolve",
     "eigensolve_general",

@@ -7,6 +7,7 @@ sweep       ground-state eigenvalue versus tau for the three potential
 table       ground-state composition grid over tau values and variants
 verify      basis pipeline versus the independent grid oracle
 basis-dump  orthonormal basis coefficients as JSON
+tesla       a field in tesla converted to tau at the configured radius
 
 Configuration comes from an INI file (sections geometry, field, basis,
 sweep, output; an unknown section or key is an error) with command line
@@ -35,6 +36,7 @@ from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
+    GroundState,
     StateComposition,
     eigensolve,
     eigensolve_general,
@@ -46,6 +48,7 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
+#: The printed variants, in `assemble`'s order: (name, vc_on, vmag_on).
 VARIANTS = (("off-off", False, False), ("on-off", True, False), ("on-on", True, True))
 
 #: Largest sweep length and basis dimension a run may ask for; the basis
@@ -189,12 +192,14 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _grounds(stack, hermitian, basis: BasisSet, tau1: float) -> list[tuple]:
-    """(eps0, vector) of each matrix of one field: at tau1 = 0 one whole-matrix
-    Hermitian solve each, whose rounding the stored outputs pin, else one
-    sector solve for the stack."""
+def _grounds(stack, basis: BasisSet, tau1: float) -> list[GroundState]:
+    """The ground of each matrix of a stack of one field's last len(stack)
+    variants: at tau1 = 0 by the whole-matrix solve, whose rounding the stored
+    outputs pin, else by the sector solve, where a variant without the
+    magnetic coupling is not Hermitian."""
     if tau1 == 0.0:
-        return [eigensolve(h).ground() for h in stack]
+        return eigensolve(stack, basis.sectors)
+    hermitian = [vmag for _, _, vmag in VARIANTS][-len(stack):]
     return eigensolve_general(stack, hermitian, basis.sectors)
 
 
@@ -202,12 +207,8 @@ def _ground_states(
     basis: BasisSet, tau0: float, tau1: float
 ) -> list[tuple[str, float, StateComposition]]:
     """(name, eps0, composition) of each variant at one field, assembled once."""
-    fields = [FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
-              for _, vc, vmag in VARIANTS]
-    matrices = assemble(tau0, tau1, basis)
-    stack = [matrices[field.vc_on, field.vmag_on] for field in fields]
-    grounds = _grounds(stack, [f.hermitian for f in fields], basis, tau1)
-    return [(name, ground[0], ground_state_composition(ground[1], basis))
+    grounds = _grounds(assemble(tau0, tau1, basis), basis, tau1)
+    return [(name, ground.eps0, ground_state_composition(ground.vector, basis))
             for (name, _, _), ground in zip(VARIANTS, grounds)]
 
 
@@ -235,9 +236,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    taus = args.tau if args.tau else [0.0, 1.0, 2.0]
+    if not all(math.isfinite(tau) for tau in taus):
+        raise ConfigError(f"--tau values must be finite, got {taus}")
     cfg = _load_config(args)
     basis = _build_basis(cfg)
-    taus = args.tau if args.tau else [0.0, 1.0, 2.0]
     json_dir = Path(args.json_out).parent if args.json_out else None
     if json_dir is not None and not json_dir.is_dir():  # fail before any solve
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(json_dir))
@@ -254,7 +257,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                     for k, n, m, a in comp.real_combinations()
                 ],
             }
-            text = f"{name:7s} tau={tau:<4g} eps0={eps0:+.6f}  {comp.format_text()}"
+            fmt = "+.6f" if abs(eps0) < 1e6 else "+.6e"  # a huge field's eps0 too
+            text = f"{name:7s} tau={tau:<4g} eps0={eps0:{fmt}}  {comp.format_text()}"
             rows[name].append((row, text))
     ordered = [entry for entries in rows.values() for entry in entries]
     report = {"orientation": cfg.orientation, "rows": [row for row, _ in ordered]}
@@ -280,8 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
             # only on-on, which is Hermitian, is compared, on the printed path
-            h = assemble(field.tau0, field.tau1, basis)[True, True]
-            eps_basis = _grounds([h], [True], basis, field.tau1)[0][0]
+            stack = assemble(field.tau0, field.tau1, basis)
+            eps_basis = _grounds(stack[-1:], basis, field.tau1)[0].eps0
             if field not in grid_eps0:
                 ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = ground.eps0

@@ -23,16 +23,17 @@ cancels the anti-self-adjoint residue of the paramagnetic in-plane
 couplings, so the assembled matrix is Hermitian to machine precision; with
 the opposite sign it is not.  Dropping the term while tau1 != 0 therefore
 leaves a slightly non-Hermitian matrix by construction (`FieldConfig.hermitian`
-is False).  So a field with tau1 != 0 goes to `solver.eigensolve_general`,
-and at tau1 = 0 each matrix goes whole to `solver.eigensolve`.
+is False).  So a field's stack goes to `solver.eigensolve_general` when
+tau1 != 0, and whole to `solver.eigensolve` at tau1 = 0.
 
 The three printed variants, off-off, on-off and on-on (curvature
 potential, magnetic coupling), are nested prefixes of `_term_table`, whose
 last two rows are the curvature potential and the coupling.  `assemble`
-adds the rows in table order to a zero matrix and copies it before each of
-those two, the same ordered loop as a term-by-term assembly of each
-variant, so each matrix keeps its bits.  What does not depend on the field
-is kept per basis in `_BasisTerms`, so a field builds only its field rows.
+adds the rows in table order to the on-on slot of a zero stack and copies it
+to the other two slots before those two rows, the same ordered loop as a
+term-by-term assembly of each variant, so each matrix keeps its bits.  What
+does not depend on the field is kept per basis in `_BasisTerms`, so a field
+builds only its field rows.
 """
 
 from __future__ import annotations
@@ -140,37 +141,30 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 )
 
 
-def assemble(
-    tau0: float, tau1: float, basis: BasisSet
-) -> dict[tuple[bool, bool], np.ndarray]:
-    """Dense complex matrices of the surface Hamiltonian at one field.
-
-    Keyed by (vc_on, vmag_on), one matrix for each of the three printed
-    variants: (False, False), (True, False) and (True, True); rows and
+def assemble(tau0: float, tau1: float, basis: BasisSet) -> np.ndarray:
+    """The dense complex matrices of the surface Hamiltonian at one field, a
+    (3, n, n) stack of the printed variants in `cli.VARIANTS` order: off-off,
+    on-off and on-on (curvature potential, magnetic coupling); rows and
     columns follow `basis.labels()`.  The curvature potential enters as
     1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises OverflowError,
-    naming the field, when a matrix is not finite.
-    """
+    naming the field, when a matrix is not finite."""
     terms = _BASIS_TERMS.get(basis)
     if terms is None:
         terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
     nf, nnu = len(basis.functions), len(basis.nus)
-    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
-    matrices = {}
+    stack = np.zeros((3, nf, nnu, nf, nnu), dtype=complex)  # rows, columns (f, nu)
+    h = stack[2]  # the running sum, on-on at the end
     # a non-finite sum stays non-finite, so the last matrix shows an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _field_rows(basis.alpha, tau0, tau1, terms.st, terms.ct, terms.f)
         for i, (r, c, _) in enumerate(terms.phi):
             if i == _CURVATURE:
-                matrices[False, False] = h.copy()
+                stack[0] = h
             elif i == _COUPLING:
-                matrices[True, False] = h.copy()
+                stack[1] = h
             inc = terms.fixed[i] if i in terms.fixed else terms.increment(i, rows[i])
             h[:, r, :, c] += inc
     if not np.isfinite(h).all():
-        raise OverflowError(
-            f"field tau0={tau0:g}, tau1={tau1:g} is out of range: its matrices "
-            "are not finite"
-        )
-    matrices[True, True] = h
-    return {key: m.reshape(nf * nnu, nf * nnu) for key, m in matrices.items()}
+        raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "
+                            "its matrices are not finite")
+    return stack.reshape(3, nf * nnu, nf * nnu)

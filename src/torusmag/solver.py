@@ -1,19 +1,20 @@
-"""Dense eigensolves and ground-state composition analysis.
+"""Dense ground-state solves and ground-state composition analysis.
 
 The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
 the physical ground state is the eigenvector with the LARGEST raw eps.
 
-`eigensolve` diagonalizes a whole Hermitian matrix; the commands use it at
-tau1 = 0, where every printed variant is Hermitian, since the stored
-`sweep` and `table` outputs pin its rounding byte for byte.  Other fields
-go through `eigensolve_general`, all variants at once: every assembled H is
+Both solvers take a stack of one field's matrices and return a `GroundState`
+per matrix, after one shared check of the Hermiticity of the Hermitian ones
+and of the split into the inversion sectors of `BasisSet.sectors`.  The
+commands use `eigensolve`, one batched whole-matrix complex `eigh` call, at
+tau1 = 0, since the stored `sweep` and `table` outputs pin its rounding byte
+for byte.  Other fields go through `eigensolve_general`: every assembled H is
 exactly real (the operator commutes with conjugation composed with
 phi -> -phi, which fixes the basis states, so its eigenvalues are real or
-conjugate pairs) and has no entries between the inversion sectors of
-`BasisSet.sectors`.  Per sector, one batched `eigvalsh` call (Hermitian
-members) and one `eigvals` call give each block's top eigenvalue; the
-larger top is the ground, which must be real (high levels may pair up),
-and inverse iteration on its block gives the vector.
+conjugate pairs).  Per sector, one batched `eigvalsh` call (Hermitian
+members) and one `eigvals` call give each block's top eigenvalue; the larger
+top is the ground, which must be real (high levels may pair up), and inverse
+iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of the basis
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -51,43 +52,6 @@ class ComplexGroundError(ArithmeticError):
     """The ground eigenvalue of a general solve is not real."""
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    """Eigenvalues (ascending in eps) with aligned eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def ground(self) -> tuple[float, np.ndarray]:
-        """The physical ground state: maximal raw eps, and its eigenvector."""
-        i = int(np.argmax(self.eigenvalues))
-        return float(self.eigenvalues[i]), self.eigenvectors[:, i]
-
-
-def hermiticity_defect(h: np.ndarray) -> float:
-    """max |H - H^dagger| over all entries."""
-    return float(np.max(np.abs(h - h.conj().T)))
-
-
-def eigensolve(h: np.ndarray) -> SpectrumResult:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
-
-    Raises HermiticityError (with the measured defect) when the matrix is
-    not Hermitian within that bound, instead of silently symmetrizing.  The
-    bound is relative because the rounding defect grows with the entries.
-    """
-    defect = hermiticity_defect(h)
-    bound = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h))))
-    if defect > bound:
-        raise HermiticityError(
-            f"matrix is not Hermitian: max|H - H^dagger| = {defect:.3e} "
-            f"exceeds {bound:.1e}; for the curvature-coupling-off "
-            "variant at tau1 != 0 use eigensolve_general"
-        )
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return SpectrumResult(eigenvalues=w, eigenvectors=v)
-
-
 class GroundState(NamedTuple):
     """Largest raw eigenvalue, its unit eigenvector and inversion sector."""
 
@@ -96,20 +60,14 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
-    """Ground state of each matrix of a stack h (k, n, n) or sequence of k
-    matrices whose states split into the sectors labelled by sector[j]; h[i]
-    must be Hermitian where hermitian[i].  Raises ArithmeticError when h is
-    not finite and real, a check of the module's bounds fails (a Hermitian
-    one with HermiticityError, a complex ground with ComplexGroundError) or
-    the shifted block is exactly singular."""
-    h = np.asarray(h)
-    if h.imag.any() or not np.isfinite(h).all():
-        raise ArithmeticError("matrix is not finite and real")
-    h, hermitian = h.real, np.asarray(hermitian, dtype=bool)
+def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> np.ndarray:
+    """Each matrix's scale max(1, max|H|), once no matrix of the stack h
+    couples the sectors, nor is a Hermitian one (where hermitian[i]) not
+    Hermitian, by more than HERMITICITY_TOL times its scale.  The bound is
+    relative because the rounding defect grows with the entries."""
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     leak = np.max(np.abs(h) * (sector[:, None] != sector), axis=(1, 2))
-    defect = np.max(np.abs(h - h.transpose(0, 2, 1)), axis=(1, 2)) * hermitian
+    defect = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2)) * hermitian
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
             raise ArithmeticError(f"matrix couples the inversion sectors: "
@@ -117,6 +75,36 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
         if defect[i] > bound:
             raise HermiticityError(f"matrix is not Hermitian: max|H - H^dagger| "
                                    f"= {defect[i]:.3e} exceeds {bound:.1e}")
+    return scale
+
+
+def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
+    """Ground state of each Hermitian matrix of a stack h (k, n, n), by one
+    batched whole-matrix `eigh` call on the symmetrized stack; a ground's
+    sector is the label, in sector, of its vector's largest amplitude.
+    Raises ArithmeticError when a `_check` bound fails (HermiticityError for
+    a matrix that is not Hermitian, instead of silently symmetrizing)."""
+    _check(h, True, sector)
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().transpose(0, 2, 1)))
+    states = []
+    for wi, vi in zip(w, v):
+        x = vi[:, np.argmax(wi)]
+        states.append(GroundState(float(wi.max()), x, int(sector[np.argmax(np.abs(x))])))
+    return states
+
+
+def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
+    """Ground state of each matrix of a stack h (k, n, n) or sequence of k
+    matrices whose states split into the sectors labelled by sector[j]; h[i]
+    must be Hermitian where hermitian[i].  Raises ArithmeticError when h is
+    not finite and real, a `_check` bound fails (HermiticityError for a
+    Hermitian member), the ground is complex (ComplexGroundError) or the
+    shifted block is exactly singular."""
+    h = np.asarray(h)
+    if h.imag.any() or not np.isfinite(h).all():
+        raise ArithmeticError("matrix is not finite and real")
+    h, hermitian = h.real, np.asarray(hermitian, dtype=bool)
+    scale = _check(h, hermitian, sector)
     idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
     blocks = [h[:, i[:, None], i] for i in idx]
     top = np.empty((len(h), len(idx)), dtype=complex)  # per matrix and sector

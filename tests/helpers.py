@@ -9,15 +9,35 @@ from torusmag.hamiltonian import (
     _COUPLING, _CURVATURE, _term_table, assemble, quadrature_nodes,
 )
 from torusmag.oracle import _grid_terms, _reflection_bases
+from torusmag.solver import eigensolve
 
 
-#: The (vc_on, vmag_on) pairs the commands print; `assemble` builds these.
-PRINTED = {(vc, vmag) for _, vc, vmag in VARIANTS}
+#: The (vc_on, vmag_on) pairs the commands print, in the order of
+#: `assemble`'s stack.
+PRINTED = [(vc, vmag) for _, vc, vmag in VARIANTS]
 
 
 def assemble_variant(field, basis) -> np.ndarray:
     """The assembled matrix of the printed variant that field's toggles name."""
-    return assemble(field.tau0, field.tau1, basis)[field.vc_on, field.vmag_on]
+    i = PRINTED.index((field.vc_on, field.vmag_on))
+    return assemble(field.tau0, field.tau1, basis)[i]
+
+
+def solve_ground(h, basis):
+    """`eigensolve`'s `GroundState` of one Hermitian matrix in basis."""
+    [ground] = eigensolve(h[None], basis.sectors)
+    return ground
+
+
+def spectrum(h) -> tuple[np.ndarray, np.ndarray]:
+    """The full spectrum of a Hermitian matrix: `np.linalg.eigh` of its
+    Hermitian part, eigenvalues ascending with aligned vector columns."""
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
+
+
+def hermiticity_defect(h) -> float:
+    """max |H - H^dagger| over all entries."""
+    return float(np.max(np.abs(h - h.conj().T)))
 
 
 def variant_rows(al, field, theta) -> list:
@@ -110,7 +130,6 @@ def circulation(comp) -> float:
     return float(np.sum(np.abs(comp.amps) ** 2 @ np.array(comp.nus)))
 
 
-def residuals(s, h: np.ndarray) -> np.ndarray:
-    """||H v - eps v|| per eigenpair (eigenvectors are unit norm)."""
-    hv = h @ s.eigenvectors
-    return np.linalg.norm(hv - s.eigenvectors * s.eigenvalues[np.newaxis, :], axis=0)
+def residual(ground, h: np.ndarray) -> float:
+    """||H v - eps0 v|| of a ground pair (its vector is unit norm)."""
+    return float(np.linalg.norm(h @ ground.vector - ground.eps0 * ground.vector))

@@ -27,6 +27,7 @@ from torusmag.cli import (
     main,
     parse_config,
 )
+from torusmag.hamiltonian import assemble
 from torusmag.oracle import AccuracyError
 from torusmag.solver import ComplexGroundError, HermiticityError
 
@@ -238,10 +239,10 @@ class TestSweepCommand:
         assert sorted(calls) == [0, 1, 2]
 
     def test_one_assembly_per_field(self, tmp_path, monkeypatch):
-        # the three variants of a field share one assembly, and a field with
-        # tau1 != 0 reaches the sector solve once, for all three variants;
-        # counted at the names the benchmark's tracer wraps
-        calls = {"assemble": 0, "eigensolve_general": 0}
+        # the three variants of a field share one assembly and reach one
+        # solver call: the whole-matrix solve at tau1 = 0, the sector solve
+        # otherwise; counted at the names the benchmark's tracer wraps
+        calls = {"assemble": 0, "eigensolve": 0, "eigensolve_general": 0}
 
         def counter(name):
             layer = getattr(cli, name)
@@ -255,12 +256,12 @@ class TestSweepCommand:
         for name in calls:
             monkeypatch.setattr(cli, name, counter(name))
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
-        assert calls == {"assemble": 13, "eigensolve_general": 0}
-        calls.update(assemble=0, eigensolve_general=0)
+        assert calls == {"assemble": 13, "eigensolve": 13, "eigensolve_general": 0}
+        calls.update(assemble=0, eigensolve=0, eigensolve_general=0)
         argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
-        # tau = 0.25 ... 1
-        assert calls == {"assemble": 5, "eigensolve_general": 4}
+        # tau = 0 whole, tau = 0.25 ... 1 by sectors
+        assert calls == {"assemble": 5, "eigensolve": 1, "eigensolve_general": 4}
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
@@ -292,6 +293,17 @@ class TestTableCommand:
         monkeypatch.setattr(cli, "assemble", never_assemble)
         assert main(["table", "--tau", value]) == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+
+    def test_huge_eps0_prints_in_exponent_form(self, capsys):
+        # a fixed-point eps0 at tau = 1e150 would take about 300 digits
+        assert main(["table", "--tau", "1e150"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            # the row up to the composition
+            head = re.match(r"\S+ +tau=1e\+150 eps0=-\d\.\d{6}e\+\d{3}  ", line)
+            assert head and len(head[0]) < 120
 
 
 TABLE_KEYS = [key for key in CLI_COLD if key.startswith("table ")]
@@ -336,7 +348,17 @@ def never_assemble(*args, **kwargs):
 def diagonal_assemble(tau0, tau1, basis):
     """A stand-in for `assemble`: the same diagonal H for every variant."""
     h = np.diag(np.arange(len(basis.labels()), dtype=complex))
-    return {(vc, vmag): h for _, vc, vmag in cli.VARIANTS}
+    return np.stack([h] * len(cli.VARIANTS))
+
+
+def leaking_assemble(tau0, tau1, basis):
+    """A stand-in for `assemble`: its stack with a 1e-6 entry between an
+    A-sector and a B-sector state in every variant."""
+    stack = assemble(tau0, tau1, basis)
+    a, b = np.flatnonzero(basis.sectors == 0)[3], np.flatnonzero(basis.sectors == 1)[5]
+    stack[:, a, b] += 1e-6
+    stack[:, b, a] += 1e-6
+    return stack
 
 
 def refuse(exc):
@@ -474,6 +496,18 @@ class TestErrorPaths:
         assert re.fullmatch(f"numerical error: {message}\n", err)
         assert out == "" and not list(tmp_path.iterdir())
 
+    def test_cross_sector_entry_at_tau1_zero_exits_numeric_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the whole-matrix solve of the axial fields enforces inversion
+        # symmetry by the sector solve's bound
+        monkeypatch.setattr(cli, "assemble", leaking_assemble)
+        assert main(["sweep", "--out", str(tmp_path)]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"numerical error: matrix couples the inversion sectors: "
+                            r"max\|H_AB\| = 1\.000e-06 exceeds \S+\n", err)
+        assert out == "" and not list(tmp_path.iterdir())
+
     def test_unwritable_json_out_exits_config_code(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -559,17 +593,18 @@ class TestVerifyCommand:
         def recorder(name):
             layer = getattr(cli, name)
 
-            def recorded(h, *rest):
-                calls[name].append(rest)
-                return layer(h, *rest)
+            def recorded(*args):
+                calls[name].append(args)
+                return layer(*args)
 
             return recorded
 
         for name in calls:
             monkeypatch.setattr(cli, name, recorder(name))
         main(["verify", "--n-theta", "16", "--n-phi", "16"])
-        assert len(calls["eigensolve"]) == 5
-        assert [hermitian for hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
+        assert [len(h) for h, *_ in calls["eigensolve"]] == [1] * 5
+        assert [len(h) for h, *_ in calls["eigensolve_general"]] == [1] * 4
+        assert [hermitian for _, hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
 
     def test_each_line_reports_its_margin(self, capsys):
         # the exit code is not checked: only the printed margins are tested

@@ -33,9 +33,8 @@ from torusmag.oracle import (
     grid_solve,
     lobpcg_max,
 )
-from torusmag.solver import eigensolve
 
-from helpers import assemble_variant, reference_sector_blocks
+from helpers import assemble_variant, reference_sector_blocks, solve_ground
 
 
 def _build_operator(
@@ -227,7 +226,7 @@ class TestGridSolve:
 
     def test_matches_basis_solution_field_free(self, alpha, basis):
         field = FieldConfig(0.0, 0.0, vc_on=True, vmag_on=True)
-        eps_basis = eigensolve(assemble_variant(field, basis)).ground()[0]
+        eps_basis = solve_ground(assemble_variant(field, basis), basis).eps0
         eps_grid = grid_solve(alpha, field, GridSpec(64, 16))[0]
         assert eps_grid == pytest.approx(eps_basis, rel=1e-3)
 

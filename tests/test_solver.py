@@ -18,7 +18,9 @@ from torusmag.solver import (
     ground_state_composition,
 )
 
-from helpers import amplitude, assemble_variant, circulation, norm_sq, residuals
+from helpers import (
+    amplitude, assemble_variant, circulation, norm_sq, residual, solve_ground, spectrum,
+)
 
 
 def toy_matrix(entries):
@@ -35,53 +37,77 @@ class TestEigensolve:
         a, c = 1.0, 3.0
         b = 0.5 - 0.25j
         h = toy_matrix([[a, b], [np.conj(b), c]])
-        s = eigensolve(h)
+        [g] = eigensolve(h[None], one_block(h))
         disc = np.sqrt(((a - c) / 2.0) ** 2 + abs(b) ** 2)
-        expected = [(a + c) / 2.0 - disc, (a + c) / 2.0 + disc]
-        assert np.allclose(s.eigenvalues, expected, atol=1e-12)
+        assert g.eps0 == pytest.approx((a + c) / 2.0 + disc, abs=1e-12)
+        assert np.linalg.norm(h @ g.vector - g.eps0 * g.vector) < 1e-12
 
     def test_refuses_non_hermitian(self, basis, capsys):
         h = toy_matrix([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(HermiticityError, match="eigensolve_general"):
-            eigensolve(h)
+        with pytest.raises(HermiticityError, match=r"max\|H - H\^dagger\| = 1\.000e\+00"):
+            eigensolve(h[None], one_block(h))
         # the bound is relative to max|H|: rounding in a Hermitian H at a
         # huge tilted field passes, the coupling-off variant never does
         for tau in (1e5, 1e7):
-            eigensolve(assemble_variant(FieldConfig(tau / np.sqrt(2), tau / np.sqrt(2)), basis))
+            h = assemble_variant(FieldConfig(tau / np.sqrt(2), tau / np.sqrt(2)), basis)
+            solve_ground(h, basis)
         assert main(["table", "--orientation", "tilted", "--tau", "1e5"]) == 0
         for tau1 in (1e-6, 1e7):
             h = assemble_variant(FieldConfig(0.0, tau1, vc_on=True, vmag_on=False), basis)
-            with pytest.raises(HermiticityError, match="eigensolve_general"):
-                eigensolve(h)
+            with pytest.raises(HermiticityError, match=r"max\|H - H\^dagger\|"):
+                solve_ground(h, basis)
 
     def test_eigenvalues_ascending_and_orthonormal(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(1.0, 0.5), basis))
-        assert np.all(np.diff(s.eigenvalues) >= 0.0)
-        overlap = s.eigenvectors.conj().T @ s.eigenvectors
-        assert np.max(np.abs(overlap - np.eye(len(basis.labels())))) < 1e-8
+        # the ground is the top of the ascending spectrum, with a unit vector
+        h = assemble_variant(FieldConfig(1.0, 0.5), basis)
+        g = solve_ground(h, basis)
+        w, v = spectrum(h)
+        assert np.all(np.diff(w) >= 0.0)
+        assert g.eps0 == w[-1]
+        assert abs(np.linalg.norm(g.vector) - 1.0) < 1e-8
+        assert 1.0 - abs(np.vdot(v[:, -1], g.vector)) < 1e-8
 
     def test_residuals_small(self, basis):
         h = assemble_variant(FieldConfig(0.9, 1.4), basis)
-        s = eigensolve(h)
-        assert np.max(residuals(s, h)) < 1e-8
+        assert residual(solve_ground(h, basis), h) < 1e-8
 
     def test_constant_mode_at_zero_field(self, basis):
         h = assemble_variant(FieldConfig(0.0, 0.0, vc_on=False, vmag_on=False), basis)
-        s = eigensolve(h)
-        eps0, vec = s.ground()
+        eps0, vec, _ = solve_ground(h, basis)
         assert eps0 == pytest.approx(0.0, abs=1e-10)
         i = basis.labels().index(("f", 0, 0))
         assert abs(vec[i]) == pytest.approx(1.0, abs=1e-8)
 
     def test_axial_eigenvectors_single_nu(self, basis):
         h = assemble_variant(FieldConfig(1.3, 0.0), basis)
-        s = eigensolve(h)
+        _, vectors = spectrum(h)
         labels = basis.labels()
         for col in range(len(labels)):
             weights = {}
             for i, (_, _, nu) in enumerate(labels):
-                weights[nu] = weights.get(nu, 0.0) + abs(s.eigenvectors[i, col]) ** 2
+                weights[nu] = weights.get(nu, 0.0) + abs(vectors[i, col]) ** 2
             assert max(weights.values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_bitwise_equal_to_one_eigh_per_matrix(self, basis):
+        # the stored sweep and table outputs pin the rounding of the tau1 = 0
+        # solve: the batched call must give each matrix's eps0 and vector
+        # exactly as its own eigh call does, at every default axial field
+        for tau in RunConfig().taus():
+            stack = assemble(tau, 0.0, basis)
+            for g, h in zip(eigensolve(stack, basis.sectors), stack):
+                w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+                i = np.argmax(w)
+                assert g.eps0 == float(w[i]), tau
+                assert g.vector.tobytes() == v[:, i].tobytes(), tau
+
+    def test_cross_sector_entry_raises(self, basis):
+        stack = assemble(1.0, 0.0, basis)
+        a, b = np.flatnonzero(basis.sectors == 0)[3], np.flatnonzero(basis.sectors == 1)[5]
+        stack[1, a, b] += 1e-6
+        stack[1, b, a] += 1e-6
+        with pytest.raises(ArithmeticError, match=r"couples the inversion sectors: "
+                           r"max\|H_AB\| = 1\.000e-06 exceeds "):
+            eigensolve(stack, basis.sectors)
 
 
 def general_ground(h, sector, hermitian=False):
@@ -93,7 +119,7 @@ def general_ground(h, sector, hermitian=False):
 class TestEigensolveGeneral:
     def test_matches_hermitian_solver_on_hermitian_input(self, basis):
         h = assemble_variant(FieldConfig(0.6, 1.1), basis)
-        eps0, vec = eigensolve(h).ground()
+        eps0, vec, _ = solve_ground(h, basis)
         for hermitian in (False, True):
             g = general_ground(h, basis.sectors, hermitian)
             assert abs(g.eps0 - eps0) < 1e-8
@@ -221,38 +247,37 @@ class TestSectorSplit:
 
 class TestComposition:
     def test_ground_selector_takes_max_raw_eigenvalue(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(1.0, 0.0), basis))
-        eps0, _ = s.ground()
-        assert eps0 == np.max(s.eigenvalues)
+        h = assemble_variant(FieldConfig(1.0, 0.0), basis)
+        assert solve_ground(h, basis).eps0 == np.max(spectrum(h)[0])
 
     def test_norm_preserved(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(0.8, 0.8), basis))
-        comp = ground_state_composition(s.ground()[1], basis)
+        h = assemble_variant(FieldConfig(0.8, 0.8), basis)
+        comp = ground_state_composition(solve_ground(h, basis).vector, basis)
         assert norm_sq(comp) == pytest.approx(1.0, abs=1e-10)
 
     def test_global_phase_fixed(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(1.9, 0.4), basis))
-        comp = ground_state_composition(s.ground()[1], basis)
+        h = assemble_variant(FieldConfig(1.9, 0.4), basis)
+        comp = ground_state_composition(solve_ground(h, basis).vector, basis)
         lead = comp.amps.flat[np.argmax(np.abs(comp.amps))]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0.0
 
     def test_zero_field_composition(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(0.0, 0.0), basis))
-        comp = ground_state_composition(s.ground()[1], basis)
+        h = assemble_variant(FieldConfig(0.0, 0.0), basis)
+        comp = ground_state_composition(solve_ground(h, basis).vector, basis)
         assert abs(amplitude(comp, ("f", 0, 0))) == pytest.approx(0.968, abs=2e-3)
         assert abs(amplitude(comp, ("f", 1, 0))) == pytest.approx(0.244, abs=2e-3)
         assert comp.dominant_nu() == 0
 
     def test_axial_crossover_state_has_nu_minus_one(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(2.0, 0.0), basis))
-        comp = ground_state_composition(s.ground()[1], basis)
+        h = assemble_variant(FieldConfig(2.0, 0.0), basis)
+        comp = ground_state_composition(solve_ground(h, basis).vector, basis)
         assert comp.dominant_nu() == -1
         assert circulation(comp) == pytest.approx(-1.0, abs=1e-8)
 
     def test_real_combinations_group_sin_pairs(self, basis):
         h = assemble_variant(FieldConfig(0.0, 2.0), basis)
-        comp = ground_state_composition(eigensolve(h).ground()[1], basis)
+        comp = ground_state_composition(solve_ground(h, basis).vector, basis)
         rows = {(k, n, m): amp for k, n, m, amp in comp.real_combinations()}
         # g1 appears as an i sin(phi) combination: amplitudes at nu = +/-1
         # with opposite signs
@@ -267,9 +292,8 @@ class TestComposition:
     def test_amps_follow_basis_labels(self, basis, shape):
         if shape is not None:
             basis = gram_schmidt_basis(0.5, *shape)
-        s = eigensolve(assemble_variant(FieldConfig(0.7, 1.3), basis))
-        comp = ground_state_composition(s.ground()[1], basis)
-        _, vec = s.ground()
+        vec = solve_ground(assemble_variant(FieldConfig(0.7, 1.3), basis), basis).vector
+        comp = ground_state_composition(vec, basis)
         top = np.argmax(np.abs(vec))
         vec = vec / (vec[top] / abs(vec[top]))
         labels = basis.labels()
@@ -279,8 +303,8 @@ class TestComposition:
                 assert comp.amps[i, j] == vec[labels.index((kind, n, nu))]
 
     def test_format_text_mentions_dominant_function(self, basis):
-        s = eigensolve(assemble_variant(FieldConfig(0.0, 0.0), basis))
-        text = ground_state_composition(s.ground()[1], basis).format_text()
+        vec = solve_ground(assemble_variant(FieldConfig(0.0, 0.0), basis), basis).vector
+        text = ground_state_composition(vec, basis).format_text()
         assert "f0" in text and "f1" in text
 
 
@@ -291,8 +315,7 @@ class TestVariationalBehaviour:
         eps = []
         for ne, no, nur in sizes:
             b = gram_schmidt_basis(alpha, n_even=ne, n_odd=no, nu_range=nur)
-            s = eigensolve(assemble_variant(field, b))
-            eps.append(s.ground()[0])
+            eps.append(solve_ground(assemble_variant(field, b), b).eps0)
         # physical energy E = -eps; enlargement may only lower E, so raw
         # eps must not decrease
         assert eps[0] <= eps[1] + 1e-12
@@ -302,8 +325,7 @@ class TestVariationalBehaviour:
         taus = np.arange(0.0, 2.0001, 0.05)
         values = []
         for tau in taus:
-            s = eigensolve(assemble_variant(FieldConfig(tau, 0.0), basis))
-            values.append(s.ground()[0])
+            values.append(solve_ground(assemble_variant(FieldConfig(tau, 0.0), basis), basis).eps0)
         values = np.array(values)
         jumps = np.abs(np.diff(values))
         secant = np.maximum.accumulate(jumps)  # local scale of variation
@@ -324,8 +346,7 @@ class TestSectorSolveAgainstFullMatrix:
                           (4, 0, (-1, 3))]:
                 basis = gram_schmidt_basis(alpha, *shape)
                 for tau0, tau1 in rng.uniform((-3.0, 0.25), (3.0, 5.0), (3, 2)):
-                    matrices = assemble(tau0, tau1, basis)
-                    stack = [matrices[vc, vmag] for _, vc, vmag in VARIANTS]
+                    stack = assemble(tau0, tau1, basis)
                     hermitian = [vmag for _, _, vmag in VARIANTS]
                     want = []
                     for h, herm in zip(stack, hermitian):
@@ -357,8 +378,15 @@ VERIFY_FIELDS = [
 class TestGroundSector:
     @pytest.mark.parametrize("tau0,tau1", VERIFY_FIELDS)
     def test_on_on_sector_matches_the_grid_oracle(self, alpha, basis, tau0, tau1):
-        h = assemble(tau0, tau1, basis)[True, True]
+        h = assemble(tau0, tau1, basis)[-1]
         g = general_ground(h, basis.sectors, hermitian=True)
         assert g.sector == basis.sectors[np.argmax(np.abs(g.vector))]
         field = FieldConfig(tau0, tau1)
         assert g.sector == grid_solve(alpha, field, GridSpec(64, 32)).sector
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 2.0])
+    def test_axial_sector_matches_the_grid_oracle(self, alpha, basis, tau):
+        # verify's axial fields, solved by the whole-matrix solve
+        g = eigensolve(assemble(tau, 0.0, basis), basis.sectors)[-1]
+        assert g.sector == basis.sectors[np.argmax(np.abs(g.vector))]
+        assert g.sector == grid_solve(alpha, FieldConfig(tau, 0.0), GridSpec(64, 32)).sector
