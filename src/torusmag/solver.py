@@ -60,14 +60,16 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> np.ndarray:
-    """Each matrix's scale max(1, max|H|), once no matrix of the stack h
-    couples the sectors, nor is a Hermitian one (where hermitian[i]) not
-    Hermitian, by more than HERMITICITY_TOL times its scale.  The bound is
-    relative because the rounding defect grows with the entries."""
+def _check(h, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's scale max(1, max|H|) and H^dagger, after checking that
+    no matrix of the stack h couples the sectors, and no Hermitian one
+    (hermitian[i]) departs from H^dagger, by more than HERMITICITY_TOL times
+    its scale; relative, because the rounding defect grows with the entries."""
+    # contiguous, since arithmetic with a transposed complex view is slow
+    adjoint = np.ascontiguousarray(h.transpose(0, 2, 1)).conj()
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     leak = np.max(np.abs(h) * (sector[:, None] != sector), axis=(1, 2))
-    defect = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2)) * hermitian
+    defect = np.max(np.abs(h - adjoint), axis=(1, 2)) * hermitian
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
             raise ArithmeticError(f"matrix couples the inversion sectors: "
@@ -75,7 +77,7 @@ def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> np.ndarray:
         if defect[i] > bound:
             raise HermiticityError(f"matrix is not Hermitian: max|H - H^dagger| "
                                    f"= {defect[i]:.3e} exceeds {bound:.1e}")
-    return scale
+    return scale, adjoint
 
 
 def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
@@ -84,13 +86,11 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
     sector is the label, in sector, of its vector's largest amplitude.
     Raises ArithmeticError when a `_check` bound fails (HermiticityError for
     a matrix that is not Hermitian, instead of silently symmetrizing)."""
-    _check(h, True, sector)
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().transpose(0, 2, 1)))
-    states = []
-    for wi, vi in zip(w, v):
-        x = vi[:, np.argmax(wi)]
-        states.append(GroundState(float(wi.max()), x, int(sector[np.argmax(np.abs(x))])))
-    return states
+    _, adjoint = _check(h, True, sector)
+    w, v = np.linalg.eigh(0.5 * (h + adjoint))
+    x = [vi[:, np.argmax(wi)] for wi, vi in zip(w, v)]
+    return [GroundState(float(wi.max()), xi, int(sector[np.argmax(np.abs(xi))]))
+            for wi, xi in zip(w, x)]
 
 
 def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
@@ -104,7 +104,7 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
     if h.imag.any() or not np.isfinite(h).all():
         raise ArithmeticError("matrix is not finite and real")
     h, hermitian = h.real, np.asarray(hermitian, dtype=bool)
-    scale = _check(h, hermitian, sector)
+    scale, _ = _check(h, hermitian, sector)
     idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
     blocks = [h[:, i[:, None], i] for i in idx]
     top = np.empty((len(h), len(idx)), dtype=complex)  # per matrix and sector
