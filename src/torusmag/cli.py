@@ -257,7 +257,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                     for k, n, m, a in comp.real_combinations()
                 ],
             }
-            fmt = "+.6f" if abs(eps0) < 1e6 else "+.6e"  # a huge field's eps0 too
+            fmt = "+.6f" if abs(eps0) < 1e6 else "+.6e"  # not ~300 digits at 1e150
             text = f"{name:7s} tau={tau:<4g} eps0={eps0:{fmt}}  {comp.format_text()}"
             rows[name].append((row, text))
     ordered = [entry for entries in rows.values() for entry in entries]
