@@ -3,28 +3,28 @@
 The operator acts on functions of (theta, phi) and is expanded in the
 weighted Gram-Schmidt basis of `basis`.  Every term has the form
 
-    C(theta) * P(phi) * d^j/dtheta^j * d^p/dphi^p
+    C(theta) * P(phi) * d^j/dtheta^j * (-i d/dphi)^p
 
-with C a trig polynomial over nonnegative powers of 1/F and P a trig
-polynomial in phi of degree at most 2.  A basis state is a theta-function
-times exp(i nu phi), so a term's matrix is the Kronecker product of its
-theta integrals over function pairs, done by periodic trapezoid quadrature
-(geometric convergence for these analytic periodic integrands), with its
-nu x nu matrix of exact harmonic sums (selection rule |nu_row - nu_col| <= 2).
+with C a real trig polynomial over powers of 1/F and P a real combination of
+exp(i m phi), |m| <= 2, such as i sin(phi).  On a basis state, a theta-function
+times exp(i nu phi), -i d/dphi is nu, so a term's real matrix is the Kronecker
+product of its theta integrals over function pairs (periodic trapezoid rule,
+geometric convergence for these analytic integrands) with its nu x nu matrix
+of exact harmonic sums (selection rule |nu_row - nu_col| <= 2).
 
 Matrix elements are taken as <chi_row | H chi_col> over the measure
 F(theta) dtheta dphi without symmetrization; the weight itself supplies the
 integration by parts that makes the first-derivative kinetic term
-self-adjoint.  The magnetic curvature coupling enters as -i times the real
-potential (alpha tau1 / 2) sin(theta) sin(phi) (1 + 2 alpha cos(theta))/F,
-which is 2 a^2 (e/hbar) h A_N for the mean curvature h and the normal
-component A_N of the vector potential.  With that sign the term exactly
-cancels the anti-self-adjoint residue of the paramagnetic in-plane
-couplings, so the assembled matrix is Hermitian to machine precision; with
-the opposite sign it is not.  Dropping the term while tau1 != 0 therefore
-leaves a slightly non-Hermitian matrix by construction (`FieldConfig.hermitian`
-is False).  So a field's stack goes to `solver.eigensolve_general` when
-tau1 != 0, and whole to `solver.eigensolve` at tau1 = 0.
+self-adjoint.  The magnetic curvature coupling is the row -V times i sin(phi),
+V = (alpha tau1 / 2) sin(theta) (1 + 2 alpha cos(theta))/F, where V sin(phi)
+is 2 a^2 (e/hbar) h A_N for the mean curvature h and the normal component A_N
+of the vector potential.  With that sign the term exactly cancels the
+antisymmetric residue of the paramagnetic in-plane couplings, so the
+assembled matrix is Hermitian to machine precision; with the opposite sign
+it is not.  Dropping the term while tau1 != 0 therefore leaves a slightly
+non-Hermitian matrix by construction (`FieldConfig.hermitian` is False).  So
+a field's stack goes to `solver.eigensolve_general` when tau1 != 0, and
+whole to `solver.eigensolve` at tau1 = 0.
 
 The three printed variants, off-off, on-off and on-on (curvature
 potential, magnetic coupling), are nested prefixes of `_term_table`, whose
@@ -47,10 +47,10 @@ from .basis import BasisSet
 #: Nodes of the periodic trapezoid rule for the theta integrals.
 N_QUAD = 512
 
-#: phi-harmonic tables: {m: c_m} meaning P(phi) = sum_m c_m exp(i m phi).
+#: phi-harmonic tables, {m: c_m} for P(phi) = sum_m c_m exp(i m phi), all real.
 _ONE = {0: 1.0}
 _COS = {1: 0.5, -1: 0.5}
-_SIN = {1: -0.5j, -1: 0.5j}
+_ISIN = {1: 0.5, -1: -0.5}
 _SIN2 = {0: 0.5, 2: -0.25, -2: -0.25}
 
 
@@ -69,31 +69,31 @@ def _field_rows(al: float, t0: float, t1: float, st, ct, f) -> dict[int, tuple]:
     """`_term_table`'s rows that depend on the field, by index (tau^2 may be inf)."""
     t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2
     return {
-        3: (1j * t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
-        4: (-1j * t1 * al**3 * st / f, _COS, 0, 1),
-        5: (1j * al * t1 * (al + ct), _SIN, 1, 0),
-        6: (-0.25 * t0_sq * al**2 * f**2 + 0j, _ONE, 0, 0),
-        7: (-0.25 * t1_sq * al**2 * f**2 + 0j, _SIN2, 0, 0),
-        8: (-0.25 * t1_sq * al**4 * st**2 + 0j, _ONE, 0, 0),
-        9: (0.5 * t0 * t1 * al**3 * f * st + 0j, _COS, 0, 0),
-        # -i times the real coupling; its sin(phi) factor is the _SIN harmonic
-        _COUPLING: (-1j * (0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _SIN, 0, 0),
+        3: (-t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
+        4: (t1 * al**3 * st * (1.0 / f), _COS, 0, 1),  # not / f: the outputs pin it
+        5: (al * t1 * (al + ct), _ISIN, 1, 0),
+        6: (-0.25 * t0_sq * al**2 * f**2, _ONE, 0, 0),
+        7: (-0.25 * t1_sq * al**2 * f**2, _SIN2, 0, 0),
+        8: (-0.25 * t1_sq * al**4 * st**2, _ONE, 0, 0),
+        9: (0.5 * t0 * t1 * al**3 * f * st, _COS, 0, 0),
+        # -i times the real coupling V sin(phi): -V times the i sin(phi) pair
+        _COUPLING: (-(0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _ISIN, 0, 0),
     }
 
 
 def _term_table(
     al: float, t0: float, t1: float, theta: np.ndarray
-) -> list[tuple[np.ndarray, dict[int, complex], int, int]]:
-    """(C(theta) samples, phi harmonics, d/dtheta order, d/dphi order) for
-    each term of the operator at aspect ratio al and field (t0, t1), both
-    potentials included."""
+) -> list[tuple[np.ndarray, dict[int, float], int, int]]:
+    """(C(theta) samples, phi harmonics P, d/dtheta order j, -i d/dphi order
+    p) for each term C P d^j/dtheta^j (-i d/dphi)^p of the operator at aspect
+    ratio al and field (t0, t1), both potentials included; all real."""
     st, ct = np.sin(theta), np.cos(theta)
     f = 1.0 + al * ct
     rows = _field_rows(al, t0, t1, st, ct, f) | {
-        0: (np.ones_like(theta) + 0j, _ONE, 2, 0),
-        1: (-al * st / f + 0j, _ONE, 1, 0),
-        2: (al**2 / f**2 + 0j, _ONE, 0, 2),
-        _CURVATURE: (0.25 / f**2 + 0j, _ONE, 0, 0),
+        0: (np.ones_like(theta), _ONE, 2, 0),
+        1: (-al * st / f, _ONE, 1, 0),
+        2: (-al**2 / f**2, _ONE, 0, 2),
+        _CURVATURE: (0.25 / f**2, _ONE, 0, 0),
     }
     return [rows[i] for i in range(len(rows))]
 
@@ -121,7 +121,7 @@ class _BasisTerms:
         for _, harm, _, jp in rows:
             # exact phi integrals: harmonic m moves nu_col to nu_col + m
             full = sum(cm * np.eye(nus.size, k=-m) for m, cm in harm.items())
-            full = full * (1j * nus) ** jp
+            full = full * nus**jp
             r, c = np.nonzero(full)
             self.phi.append((r, c, full[r, c, None, None]))
         self.fixed = {i: self.increment(i, rows[i]) for i in _FIELD_FREE}
@@ -130,8 +130,9 @@ class _BasisTerms:
         """Row i's entries on its harmonic matrix's nonzeros, where they form
         the Kronecker product (theta matrix) x (harmonic matrix)."""
         coeff, _, jt, _ = row
-        # theta integrals for all basis-function pairs at once
-        tmat = (self.tables[0] * (coeff * self.f)) @ self.tables[jt].T * self.dtheta
+        # complex only because the stored outputs pin its rounding (ROADMAP item 1)
+        tmat = ((self.tables[0] * (coeff * self.f)).astype(complex)
+                @ self.tables[jt].T).real * self.dtheta
         return tmat * self.phi[i][2]
 
 
@@ -142,7 +143,7 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 
 
 def assemble(tau0: float, tau1: float, basis: BasisSet) -> np.ndarray:
-    """The dense complex matrices of the surface Hamiltonian at one field, a
+    """The real matrices of the surface Hamiltonian at one field, a float64
     (3, n, n) stack of the printed variants in `cli.VARIANTS` order: off-off,
     on-off and on-on (curvature potential, magnetic coupling); rows and
     columns follow `basis.labels()`.  The curvature potential enters as
@@ -152,7 +153,7 @@ def assemble(tau0: float, tau1: float, basis: BasisSet) -> np.ndarray:
     if terms is None:
         terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
     nf, nnu = len(basis.functions), len(basis.nus)
-    stack = np.zeros((3, nf, nnu, nf, nnu), dtype=complex)  # rows, columns (f, nu)
+    stack = np.zeros((3, nf, nnu, nf, nnu))  # rows, columns (f, nu)
     h = stack[2]  # the running sum, on-on at the end
     # a non-finite sum stays non-finite, so the last matrix shows an overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,15 +3,15 @@
 The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
 the physical ground state is the eigenvector with the LARGEST raw eps.
 
-Both solvers take a stack of one field's matrices and return a `GroundState`
-per matrix, after one shared check of the Hermiticity of the Hermitian ones
-and of the split into the inversion sectors of `BasisSet.sectors`.  The
-commands use `eigensolve`, one batched whole-matrix complex `eigh` call, at
-tau1 = 0, since the stored `sweep` and `table` outputs pin its rounding byte
-for byte.  Other fields go through `eigensolve_general`: every assembled H is
-exactly real (the operator commutes with conjugation composed with
-phi -> -phi, which fixes the basis states, so its eigenvalues are real or
-conjugate pairs).  Per sector, one batched `eigvalsh` call (Hermitian
+Both solvers take a real stack of one field's matrices (every assembled H is
+exactly real, so its eigenvalues are real or conjugate pairs) and return a
+`GroundState` with a real vector per matrix, after one shared check of the
+Hermiticity of the Hermitian ones and of the split into the inversion
+sectors of `BasisSet.sectors`.  The commands use `eigensolve`, one batched
+whole-matrix `eigh` call, at tau1 = 0; it runs in complex arithmetic only
+because the stored `sweep` and `table` outputs pin its rounding byte for
+byte.  Other fields go through
+`eigensolve_general`: per sector, one batched `eigvalsh` call (Hermitian
 members) and one `eigvals` call give each block's top eigenvalue; the larger
 top is the ground, which must be real (high levels may pair up), and inverse
 iteration on its block gives the vector.
@@ -60,16 +60,17 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def _check(h, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix's scale max(1, max|H|) and H^dagger, after checking that
-    no matrix of the stack h couples the sectors, and no Hermitian one
-    (hermitian[i]) departs from H^dagger, by more than HERMITICITY_TOL times
-    its scale; relative, because the rounding defect grows with the entries."""
-    # contiguous, since arithmetic with a transposed complex view is slow
-    adjoint = np.ascontiguousarray(h.transpose(0, 2, 1)).conj()
+def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's scale max(1, max|H|) and H^T, after checking that the
+    stack h is finite and real, that no matrix couples the sectors, and no
+    Hermitian one (hermitian[i]) departs from H^T, by more than HERMITICITY_TOL
+    times its scale; relative, because the rounding defect grows with H."""
+    if np.iscomplexobj(h) or not np.isfinite(h).all():
+        raise ArithmeticError("matrix is not finite and real")
+    transpose = h.transpose(0, 2, 1)
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     leak = np.max(np.abs(h) * (sector[:, None] != sector), axis=(1, 2))
-    defect = np.max(np.abs(h - adjoint), axis=(1, 2)) * hermitian
+    defect = np.max(np.abs(h - transpose), axis=(1, 2)) * hermitian
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
             raise ArithmeticError(f"matrix couples the inversion sectors: "
@@ -77,18 +78,19 @@ def _check(h, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if defect[i] > bound:
             raise HermiticityError(f"matrix is not Hermitian: max|H - H^dagger| "
                                    f"= {defect[i]:.3e} exceeds {bound:.1e}")
-    return scale, adjoint
+    return scale, transpose
 
 
 def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
-    """Ground state of each Hermitian matrix of a stack h (k, n, n), by one
-    batched whole-matrix `eigh` call on the symmetrized stack; a ground's
+    """Ground state of each Hermitian matrix of a real stack h (k, n, n), by
+    one batched whole-matrix `eigh` call on the symmetrized stack; a ground's
     sector is the label, in sector, of its vector's largest amplitude.
     Raises ArithmeticError when a `_check` bound fails (HermiticityError for
     a matrix that is not Hermitian, instead of silently symmetrizing)."""
-    _, adjoint = _check(h, True, sector)
-    w, v = np.linalg.eigh(0.5 * (h + adjoint))
-    x = [vi[:, np.argmax(wi)] for wi, vi in zip(w, v)]
+    _, transpose = _check(h, True, sector)
+    # complex only because the stored outputs pin its rounding (ROADMAP item 1)
+    w, v = np.linalg.eigh((0.5 * (h + transpose)).astype(complex))
+    x = [vi[:, np.argmax(wi)].real for wi, vi in zip(w, v)]  # Im x is exactly 0
     return [GroundState(float(wi.max()), xi, int(sector[np.argmax(np.abs(xi))]))
             for wi, xi in zip(w, x)]
 
@@ -96,14 +98,11 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
 def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
     """Ground state of each matrix of a stack h (k, n, n) or sequence of k
     matrices whose states split into the sectors labelled by sector[j]; h[i]
-    must be Hermitian where hermitian[i].  Raises ArithmeticError when h is
-    not finite and real, a `_check` bound fails (HermiticityError for a
-    Hermitian member), the ground is complex (ComplexGroundError) or the
-    shifted block is exactly singular."""
-    h = np.asarray(h)
-    if h.imag.any() or not np.isfinite(h).all():
-        raise ArithmeticError("matrix is not finite and real")
-    h, hermitian = h.real, np.asarray(hermitian, dtype=bool)
+    must be Hermitian where hermitian[i].  Raises ArithmeticError when a
+    `_check` bound fails (HermiticityError for a Hermitian member), the
+    ground is complex (ComplexGroundError) or the shifted block is exactly
+    singular."""
+    h, hermitian = np.asarray(h), np.asarray(hermitian, dtype=bool)
     scale, _ = _check(h, hermitian, sector)
     idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
     blocks = [h[:, i[:, None], i] for i in idx]
@@ -118,9 +117,11 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
         if imag > min(GROUND_IMAG_TOL, bound):
             raise ComplexGroundError(f"ground eigenvalue has imaginary part {imag:.3e}, "
                                      f"above {min(GROUND_IMAG_TOL, bound):.1e}")
-        eps0, block = top[i, s].real, blocks[s][i]
-        # inverse iteration from a start of ones, shifted just past eps0
-        shift = eps0 + INVERSE_SHIFT * max(1.0, abs(eps0))
+        eps0, k = top[i, s].real, int(np.rint(np.log2(scale[i])))
+        # inverse iteration from a start of ones, shifted just past eps0, on
+        # the block over 2**k ~ scale[i]: exact, and no overflow at huge fields
+        block = np.ldexp(blocks[s][i], -k)
+        shift = np.ldexp(eps0 + INVERSE_SHIFT * max(1.0, abs(eps0)), -k)
         shifted = block - shift * np.eye(len(block))
         try:
             x = np.linalg.solve(shifted, np.ones(len(block)))
@@ -128,7 +129,7 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
         except np.linalg.LinAlgError as exc:  # a LinAlgError is a ValueError
             raise ArithmeticError(f"shifted ground block is singular: {exc}") from exc
         x /= np.linalg.norm(x)
-        residual = np.linalg.norm(block @ x - eps0 * x)
+        residual = np.ldexp(np.linalg.norm(block @ x - np.ldexp(eps0, -k) * x), k)
         if not residual <= bound:
             raise ArithmeticError(
                 f"ground vector residual {residual:.3e} exceeds {bound:.1e}")
@@ -142,9 +143,9 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
 class StateComposition:
     """Ground-state amplitudes as a (function x nu) array.
 
-    amps[i, j] is the amplitude of theta-function functions[i] times
-    exp(i nus[j] phi).  The global phase is fixed so the largest amplitude
-    is real positive; display methods apply DISPLAY_THRESHOLD.
+    amps[i, j] is the real amplitude of theta-function functions[i] times
+    exp(i nus[j] phi).  The sign is fixed so the largest amplitude is
+    positive; display methods apply DISPLAY_THRESHOLD.
     """
 
     amps: np.ndarray
@@ -156,7 +157,7 @@ class StateComposition:
         such nu on a tie."""
         return self.nus[int(np.argmax(np.sum(np.abs(self.amps) ** 2, axis=0)))]
 
-    def real_combinations(self) -> list[tuple[str, int, int, complex]]:
+    def real_combinations(self) -> list[tuple[str, int, int, float]]:
         """Group nu = +/-m pairs into cos/sin phi form.
 
         Returns rows (kind, n, m, amplitude) where m >= 0; m = 0 rows are
@@ -168,10 +169,10 @@ class StateComposition:
 
         Rows with magnitude below DISPLAY_THRESHOLD are dropped.
         """
-        rows: list[tuple[str, int, int, complex]] = []
+        rows: list[tuple[str, int, int, float]] = []
         # + 0.0 turns a signed zero into +0.0, as a Python sum from 0.0 does
         for (kind, n), row in zip(self.functions, self.amps + 0.0):
-            amp = dict(zip(self.nus, map(complex, row)))
+            amp = dict(zip(self.nus, map(float, row)))
             for m in sorted({abs(nu) for nu in self.nus}):
                 if m == 0:
                     rows.append((kind, n, 0, amp[0]))
@@ -192,16 +193,12 @@ class StateComposition:
                 name += f" cos{m if m > 1 else ''}phi"
             elif m < 0:
                 name += f" i sin{-m if m < -1 else ''}phi"
-            if abs(amp.imag) < 1e-9 * max(1.0, abs(amp.real)):
-                parts.append(f"{amp.real:+.3f} {name}")
-            else:
-                parts.append(f"({amp.real:+.3f}{amp.imag:+.3f}i) {name}")
+            parts.append(f"{amp:+.3f} {name}")
         return "  ".join(parts) if parts else "(no terms above threshold)"
 
 
 def ground_state_composition(vec: np.ndarray, basis: BasisSet) -> StateComposition:
-    """Amplitudes of a ground vector in basis, phase-fixed."""
-    top = int(np.argmax(np.abs(vec)))
-    vec = vec / (vec[top] / abs(vec[top]))
+    """Amplitudes of a real ground vector in basis, sign-fixed."""
+    vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
     functions, nus = basis.functions, basis.nus
     return StateComposition(vec.reshape(len(functions), len(nus)), functions, nus)

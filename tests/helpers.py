@@ -30,9 +30,10 @@ def solve_ground(h, basis):
 
 
 def spectrum(h) -> tuple[np.ndarray, np.ndarray]:
-    """The full spectrum of a Hermitian matrix: `np.linalg.eigh` of its
-    Hermitian part, eigenvalues ascending with aligned vector columns."""
-    return np.linalg.eigh(0.5 * (h + h.conj().T))
+    """The full spectrum of a real Hermitian matrix: `np.linalg.eigh` of its
+    symmetric part, cast to complex as in `eigensolve`, eigenvalues ascending
+    with aligned vector columns."""
+    return np.linalg.eigh((0.5 * (h + h.T)).astype(complex))
 
 
 def hermiticity_defect(h) -> float:
@@ -69,11 +70,12 @@ def reference_assemble(field, basis) -> np.ndarray:
 
     nus = np.array(basis.nus)
     nf, nnu = len(vals), len(nus)
-    h = np.zeros((nf, nnu, nf, nnu), dtype=complex)  # rows and columns (f, nu)
+    h = np.zeros((nf, nnu, nf, nnu))  # rows and columns (f, nu)
     dtheta = 2.0 * np.pi / n_quad
     for coeff, harm, jt, jp in variant_rows(basis.alpha, field, theta):
-        tmat = (vals * (coeff * f)) @ deriv[jt].T * dtheta
-        phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * (1j * nus) ** jp
+        # the complex product whose rounding the stored outputs pin
+        tmat = ((vals * (coeff * f)).astype(complex) @ deriv[jt].T).real * dtheta
+        phi = sum(cm * np.eye(nnu, k=-m) for m, cm in harm.items()) * nus**jp
         r, c = np.nonzero(phi)
         h[:, r, :, c] += tmat * phi[r, c, None, None]
     return h.reshape(nf * nnu, nf * nnu)
@@ -113,12 +115,12 @@ def operator_matrix(field, basis) -> np.ndarray:
     return reference_assemble(field, basis)
 
 
-def amplitude(comp, label) -> complex:
+def amplitude(comp, label) -> float:
     """Amplitude of one basis label in a composition; 0 if it is absent."""
     kind, n, nu = label
     if (kind, n) not in comp.functions or nu not in comp.nus:
         return 0.0
-    return complex(comp.amps[comp.functions.index((kind, n)), comp.nus.index(nu)])
+    return float(comp.amps[comp.functions.index((kind, n)), comp.nus.index(nu)])
 
 
 def norm_sq(comp) -> float:

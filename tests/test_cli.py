@@ -238,6 +238,30 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
         assert sorted(calls) == [0, 1, 2]
 
+    @pytest.mark.parametrize("orientation", ["axial", "in_plane", "tilted"])
+    def test_solvers_see_and_return_only_float64(self, orientation, tmp_path, monkeypatch):
+        # the operator is real from the term table on: every matrix that
+        # reaches a solver, and every ground vector it returns, is float64
+        dtypes = {}
+
+        def recorder(name):
+            layer = getattr(cli, name)
+
+            def recorded(stack, *args):
+                grounds = layer(stack, *args)
+                dtypes.setdefault(name, set()).update(
+                    [stack.dtype] + [g.vector.dtype for g in grounds])
+                return grounds
+
+            return recorded
+
+        for name in ("eigensolve", "eigensolve_general"):
+            monkeypatch.setattr(cli, name, recorder(name))
+        argv = ["sweep", "--orientation", orientation, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        solvers = ["eigensolve"] + ["eigensolve_general"] * (orientation != "axial")
+        assert dtypes == {name: {np.dtype(np.float64)} for name in solvers}
+
     def test_one_assembly_per_field(self, tmp_path, monkeypatch):
         # the three variants of a field share one assembly and reach one
         # solver call: the whole-matrix solve at tau1 = 0, the sector solve
@@ -305,6 +329,18 @@ class TestTableCommand:
             head = re.match(r"\S+ +tau=1e\+150 eps0=-\d\.\d{6}e\+\d{3}  ", line)
             assert head and len(head[0]) < 120
 
+    @pytest.mark.parametrize("orientation", ["tilted", "in_plane"])
+    def test_huge_tau1_fields_solve(self, orientation, tmp_path):
+        # the inverse iteration runs on the block over a power of two near
+        # max|H|, so it does not overflow; the ground level grows as tau^2
+        eps0 = {}
+        for tau in (1e100, 1e150):
+            out = tmp_path / f"{tau:g}.json"
+            argv = ["table", "--orientation", orientation, "--tau", f"{tau:g}"]
+            assert main(argv + ["--json-out", str(out)]) == EXIT_OK
+            eps0[tau] = [row["eps0"] / tau**2 for row in json.loads(out.read_text())["rows"]]
+        assert eps0[1e100] == pytest.approx(eps0[1e150], rel=1e-9)
+
 
 TABLE_KEYS = [key for key in CLI_COLD if key.startswith("table ")]
 
@@ -347,7 +383,7 @@ def never_assemble(*args, **kwargs):
 
 def diagonal_assemble(tau0, tau1, basis):
     """A stand-in for `assemble`: the same diagonal H for every variant."""
-    h = np.diag(np.arange(len(basis.labels()), dtype=complex))
+    h = np.diag(np.arange(len(basis.labels()), dtype=float))
     return np.stack([h] * len(cli.VARIANTS))
 
 

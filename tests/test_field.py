@@ -15,7 +15,7 @@ import pytest
 
 from test_geometry import MAJOR_RADIUS, MINOR_RADIUS, torus_curvatures, w
 from torusmag.field import FieldConfig, energy_scale_mev, tau_from_tesla
-from torusmag.hamiltonian import _COUPLING, _SIN, _term_table
+from torusmag.hamiltonian import _COUPLING, _ISIN, _term_table
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,15 @@ def vector_potential(
 def vmag_potential(field: FieldConfig, theta, phi):
     """Real magnetic coupling at (theta, phi), read from the term table.
 
-    Its row is (-i V(theta), the sin(phi) harmonics, no derivatives); the
-    value is the real V(theta) times that phi factor.
+    Its row is (-V(theta), the i sin(phi) harmonics, no derivatives), the
+    term -i V(theta) sin(phi); the value is i times that term.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     al = MINOR_RADIUS / MAJOR_RADIUS
     coeff, harm, jt, jp = _term_table(al, field.tau0, field.tau1, theta)[_COUPLING]
-    assert harm is _SIN and (jt, jp) == (0, 0)
+    assert harm is _ISIN and (jt, jp) == (0, 0)
     p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
-    value = (1j * coeff).real * p_phi.real
+    value = -coeff * p_phi.imag
     return value if value.size > 1 else float(value[0])
 
 

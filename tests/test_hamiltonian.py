@@ -139,13 +139,14 @@ class TestSymmetries:
     def test_matrix_exactly_real(self, basis, shape, vc, vmag):
         # every basis state f(theta) e^{i nu phi} is fixed by the antiunitary
         # map (complex conjugation) o (phi -> -phi), which commutes with H in
-        # every variant; the assembled matrix carries no imaginary part at all
+        # every variant; the matrix is assembled in real storage (the audit
+        # below checks the real rows against the operator)
         if shape != "default":
             basis = gram_schmidt_basis(0.8, n_even=8, n_odd=7, nu_range=(-3, 4))
         fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2)]
         for tau0, tau1 in fields:
             h = operator_matrix(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
-            assert np.max(np.abs(h.imag)) == 0.0, (tau0, tau1)
+            assert h.dtype == np.float64, (tau0, tau1)
 
     def test_quadrature_resolution_converged(self, alpha, monkeypatch):
         # each basis keeps its tables at the N_QUAD of its first assembly
@@ -160,7 +161,8 @@ class TestSymmetries:
 
 
 class TestOperatorAudit:
-    """Each term of the table against the operator derived symbolically.
+    """Each term C P d^j/dtheta^j (-i d/dphi)^p of the table against the
+    operator derived symbolically.
 
     Lengths in units of R, e/hbar = 1, electron charge (p + eA), and
     A = (1/2) B x r on the embedded torus with B = (tau1, 0, tau0).  The
@@ -208,7 +210,7 @@ class TestOperatorAudit:
         got = np.zeros_like(tt, dtype=complex)
         for coeff, harm, jt, jp in variant_rows(alpha, field, theta):
             p_phi = sum(c * np.exp(1j * m * phi) for m, c in harm.items())
-            dpsi = sp.lambdify((th, ph), psi.diff(th, jt, ph, jp), "numpy")(tt, pp)
+            dpsi = (-1j) ** jp * sp.lambdify((th, ph), psi.diff(th, jt, ph, jp), "numpy")(tt, pp)
             got += coeff[:, None] * p_phi[None, :] * dpsi
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -313,11 +315,12 @@ class TestBasisTerms:
         assert repr(small) == before
 
     def test_holds_no_dense_matrix(self):
-        # 4+4 functions and nu in [-8, 8]: dimension 136; the record holds
+        # 4+4 functions and nu in [-12, 12]: dimension 200, whose real
+        # matrix outweighs the 115 KB of node tables; the record holds
         # per-function-pair and per-node data, never a whole matrix
-        basis = gram_schmidt_basis(0.5, n_even=4, n_odd=4, nu_range=(-8, 8))
+        basis = gram_schmidt_basis(0.5, n_even=4, n_odd=4, nu_range=(-12, 12))
         h = assemble(1.2, 0.9, basis)[-1]
-        assert h.shape == (136, 136)
+        assert h.shape == (200, 200)
         arrays = list(_arrays(vars(hamiltonian._BASIS_TERMS[basis])))
         assert arrays and all(a.size < h.size for a in arrays)
         assert sum(a.nbytes for a in arrays) < h.nbytes

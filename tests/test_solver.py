@@ -24,7 +24,7 @@ from helpers import (
 
 
 def toy_matrix(entries):
-    return np.asarray(entries, dtype=complex)
+    return np.asarray(entries, dtype=float)
 
 
 def one_block(h):
@@ -35,8 +35,8 @@ def one_block(h):
 class TestEigensolve:
     def test_two_by_two_closed_form(self):
         a, c = 1.0, 3.0
-        b = 0.5 - 0.25j
-        h = toy_matrix([[a, b], [np.conj(b), c]])
+        b = -0.625
+        h = toy_matrix([[a, b], [b, c]])
         [g] = eigensolve(h[None], one_block(h))
         disc = np.sqrt(((a - c) / 2.0) ** 2 + abs(b) ** 2)
         assert g.eps0 == pytest.approx((a + c) / 2.0 + disc, abs=1e-12)
@@ -91,14 +91,23 @@ class TestEigensolve:
     def test_bitwise_equal_to_one_eigh_per_matrix(self, basis):
         # the stored sweep and table outputs pin the rounding of the tau1 = 0
         # solve: the batched call must give each matrix's eps0 and vector
-        # exactly as its own eigh call does, at every default axial field
+        # exactly as its own complex eigh call does, at every default axial
+        # field, and that vector is real
         for tau in RunConfig().taus():
             stack = assemble(tau, 0.0, basis)
             for g, h in zip(eigensolve(stack, basis.sectors), stack):
-                w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+                w, v = np.linalg.eigh((0.5 * (h + h.T)).astype(complex))
                 i = np.argmax(w)
                 assert g.eps0 == float(w[i]), tau
-                assert g.vector.tobytes() == v[:, i].tobytes(), tau
+                assert not v[:, i].imag.any(), tau
+                assert g.vector.tobytes() == v[:, i].real.tobytes(), tau
+
+    def test_refuses_complex_stack(self):
+        # every assembled H is real; a complex stack is refused, even one
+        # whose imaginary part is zero
+        h = np.eye(2, dtype=complex)
+        with pytest.raises(ArithmeticError, match="not finite and real"):
+            eigensolve(h[None], one_block(h))
 
     def test_cross_sector_entry_raises(self, basis):
         stack = assemble(1.0, 0.0, basis)
@@ -164,20 +173,23 @@ class TestEigensolveGeneral:
         # one inversion sector at a time; the reference is the complex
         # general solve of the whole matrix
         h = assemble_variant(field, basis)
-        assert h.dtype == complex and not field.hermitian
+        assert h.dtype == np.float64 and not field.hermitian
         g = general_ground(h, basis.sectors)
         assert g.vector.dtype == np.float64
-        w, v = np.linalg.eig(h)
+        w, v = np.linalg.eig(h.astype(complex))
         top = np.argmax(w.real)
         assert abs(g.eps0 - w[top].real) < 1e-12
         got = ground_state_composition(g.vector, basis)
-        want = ground_state_composition(v[:, top] / np.linalg.norm(v[:, top]), basis)
+        # a real eigenvalue's vector, up to a complex phase
+        x = v[:, top] / (v[:, top][np.argmax(np.abs(v[:, top]))])
+        assert np.max(np.abs(x.imag)) < 1e-12
+        want = ground_state_composition(x.real / np.linalg.norm(x.real), basis)
         assert np.max(np.abs(got.amps - want.amps)) < 1e-12
 
     def test_genuinely_complex_matrix(self):
         # every assembled H is exactly real; a complex one is refused, not
         # solved in complex arithmetic
-        h = toy_matrix([[1.0, 1j], [0.0, 2.0]])
+        h = np.array([[1.0, 1j], [0.0, 2.0]])
         with pytest.raises(ArithmeticError, match="not finite and real"):
             general_ground(h, one_block(h))
 
