@@ -192,15 +192,15 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _grounds(stack, basis: BasisSet, tau1: float) -> list[GroundState]:
-    """The ground of each matrix of a stack of one field's last len(stack)
-    variants: at tau1 = 0 by the whole-matrix solve, whose rounding the stored
+def _grounds(stack, basis: BasisSet, tau1: float, k: int = 3) -> list[GroundState]:
+    """The ground of each of the last k variants of one field's `assemble`
+    result: at tau1 = 0 by the whole-matrix solve, whose rounding the stored
     outputs pin, else by the sector solve, where a variant without the
     magnetic coupling is not Hermitian."""
     if tau1 == 0.0:
-        return eigensolve(stack, basis.sectors)
-    hermitian = [vmag for _, _, vmag in VARIANTS][-len(stack):]
-    return eigensolve_general(stack, hermitian, basis.sectors)
+        return eigensolve(stack[-k:], basis.sectors)
+    hermitian = [vmag for _, _, vmag in VARIANTS][-k:]
+    return eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
 
 
 def _ground_states(
@@ -285,7 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
             # only on-on, which is Hermitian, is compared, on the printed path
             stack = assemble(field.tau0, field.tau1, basis)
-            eps_basis = _grounds(stack[-1:], basis, field.tau1)[0].eps0
+            eps_basis = _grounds(stack, basis, field.tau1, 1)[0].eps0
             if field not in grid_eps0:
                 ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = ground.eps0

@@ -22,27 +22,28 @@ of the vector potential.  With that sign the term exactly cancels the
 antisymmetric residue of the paramagnetic in-plane couplings, so the
 assembled matrix is Hermitian to machine precision; with the opposite sign
 it is not.  Dropping the term while tau1 != 0 therefore leaves a slightly
-non-Hermitian matrix by construction (`FieldConfig.hermitian` is False).  So
-a field's stack goes to `solver.eigensolve_general` when tau1 != 0, and
-whole to `solver.eigensolve` at tau1 = 0.
+non-Hermitian matrix by construction (`FieldConfig.hermitian` is False).
 
 The three printed variants, off-off, on-off and on-on (curvature
-potential, magnetic coupling), are nested prefixes of `_term_table`, whose
-last two rows are the curvature potential and the coupling.  `assemble`
-adds the rows in table order to the on-on slot of a zero stack and copies it
-to the other two slots before those two rows, the same ordered loop as a
-term-by-term assembly of each variant, so each matrix keeps its bits.  What
-does not depend on the field is kept per basis in `_BasisTerms`, so a field
-builds only its field rows.
+potential V, magnetic coupling K), are nested prefixes of `_term_table`.
+H = C + V + tau0 A0 + tau1 A1 + tau0^2 Q0 + tau1^2 Q1 + tau0 tau1 X + tau1 K
+exactly, and no piece couples the two inversion sectors.  So at tau1 != 0,
+`assemble` combines the eight real pieces, integrated and checked once per
+basis and kept as sector blocks, into one (3, n_s, n_s) stack per sector.
+At tau1 = 0 the stored outputs pin the rounding of an ordered loop: it adds
+the nonzero rows in table order to the on-on slot of a zero stack, copied to
+the other slots before V and K.  `_BasisTerms` keeps the per-basis parts.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
 from .basis import BasisSet
+from .solver import check
 
 #: Nodes of the periodic trapezoid rule for the theta integrals.
 N_QUAD = 512
@@ -63,6 +64,11 @@ def quadrature_nodes(n_quad: int) -> np.ndarray:
 #: and those that do not depend on the field.
 _CURVATURE, _COUPLING = 10, 11
 _FIELD_FREE = (0, 1, 2, _CURVATURE)
+
+#: The rows of the pieces C, V, A0, A1, Q0, Q1, X and K of H at tau1 != 0,
+#: each at a unit field (tau0, tau1) that leaves its rows their coefficients.
+_PIECES = {(0, 1, 2): (0, 0), (_CURVATURE,): (0, 0), (3,): (1, 0), (4, 5): (0, 1),
+           (6,): (1, 0), (7, 8): (0, 1), (9,): (1, 1), (_COUPLING,): (0, 1)}
 
 
 def _field_rows(al: float, t0: float, t1: float, st, ct, f) -> dict[int, tuple]:
@@ -104,10 +110,14 @@ class _BasisTerms:
     `st`, `ct`, `f` and `tables[j]` (read-only) hold sin, cos, F and the
     j-th theta-derivative of every basis function at `theta`; `phi[i]` holds
     row i's nu x nu harmonic matrix as its nonzero (row, column) indices and
-    their values; `fixed[i]` is the increment of each field-free row i.
+    their values; `fixed[i]` is the increment of each field-free row i;
+    `index[s]` lists the states of the s-th inversion sector.
     """
 
     def __init__(self, basis: BasisSet):
+        self.alpha, self.sectors = basis.alpha, basis.sectors
+        self.index = [np.flatnonzero(self.sectors == s) for s in np.unique(self.sectors)]
+        self.shape = (len(basis.functions), len(basis.nus)) * 2  # rows, columns (f, nu)
         self.theta = quadrature_nodes(N_QUAD)
         self.dtheta = 2.0 * np.pi / N_QUAD
         self.st, self.ct = np.sin(self.theta), np.cos(self.theta)
@@ -135,6 +145,23 @@ class _BasisTerms:
                 @ self.tables[jt].T).real * self.dtheta
         return tmat * self.phi[i][2]
 
+    @cached_property
+    def pieces(self) -> list[np.ndarray]:
+        """Each sector's blocks of the `_PIECES`, flattened, (8, n_s * n_s),
+        after checking that no piece couples the sectors: H is their linear
+        combination, so this covers every field."""
+        out = [np.empty((len(_PIECES), i.size**2)) for i in self.index]
+        for k, (rows, unit) in enumerate(_PIECES.items()):
+            table = _term_table(self.alpha, *unit, self.theta)
+            h = np.zeros(self.shape)
+            for i in rows:
+                h[:, self.phi[i][0], :, self.phi[i][1]] += self.increment(i, table[i])
+            h = h.reshape(len(self.sectors), -1)
+            check([h[None]], False, self.sectors)
+            for block, i in zip(out, self.index):
+                block[k] = h[np.ix_(i, i)].ravel()
+        return out
+
 
 #: Each basis's field-free terms, dropped when the basis is.
 _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
@@ -142,30 +169,39 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 )
 
 
-def assemble(tau0: float, tau1: float, basis: BasisSet) -> np.ndarray:
-    """The real matrices of the surface Hamiltonian at one field, a float64
-    (3, n, n) stack of the printed variants in `cli.VARIANTS` order: off-off,
-    on-off and on-on (curvature potential, magnetic coupling); rows and
-    columns follow `basis.labels()`.  The curvature potential enters as
-    1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises OverflowError,
-    naming the field, when a matrix is not finite."""
+def assemble(tau0: float, tau1: float, basis: BasisSet):
+    """The real matrices of the surface Hamiltonian at one field, off-off,
+    on-off and on-on as in `cli.VARIANTS`: at tau1 = 0 one float64 (3, n, n)
+    stack in `basis.labels()` order, else a list of one such (3, n_s, n_s)
+    stack per inversion sector, in label order.  The curvature potential
+    enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises
+    OverflowError, naming the field, when a matrix is not finite."""
     terms = _BASIS_TERMS.get(basis)
     if terms is None:
         terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
-    nf, nnu = len(basis.functions), len(basis.nus)
-    stack = np.zeros((3, nf, nnu, nf, nnu))  # rows, columns (f, nu)
-    h = stack[2]  # the running sum, on-on at the end
     # a non-finite sum stays non-finite, so the last matrix shows an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _field_rows(basis.alpha, tau0, tau1, terms.st, terms.ct, terms.f)
-        for i, (r, c, _) in enumerate(terms.phi):
-            if i == _CURVATURE:
-                stack[0] = h
-            elif i == _COUPLING:
-                stack[1] = h
-            inc = terms.fixed[i] if i in terms.fixed else terms.increment(i, rows[i])
-            h[:, r, :, c] += inc
-    if not np.isfinite(h).all():
+        if tau1 != 0.0:
+            t0, t1 = np.float64(tau0), np.float64(tau1)
+            field = [t0, t1, t0 * t0, t1 * t1, t0 * t1]  # times A0, A1, Q0, Q1, X
+            coeff = np.array([[1.0, vc, *field, vmag * t1]
+                              for vc, vmag in ((0, 0), (1, 0), (1, 1))])
+            out = [(coeff @ p).reshape(3, i.size, i.size)
+                   for p, i in zip(terms.pieces, terms.index)]
+        else:
+            stack = np.zeros((3, *terms.shape))
+            h = stack[2]  # the running sum, on-on at the end
+            rows = _field_rows(basis.alpha, tau0, tau1, terms.st, terms.ct, terms.f)
+            for i, (r, c, _) in enumerate(terms.phi):
+                if i == _CURVATURE:
+                    stack[0] = h
+                elif i == _COUPLING:
+                    stack[1] = h
+                if i in terms.fixed or rows[i][0].any():  # a zero row changes no bit
+                    h[:, r, :, c] += (terms.fixed[i] if i in terms.fixed
+                                      else terms.increment(i, rows[i]))
+            out = [stack.reshape(3, len(basis.sectors), -1)]
+    if not all(np.isfinite(s).all() for s in out):
         raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "
                             "its matrices are not finite")
-    return stack.reshape(3, nf * nnu, nf * nnu)
+    return out if tau1 != 0.0 else out[0]

@@ -3,18 +3,19 @@
 The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
 the physical ground state is the eigenvector with the LARGEST raw eps.
 
-Both solvers take a real stack of one field's matrices (every assembled H is
-exactly real, so its eigenvalues are real or conjugate pairs) and return a
-`GroundState` with a real vector per matrix, after one shared check of the
-Hermiticity of the Hermitian ones and of the split into the inversion
-sectors of `BasisSet.sectors`.  The commands use `eigensolve`, one batched
-whole-matrix `eigh` call, at tau1 = 0; it runs in complex arithmetic only
-because the stored `sweep` and `table` outputs pin its rounding byte for
-byte.  Other fields go through
-`eigensolve_general`: per sector, one batched `eigvalsh` call (Hermitian
-members) and one `eigvals` call give each block's top eigenvalue; the larger
-top is the ground, which must be real (high levels may pair up), and inverse
-iteration on its block gives the vector.
+Both solvers take one field's real matrices as `hamiltonian.assemble`
+returns them (every assembled H is exactly real, so its eigenvalues are
+real or conjugate pairs) and return a `GroundState` with a real vector per
+matrix, after checking that they are finite and that the Hermitian ones are
+Hermitian.  `eigensolve` takes the whole stack of a tau1 = 0 field, checks
+its split into the inversion sectors of `BasisSet.sectors`, and makes one
+batched whole-matrix `eigh` call, in complex arithmetic only because the
+stored `sweep` and `table` outputs pin its rounding byte for byte.
+`eigensolve_general` takes the sector stacks of any other field, whose
+pieces `assemble` checked per basis: per sector, one batched `eigvalsh`
+call (Hermitian members) and one `eigvals` call give each block's top
+eigenvalue; the larger top is the ground, which must be real (high levels
+may pair up), and inverse iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of the basis
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -60,17 +61,20 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix's scale max(1, max|H|) and H^T, after checking that the
-    stack h is finite and real, that no matrix couples the sectors, and no
-    Hermitian one (hermitian[i]) departs from H^T, by more than HERMITICITY_TOL
-    times its scale; relative, because the rounding defect grows with H."""
-    if np.iscomplexobj(h) or not np.isfinite(h).all():
+def check(blocks, hermitian, sector=None) -> np.ndarray:
+    """Each matrix's scale max(1, max|H|) over blocks, a sequence of stacks
+    (k, m, m) that hold k matrices by blocks, after checking that they are
+    finite and real, that no Hermitian one (hermitian[i]) departs from H^T
+    and, given the sector labels of whole matrices, that none couples the
+    sectors, by more than HERMITICITY_TOL times its scale; relative, because
+    the rounding defect grows with H."""
+    if any(np.iscomplexobj(b) or not np.isfinite(b).all() for b in blocks):
         raise ArithmeticError("matrix is not finite and real")
-    transpose = h.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
-    leak = np.max(np.abs(h) * (sector[:, None] != sector), axis=(1, 2))
-    defect = np.max(np.abs(h - transpose), axis=(1, 2)) * hermitian
+    scale = np.maximum(1.0, np.max([np.max(np.abs(b), axis=(1, 2)) for b in blocks], 0))
+    defect = 0.0 * scale if not np.any(hermitian) else hermitian * np.max(
+        [np.max(np.abs(b - b.transpose(0, 2, 1)), axis=(1, 2)) for b in blocks], 0)
+    leak = 0.0 * scale if sector is None else np.max(
+        np.abs(blocks[0]) * (sector[:, None] != sector), axis=(1, 2))
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
             raise ArithmeticError(f"matrix couples the inversion sectors: "
@@ -78,35 +82,34 @@ def _check(h: np.ndarray, hermitian, sector: np.ndarray) -> tuple[np.ndarray, np
         if defect[i] > bound:
             raise HermiticityError(f"matrix is not Hermitian: max|H - H^dagger| "
                                    f"= {defect[i]:.3e} exceeds {bound:.1e}")
-    return scale, transpose
+    return scale
 
 
 def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
     """Ground state of each Hermitian matrix of a real stack h (k, n, n), by
     one batched whole-matrix `eigh` call on the symmetrized stack; a ground's
     sector is the label, in sector, of its vector's largest amplitude.
-    Raises ArithmeticError when a `_check` bound fails (HermiticityError for
+    Raises ArithmeticError when a `check` bound fails (HermiticityError for
     a matrix that is not Hermitian, instead of silently symmetrizing)."""
-    _, transpose = _check(h, True, sector)
+    check([h], True, sector)
     # complex only because the stored outputs pin its rounding (ROADMAP item 1)
-    w, v = np.linalg.eigh((0.5 * (h + transpose)).astype(complex))
+    w, v = np.linalg.eigh((0.5 * (h + h.transpose(0, 2, 1))).astype(complex))
     x = [vi[:, np.argmax(wi)].real for wi, vi in zip(w, v)]  # Im x is exactly 0
     return [GroundState(float(wi.max()), xi, int(sector[np.argmax(np.abs(xi))]))
             for wi, xi in zip(w, x)]
 
 
-def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
-    """Ground state of each matrix of a stack h (k, n, n) or sequence of k
-    matrices whose states split into the sectors labelled by sector[j]; h[i]
-    must be Hermitian where hermitian[i].  Raises ArithmeticError when a
-    `_check` bound fails (HermiticityError for a Hermitian member), the
-    ground is complex (ComplexGroundError) or the shifted block is exactly
-    singular."""
-    h, hermitian = np.asarray(h), np.asarray(hermitian, dtype=bool)
-    scale, _ = _check(h, hermitian, sector)
+def eigensolve_general(blocks, hermitian, sector: np.ndarray) -> list[GroundState]:
+    """Ground state of each of k matrices given by their sector stacks:
+    blocks[s] (k, n_s, n_s) holds the states labelled by the s-th smallest
+    label of sector, as `assemble` returns a tau1 != 0 field; matrix i must
+    be Hermitian where hermitian[i].  Raises ArithmeticError when a `check`
+    bound fails (HermiticityError for a Hermitian member), the ground is complex
+    (ComplexGroundError) or the shifted block is exactly singular."""
+    hermitian = np.asarray(hermitian, dtype=bool)
+    scale = check(blocks, hermitian)
     idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
-    blocks = [h[:, i[:, None], i] for i in idx]
-    top = np.empty((len(h), len(idx)), dtype=complex)  # per matrix and sector
+    top = np.empty((len(hermitian), len(blocks)), dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
         top[hermitian, s] = np.linalg.eigvalsh(b[hermitian])[..., -1]
         # complex values sort by real part first
@@ -133,7 +136,7 @@ def eigensolve_general(h, hermitian, sector: np.ndarray) -> list[GroundState]:
         if not residual <= bound:
             raise ArithmeticError(
                 f"ground vector residual {residual:.3e} exceeds {bound:.1e}")
-        vector = np.zeros(h.shape[1])
+        vector = np.zeros(len(sector))
         vector[idx[s]] = x
         states.append(GroundState(float(eps0), vector, int(sector[idx[s][0]])))
     return states

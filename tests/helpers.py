@@ -17,10 +17,51 @@ from torusmag.solver import eigensolve
 PRINTED = [(vc, vmag) for _, vc, vmag in VARIANTS]
 
 
+def sector_index(sector) -> list[np.ndarray]:
+    """The states of each inversion sector, in label order."""
+    return [np.flatnonzero(sector == s) for s in np.unique(sector)]
+
+
+def sector_blocks(h, sector) -> list[np.ndarray]:
+    """A whole stack h (k, n, n) as the sector stacks that `assemble` returns
+    at tau1 != 0 and `eigensolve_general` takes."""
+    return [h[:, i[:, None], i] for i in sector_index(sector)]
+
+
+def whole_stack(tau0, tau1, basis) -> np.ndarray:
+    """`assemble`'s three matrices at one field as a whole (3, n, n) stack: at
+    tau1 != 0 its sector stacks on the diagonal blocks, with exact zeros
+    between the sectors."""
+    out = assemble(tau0, tau1, basis)
+    if tau1 == 0.0:
+        return out
+    n = len(basis.sectors)
+    whole = np.zeros((len(PRINTED), n, n))
+    for block, i in zip(out, sector_index(basis.sectors)):
+        whole[:, i[:, None], i] = block
+    return whole
+
+
+def leak_into_a_piece(monkeypatch, n_even: int) -> None:
+    """Give the tau0-linear piece of every basis first assembled at tau1 != 0
+    from now on one cross-sector entry of 1e-6: the f0 row and the g1 column
+    (function index n_even) at the lowest nu, which are in different sectors."""
+    increment = hamiltonian._BasisTerms.increment
+
+    def leaking(self, i, row):
+        inc = increment(self, i, row)
+        if i == 3:  # the row of the piece A0
+            inc = inc.copy()
+            inc[0, 0, n_even] += 1e-6
+        return inc
+
+    monkeypatch.setattr(hamiltonian._BasisTerms, "increment", leaking)
+
+
 def assemble_variant(field, basis) -> np.ndarray:
     """The assembled matrix of the printed variant that field's toggles name."""
     i = PRINTED.index((field.vc_on, field.vmag_on))
-    return assemble(field.tau0, field.tau1, basis)[i]
+    return whole_stack(field.tau0, field.tau1, basis)[i]
 
 
 def solve_ground(h, basis):

@@ -31,6 +31,8 @@ from torusmag.hamiltonian import assemble
 from torusmag.oracle import AccuracyError
 from torusmag.solver import ComplexGroundError, HermiticityError
 
+from helpers import leak_into_a_piece, sector_blocks
+
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 CHECK = ROOT / "perfbench" / "check.py"
@@ -249,8 +251,9 @@ class TestSweepCommand:
 
             def recorded(stack, *args):
                 grounds = layer(stack, *args)
+                stacks = stack if isinstance(stack, list) else [stack]  # sector stacks
                 dtypes.setdefault(name, set()).update(
-                    [stack.dtype] + [g.vector.dtype for g in grounds])
+                    [s.dtype for s in stacks] + [g.vector.dtype for g in grounds])
                 return grounds
 
             return recorded
@@ -332,14 +335,17 @@ class TestTableCommand:
     @pytest.mark.parametrize("orientation", ["tilted", "in_plane"])
     def test_huge_tau1_fields_solve(self, orientation, tmp_path):
         # the inverse iteration runs on the block over a power of two near
-        # max|H|, so it does not overflow; the ground level grows as tau^2
+        # max|H|, so it does not overflow, and no theta integral is taken per
+        # field; the ground level grows as tau^2 up to the largest tau whose
+        # square is a float
         eps0 = {}
-        for tau in (1e100, 1e150):
+        for tau in (1e100, 1e150, 1e154):
             out = tmp_path / f"{tau:g}.json"
             argv = ["table", "--orientation", orientation, "--tau", f"{tau:g}"]
             assert main(argv + ["--json-out", str(out)]) == EXIT_OK
             eps0[tau] = [row["eps0"] / tau**2 for row in json.loads(out.read_text())["rows"]]
         assert eps0[1e100] == pytest.approx(eps0[1e150], rel=1e-9)
+        assert eps0[1e100] == pytest.approx(eps0[1e154], rel=1e-9)
 
 
 TABLE_KEYS = [key for key in CLI_COLD if key.startswith("table ")]
@@ -382,9 +388,11 @@ def never_assemble(*args, **kwargs):
 
 
 def diagonal_assemble(tau0, tau1, basis):
-    """A stand-in for `assemble`: the same diagonal H for every variant."""
+    """A stand-in for `assemble`: the same diagonal H for every variant, as
+    one stack at tau1 = 0 and as sector stacks otherwise."""
     h = np.diag(np.arange(len(basis.labels()), dtype=float))
-    return np.stack([h] * len(cli.VARIANTS))
+    stack = np.stack([h] * len(cli.VARIANTS))
+    return stack if tau1 == 0.0 else sector_blocks(stack, basis.sectors)
 
 
 def leaking_assemble(tau0, tau1, basis):
@@ -479,16 +487,18 @@ class TestErrorPaths:
                 None, ["sweep", "--tau-max", "1e200", "--tau-step", "1e199"],
                 r".*out of range.*", id="sweep-huge-tau",
             ),
-            # tau**2 is a float, but the theta integrals overflow
+            # in plane, the first tau whose square overflows: at tau1 != 0 no
+            # theta integral is taken per field, so tau = 1e154 solves
+            pytest.param(
+                None, ["table", "--orientation", "in_plane", "--tau", "1e155"],
+                r"field tau0=0, tau1=1e\+155 is out of range.*",
+                id="in-plane-overflowing-integrals",
+            ),
+            # tau**2 is a float, but the axial theta integrals overflow
             pytest.param(
                 None, ["table", "--tau", "1e154"],
                 r"field tau0=1e\+154, tau1=0 is out of range.*",
                 id="table-overflowing-integrals",
-            ),
-            pytest.param(
-                None, ["table", "--orientation", "in_plane", "--tau", "1e154"],
-                r"field tau0=0, tau1=1e\+154 is out of range.*",
-                id="in-plane-overflowing-integrals",
             ),
             pytest.param(
                 None, ["sweep", "--tau-max", "1e154", "--tau-step", "1e153"],
@@ -542,6 +552,19 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert re.fullmatch(r"numerical error: matrix couples the inversion sectors: "
                             r"max\|H_AB\| = 1\.000e-06 exceeds \S+\n", err)
+        assert out == "" and not list(tmp_path.iterdir())
+
+    def test_cross_sector_entry_in_a_piece_exits_numeric_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the sector solve never sees a cross-sector entry: the affine
+        # pieces of every tau1 != 0 field are checked once per basis
+        leak_into_a_piece(monkeypatch, n_even=RunConfig().n_even)
+        argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"numerical error: matrix couples the inversion sectors: "
+                            r"max\|H_AB\| = 1\.000e-06 exceeds 1\.0e-12\n", err)
         assert out == "" and not list(tmp_path.iterdir())
 
     def test_unwritable_json_out_exits_config_code(
@@ -639,7 +662,8 @@ class TestVerifyCommand:
             monkeypatch.setattr(cli, name, recorder(name))
         main(["verify", "--n-theta", "16", "--n-phi", "16"])
         assert [len(h) for h, *_ in calls["eigensolve"]] == [1] * 5
-        assert [len(h) for h, *_ in calls["eigensolve_general"]] == [1] * 4
+        # one stack per sector, each holding the on-on block only
+        assert [[len(s) for s in h] for h, *_ in calls["eigensolve_general"]] == [[1, 1]] * 4
         assert [hermitian for _, hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
 
     def test_each_line_reports_its_margin(self, capsys):

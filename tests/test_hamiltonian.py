@@ -17,8 +17,10 @@ from helpers import (
     hermiticity_defect,
     operator_matrix,
     reference_assemble,
+    sector_index,
     spectrum,
     variant_rows,
+    whole_stack,
 )
 
 
@@ -237,33 +239,48 @@ class TestSharedAssembly:
     """`assemble` builds the printed variants of a field from shared parts."""
 
     def test_builds_exactly_the_printed_variants(self, basis):
-        # a printed variant cannot lose its matrix, and no unread one is built
+        # a printed variant cannot lose its matrix, and no unread one is
+        # built: the whole stack at tau1 = 0, one stack per sector otherwise
         n = len(basis.labels())
-        assert assemble(0.6, -1.1, basis).shape == (len(PRINTED), n, n)
+        assert assemble(0.6, 0.0, basis).shape == (len(PRINTED), n, n)
+        sizes = [i.size for i in sector_index(basis.sectors)]
+        shapes = [s.shape for s in assemble(0.6, -1.1, basis)]
+        assert shapes == [(len(PRINTED), m, m) for m in sizes] and sum(sizes) == n
 
     @pytest.mark.parametrize("shape", list(SHARED_BASES))
     def test_bitwise_equal_to_term_by_term_assembly(self, shape):
         alpha, n_even, n_odd, nu_range = SHARED_BASES[shape]
         basis = gram_schmidt_basis(alpha, n_even, n_odd, nu_range)
-        # axial, in-plane, tilted, reversed tilted, negative in-plane and
-        # negative axial fields
-        fields = [(1.7, 0.0), (0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2),
-                  (-2.5, 0.0)]
-        for tau0, tau1 in fields:
+        # the tau1 = 0 fields, whose rounding the stored outputs pin: axial,
+        # negative axial and zero fields
+        for tau0, tau1 in [(1.7, 0.0), (-2.5, 0.0), (0.0, 0.0)]:
             for (vc, vmag), h in zip(PRINTED, assemble(tau0, tau1, basis)):
                 field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
                 ref = reference_assemble(field, basis)
                 assert h.dtype == ref.dtype and h.shape == ref.shape
                 assert h.tobytes() == ref.tobytes(), (tau0, tau1, vc, vmag)
 
-    def test_variants_do_not_share_storage(self, basis):
-        first = assemble(0.6, -1.1, basis)
-        for h in first:
-            h[...] = 7.0
-        again = assemble(0.6, -1.1, basis)
-        for (vc, vmag), h in zip(PRINTED, again):
-            ref = reference_assemble(FieldConfig(0.6, -1.1, vc_on=vc, vmag_on=vmag), basis)
-            assert h.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("tau1", [0.0, -1.1])
+    def test_variants_do_not_share_storage(self, basis, tau1):
+        want = whole_stack(0.6, tau1, basis).tobytes()
+        first = assemble(0.6, tau1, basis)
+        for stack in (first if tau1 else [first]):
+            stack[...] = 7.0
+        assert whole_stack(0.6, tau1, basis).tobytes() == want
+
+    @pytest.mark.parametrize("shape", list(SHARED_BASES) + ["alpha095-12x12"])
+    def test_sector_stacks_match_term_by_term_assembly(self, shape):
+        # at tau1 != 0 the stacks combine the per-basis affine pieces, so
+        # they match the term-by-term sum to rounding, not bit for bit
+        alpha, n_even, n_odd, nu_range = SHARED_BASES.get(shape, (0.95, 12, 12, (-8, 8)))
+        basis = gram_schmidt_basis(alpha, n_even, n_odd, nu_range)
+        rng = np.random.default_rng(23)
+        fields = [(0.0, 1.3), (1.2, 0.9), (-1.2, -0.9), (0.0, -2.2), (1e5, 1e-5)]
+        for tau0, tau1 in fields + [tuple(f) for f in rng.uniform(-5.0, 5.0, (6, 2))]:
+            for (vc, vmag), h in zip(PRINTED, whole_stack(tau0, tau1, basis)):
+                ref = reference_assemble(FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag), basis)
+                bound = 1e-13 * max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(h - ref)) <= bound, (shape, tau0, tau1, vc, vmag)
 
     def test_field_free_terms_freed_with_the_basis(self, alpha):
         basis = gram_schmidt_basis(alpha, n_even=2, n_odd=1, nu_range=(-1, 1))
@@ -315,12 +332,18 @@ class TestBasisTerms:
         assert repr(small) == before
 
     def test_holds_no_dense_matrix(self):
-        # 4+4 functions and nu in [-12, 12]: dimension 200, whose real
-        # matrix outweighs the 115 KB of node tables; the record holds
-        # per-function-pair and per-node data, never a whole matrix
+        # 4+4 functions and nu in [-12, 12]: dimension 200.  The record holds
+        # per-function-pair and per-node data and each affine piece's two
+        # sector blocks, each a quarter of a whole matrix, never a whole
+        # matrix; the eight pieces together outweigh one (1.28 MB against
+        # 320 KB), the price of assembling tau1 != 0 fields without the
+        # theta integrals
         basis = gram_schmidt_basis(0.5, n_even=4, n_odd=4, nu_range=(-12, 12))
-        h = assemble(1.2, 0.9, basis)[-1]
+        h = whole_stack(1.2, 0.9, basis)[-1]
         assert h.shape == (200, 200)
-        arrays = list(_arrays(vars(hamiltonian._BASIS_TERMS[basis])))
-        assert arrays and all(a.size < h.size for a in arrays)
-        assert sum(a.nbytes for a in arrays) < h.nbytes
+        terms = hamiltonian._BASIS_TERMS[basis]
+        sizes = [i.size for i in sector_index(basis.sectors)]
+        assert [p.shape for p in terms.pieces] == [(8, m * m) for m in sizes]
+        assert max(sizes) < 200
+        others = [a for a in _arrays(vars(terms)) if not any(a is p for p in terms.pieces)]
+        assert others and all(a.size < h.size for a in others)

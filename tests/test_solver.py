@@ -19,7 +19,8 @@ from torusmag.solver import (
 )
 
 from helpers import (
-    amplitude, assemble_variant, circulation, norm_sq, residual, solve_ground, spectrum,
+    amplitude, assemble_variant, circulation, leak_into_a_piece, norm_sq, residual,
+    sector_blocks, solve_ground, spectrum, whole_stack,
 )
 
 
@@ -120,8 +121,8 @@ class TestEigensolve:
 
 
 def general_ground(h, sector, hermitian=False):
-    """The sector solve of one matrix: its `GroundState`."""
-    [ground] = eigensolve_general([h], [hermitian], sector)
+    """The sector solve of one whole matrix: its `GroundState`."""
+    [ground] = eigensolve_general(sector_blocks(h[None], sector), [hermitian], sector)
     return ground
 
 
@@ -203,9 +204,10 @@ class TestEigensolveGeneral:
         # is refused with its defect, while the stack's other members pass
         field = FieldConfig(0.0, 1.0, vc_on=True, vmag_on=False)
         h = assemble_variant(field, basis)
-        assert len(eigensolve_general([h, h], [False, False], basis.sectors)) == 2
+        blocks = sector_blocks(np.stack([h, h]), basis.sectors)
+        assert len(eigensolve_general(blocks, [False, False], basis.sectors)) == 2
         with pytest.raises(HermiticityError, match=r"max\|H - H\^dagger\| = "):
-            eigensolve_general([h, h], [False, True], basis.sectors)
+            eigensolve_general(blocks, [False, True], basis.sectors)
 
     def test_residual_bound_and_singular_block(self, monkeypatch):
         h = toy_matrix(np.diag([1.0, 3.0, 2.0]))
@@ -236,15 +238,16 @@ class TestSectorSplit:
         assert np.all(g.vector[~own] == 0.0)
         assert np.linalg.norm(g.vector[own]) == pytest.approx(1.0, abs=1e-14)
 
-    def test_cross_sector_entry_raises(self, basis):
-        h = assemble_variant(FieldConfig(0.0, 1.0, vc_on=False, vmag_on=False), basis)
-        a, b = np.flatnonzero(basis.sectors == 0)[3], np.flatnonzero(basis.sectors == 1)[5]
-        h = h.copy()
-        h[a, b] += 1e-6
-        # the bound is 1e-12 * max|H|, about 4e-11 here
+    def test_cross_sector_entry_raises(self, alpha, monkeypatch):
+        # the sector solve never sees a cross-sector entry: each affine
+        # piece of H is checked once per basis, against 1e-12 * max(1,
+        # max|piece|), 1e-12 for the tau0-linear piece at alpha = 1/2
+        leak_into_a_piece(monkeypatch, n_even=6)
+        fresh = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
+        assemble(1.0, 0.0, fresh)  # the whole-matrix path builds no piece
         with pytest.raises(ArithmeticError, match=r"couples the inversion sectors: "
-                           r"max\|H_AB\| = 1\.000e-06 exceeds 3\.8e-11"):
-            general_ground(h, basis.sectors)
+                           r"max\|H_AB\| = 1\.000e-06 exceeds 1\.0e-12"):
+            assemble(0.0, 1.0, fresh)
 
     def test_complex_level_in_one_block_passes_unless_it_is_the_ground(self):
         # sector A holds one real level, sector B the pair +/- i
@@ -361,7 +364,7 @@ class TestSectorSolveAgainstFullMatrix:
                     stack = assemble(tau0, tau1, basis)
                     hermitian = [vmag for _, _, vmag in VARIANTS]
                     want = []
-                    for h, herm in zip(stack, hermitian):
+                    for h, herm in zip(whole_stack(tau0, tau1, basis), hermitian):
                         w, v = np.linalg.eigh(h) if herm else np.linalg.eig(h.real)
                         top = np.argmax(w.real)
                         want.append((w[top], v[:, top] / np.linalg.norm(v[:, top])))
@@ -390,7 +393,7 @@ VERIFY_FIELDS = [
 class TestGroundSector:
     @pytest.mark.parametrize("tau0,tau1", VERIFY_FIELDS)
     def test_on_on_sector_matches_the_grid_oracle(self, alpha, basis, tau0, tau1):
-        h = assemble(tau0, tau1, basis)[-1]
+        h = whole_stack(tau0, tau1, basis)[-1]
         g = general_ground(h, basis.sectors, hermitian=True)
         assert g.sector == basis.sectors[np.argmax(np.abs(g.vector))]
         field = FieldConfig(tau0, tau1)
