@@ -192,7 +192,7 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _grounds(stack, basis: BasisSet, tau1: float, k: int = 3) -> list[GroundState]:
+def _grounds(stack, basis: BasisSet, tau1: float, k=len(VARIANTS)) -> list[GroundState]:
     """The ground of each of the last k variants of one field's `assemble`
     result: at tau1 = 0 by the whole-matrix solve, whose rounding the stored
     outputs pin, else by the sector solve, where a variant without the

@@ -116,7 +116,8 @@ class _BasisTerms:
 
     def __init__(self, basis: BasisSet):
         self.alpha, self.sectors = basis.alpha, basis.sectors
-        self.index = [np.flatnonzero(self.sectors == s) for s in np.unique(self.sectors)]
+        self.index = [np.flatnonzero(self.sectors == s)
+                      for s in sorted(set(self.sectors))]
         self.shape = (len(basis.functions), len(basis.nus)) * 2  # rows, columns (f, nu)
         self.theta = quadrature_nodes(N_QUAD)
         self.dtheta = 2.0 * np.pi / N_QUAD

@@ -62,12 +62,11 @@ class GroundState(NamedTuple):
 
 
 def check(blocks, hermitian, sector=None) -> np.ndarray:
-    """Each matrix's scale max(1, max|H|) over blocks, a sequence of stacks
-    (k, m, m) that hold k matrices by blocks, after checking that they are
-    finite and real, that no Hermitian one (hermitian[i]) departs from H^T
-    and, given the sector labels of whole matrices, that none couples the
-    sectors, by more than HERMITICITY_TOL times its scale; relative, because
-    the rounding defect grows with H."""
+    """Each matrix's scale max(1, max|H|) over blocks, stacks (k, m, m) that
+    hold k matrices by blocks, after checking that they are finite and real,
+    that no Hermitian one (hermitian[i]) departs from H^T and, given the
+    sector labels of a whole stack blocks[0], that none couples the sectors,
+    by more than HERMITICITY_TOL times its scale (relative, as rounding is)."""
     if any(np.iscomplexobj(b) or not np.isfinite(b).all() for b in blocks):
         raise ArithmeticError("matrix is not finite and real")
     scale = np.maximum(1.0, np.max([np.max(np.abs(b), axis=(1, 2)) for b in blocks], 0))
