@@ -260,13 +260,15 @@ class TestSharedAssembly:
                 assert h.dtype == ref.dtype and h.shape == ref.shape
                 assert h.tobytes() == ref.tobytes(), (tau0, tau1, vc, vmag)
 
-    @pytest.mark.parametrize("tau1", [0.0, -1.1])
-    def test_variants_do_not_share_storage(self, basis, tau1):
-        want = whole_stack(0.6, tau1, basis).tobytes()
-        first = assemble(0.6, tau1, basis)
-        for stack in (first if tau1 else [first]):
-            stack[...] = 7.0
-        assert whole_stack(0.6, tau1, basis).tobytes() == want
+    def test_variants_do_not_share_storage(self, basis):
+        # neither the whole stack (tau1 = 0) nor a sector stack is a view of
+        # what the next field's assembly returns or reads
+        for tau1 in (0.0, -1.1):
+            want = whole_stack(0.6, tau1, basis).tobytes()
+            first = assemble(0.6, tau1, basis)
+            for stack in (first if tau1 else [first]):
+                stack[...] = 7.0
+            assert whole_stack(0.6, tau1, basis).tobytes() == want, tau1
 
     @pytest.mark.parametrize("shape", list(SHARED_BASES) + ["alpha095-12x12"])
     def test_sector_stacks_match_term_by_term_assembly(self, shape):
