@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
-from .hamiltonian import assemble
+from .hamiltonian import VARIANTS, assemble
 from .oracle import GridSpec, grid_solve
 from .solver import (
     GroundState,
@@ -47,9 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
-
-#: The printed variants, in `assemble`'s order: (name, vc_on, vmag_on).
-VARIANTS = (("off-off", False, False), ("on-off", True, False), ("on-on", True, True))
 
 #: Largest sweep length and basis dimension a run may ask for; the basis
 #: bound is the size of the default verification grid.
@@ -253,7 +250,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 "tau": tau,
                 "eps0": eps0,
                 "composition": [
-                    {"kind": k, "n": n, "m": m, "re": a.real, "im": a.imag}
+                    {"kind": k, "n": n, "m": m, "re": a}
                     for k, n, m, a in comp.real_combinations()
                 ],
             }

@@ -24,8 +24,8 @@ assembled matrix is Hermitian to machine precision; with the opposite sign
 it is not.  Dropping the term while tau1 != 0 therefore leaves a slightly
 non-Hermitian matrix by construction (`FieldConfig.hermitian` is False).
 
-The three printed variants, off-off, on-off and on-on (curvature
-potential V, magnetic coupling K), are nested prefixes of `_term_table`.
+The printed `VARIANTS`, off-off, on-off and on-on (curvature potential
+V, magnetic coupling K), are nested prefixes of `_term_table`.
 H = C + V + tau0 A0 + tau1 A1 + tau0^2 Q0 + tau1^2 Q1 + tau0 tau1 X + tau1 K
 exactly, and no piece couples the two inversion sectors.  So at tau1 != 0,
 `assemble` combines the eight real pieces, integrated and checked once per
@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, sector_index
 from .solver import check
 
 #: Nodes of the periodic trapezoid rule for the theta integrals.
@@ -60,6 +60,9 @@ def quadrature_nodes(n_quad: int) -> np.ndarray:
     return np.arange(n_quad) * 2.0 * np.pi / n_quad
 
 
+#: The printed variants, (name, vc_on, vmag_on), in `assemble`'s order.
+VARIANTS = (("off-off", False, False), ("on-off", True, False), ("on-on", True, True))
+
 #: Rows of `_term_table`: the curvature potential, the magnetic coupling
 #: and those that do not depend on the field.
 _CURVATURE, _COUPLING = 10, 11
@@ -71,22 +74,6 @@ _PIECES = {(0, 1, 2): (0, 0), (_CURVATURE,): (0, 0), (3,): (1, 0), (4, 5): (0, 1
            (6,): (1, 0), (7, 8): (0, 1), (9,): (1, 1), (_COUPLING,): (0, 1)}
 
 
-def _field_rows(al: float, t0: float, t1: float, st, ct, f) -> dict[int, tuple]:
-    """`_term_table`'s rows that depend on the field, by index (tau^2 may be inf)."""
-    t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2
-    return {
-        3: (-t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
-        4: (t1 * al**3 * st * (1.0 / f), _COS, 0, 1),  # not / f: the outputs pin it
-        5: (al * t1 * (al + ct), _ISIN, 1, 0),
-        6: (-0.25 * t0_sq * al**2 * f**2, _ONE, 0, 0),
-        7: (-0.25 * t1_sq * al**2 * f**2, _SIN2, 0, 0),
-        8: (-0.25 * t1_sq * al**4 * st**2, _ONE, 0, 0),
-        9: (0.5 * t0 * t1 * al**3 * f * st, _COS, 0, 0),
-        # -i times the real coupling V sin(phi): -V times the i sin(phi) pair
-        _COUPLING: (-(0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _ISIN, 0, 0),
-    }
-
-
 def _term_table(
     al: float, t0: float, t1: float, theta: np.ndarray
 ) -> list[tuple[np.ndarray, dict[int, float], int, int]]:
@@ -95,34 +82,41 @@ def _term_table(
     ratio al and field (t0, t1), both potentials included; all real."""
     st, ct = np.sin(theta), np.cos(theta)
     f = 1.0 + al * ct
-    rows = _field_rows(al, t0, t1, st, ct, f) | {
-        0: (np.ones_like(theta), _ONE, 2, 0),
-        1: (-al * st / f, _ONE, 1, 0),
-        2: (-al**2 / f**2, _ONE, 0, 2),
-        _CURVATURE: (0.25 / f**2, _ONE, 0, 0),
-    }
-    return [rows[i] for i in range(len(rows))]
+    t0_sq, t1_sq = np.float64(t0) ** 2, np.float64(t1) ** 2  # may be inf
+    return [
+        (np.ones_like(theta), _ONE, 2, 0),
+        (-al * st / f, _ONE, 1, 0),
+        (-al**2 / f**2, _ONE, 0, 2),
+        (-t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
+        (t1 * al**3 * st * (1.0 / f), _COS, 0, 1),  # not / f: the outputs pin it
+        (al * t1 * (al + ct), _ISIN, 1, 0),
+        (-0.25 * t0_sq * al**2 * f**2, _ONE, 0, 0),
+        (-0.25 * t1_sq * al**2 * f**2, _SIN2, 0, 0),
+        (-0.25 * t1_sq * al**4 * st**2, _ONE, 0, 0),
+        (0.5 * t0 * t1 * al**3 * f * st, _COS, 0, 0),
+        (0.25 / f**2, _ONE, 0, 0),  # the curvature potential
+        # -i times the real coupling V sin(phi): -V times the i sin(phi) pair
+        (-(0.5 * al * t1 * st * (1.0 + 2.0 * al * ct) / f), _ISIN, 0, 0),
+    ]
 
 
 class _BasisTerms:
     """The field-free parts of assembly for one basis, on N_QUAD nodes.
 
-    `st`, `ct`, `f` and `tables[j]` (read-only) hold sin, cos, F and the
-    j-th theta-derivative of every basis function at `theta`; `phi[i]` holds
-    row i's nu x nu harmonic matrix as its nonzero (row, column) indices and
-    their values; `fixed[i]` is the increment of each field-free row i;
-    `index[s]` lists the states of the s-th inversion sector.
+    `f` and `tables[j]` (read-only) hold F and the j-th theta-derivative of
+    every basis function at `theta`; `phi[i]` holds row i's nu x nu harmonic
+    matrix as its nonzero (row, column) indices and their values; `fixed[i]`
+    is the increment of each field-free row i; `index[s]` lists the states
+    of the s-th inversion sector.
     """
 
     def __init__(self, basis: BasisSet):
         self.alpha, self.sectors = basis.alpha, basis.sectors
-        self.index = [np.flatnonzero(self.sectors == s)
-                      for s in sorted(set(self.sectors))]
+        self.index = sector_index(self.sectors)
         self.shape = (len(basis.functions), len(basis.nus)) * 2  # rows, columns (f, nu)
         self.theta = quadrature_nodes(N_QUAD)
         self.dtheta = 2.0 * np.pi / N_QUAD
-        self.st, self.ct = np.sin(self.theta), np.cos(self.theta)
-        self.f = 1.0 + basis.alpha * self.ct
+        self.f = 1.0 + basis.alpha * np.cos(self.theta)
         self.tables = tuple(basis.values(self.theta, j) for j in range(3))
         for table in self.tables:
             table.flags.writeable = False
@@ -146,6 +140,10 @@ class _BasisTerms:
                 @ self.tables[jt].T).real * self.dtheta
         return tmat * self.phi[i][2]
 
+    def row(self, i: int, table: list) -> np.ndarray:
+        """The increment of row i of a field's `_term_table`, kept if field-free."""
+        return self.fixed[i] if i in self.fixed else self.increment(i, table[i])
+
     @cached_property
     def pieces(self) -> list[np.ndarray]:
         """Each sector's blocks of the `_PIECES`, flattened, (8, n_s * n_s),
@@ -156,7 +154,7 @@ class _BasisTerms:
             table = _term_table(self.alpha, *unit, self.theta)
             h = np.zeros(self.shape)
             for i in rows:
-                h[:, self.phi[i][0], :, self.phi[i][1]] += self.increment(i, table[i])
+                h[:, self.phi[i][0], :, self.phi[i][1]] += self.row(i, table)
             h = h.reshape(len(self.sectors), -1)
             check([h[None]], False, self.sectors)
             for block, i in zip(out, self.index):
@@ -172,7 +170,7 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 
 def assemble(tau0: float, tau1: float, basis: BasisSet):
     """The real matrices of the surface Hamiltonian at one field, off-off,
-    on-off and on-on as in `cli.VARIANTS`: at tau1 = 0 one float64 (3, n, n)
+    on-off and on-on as in `VARIANTS`: at tau1 = 0 one float64 (3, n, n)
     stack in `basis.labels()` order, else a list of one such (3, n_s, n_s)
     stack per inversion sector, in label order.  The curvature potential
     enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises
@@ -185,22 +183,20 @@ def assemble(tau0: float, tau1: float, basis: BasisSet):
         if tau1 != 0.0:
             t0, t1 = np.float64(tau0), np.float64(tau1)
             field = [t0, t1, t0 * t0, t1 * t1, t0 * t1]  # times A0, A1, Q0, Q1, X
-            coeff = np.array([[1.0, vc, *field, vmag * t1]
-                              for vc, vmag in ((0, 0), (1, 0), (1, 1))])
+            coeff = np.array([[1.0, vc, *field, vmag * t1] for _, vc, vmag in VARIANTS])
             out = [(coeff @ p).reshape(3, i.size, i.size)
                    for p, i in zip(terms.pieces, terms.index)]
         else:
             stack = np.zeros((3, *terms.shape))
             h = stack[2]  # the running sum, on-on at the end
-            rows = _field_rows(basis.alpha, tau0, tau1, terms.st, terms.ct, terms.f)
+            rows = _term_table(basis.alpha, tau0, tau1, terms.theta)
             for i, (r, c, _) in enumerate(terms.phi):
                 if i == _CURVATURE:
                     stack[0] = h
                 elif i == _COUPLING:
                     stack[1] = h
-                if i in terms.fixed or rows[i][0].any():  # a zero row changes no bit
-                    h[:, r, :, c] += (terms.fixed[i] if i in terms.fixed
-                                      else terms.increment(i, rows[i]))
+                if rows[i][0].any():  # a zero row changes no bit
+                    h[:, r, :, c] += terms.row(i, rows)
             out = [stack.reshape(3, len(basis.sectors), -1)]
     if not all(np.isfinite(s).all() for s in out):
         raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "

@@ -3,19 +3,19 @@
 The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
 the physical ground state is the eigenvector with the LARGEST raw eps.
 
-Both solvers take one field's real matrices as `hamiltonian.assemble`
-returns them (every assembled H is exactly real, so its eigenvalues are
-real or conjugate pairs) and return a `GroundState` with a real vector per
-matrix, after checking that they are finite and that the Hermitian ones are
-Hermitian.  `eigensolve` takes the whole stack of a tau1 = 0 field, checks
-its split into the inversion sectors of `BasisSet.sectors`, and makes one
-batched whole-matrix `eigh` call, in complex arithmetic only because the
-stored `sweep` and `table` outputs pin its rounding byte for byte.
-`eigensolve_general` takes the sector stacks of any other field, whose
-pieces `assemble` checked per basis: per sector, one batched `eigvalsh`
-call (Hermitian members) and one `eigvals` call give each block's top
-eigenvalue; the larger top is the ground, which must be real (high levels
-may pair up), and inverse iteration on its block gives the vector.
+Both solvers take one field's real matrices as `hamiltonian.assemble` returns
+them, in `hamiltonian.VARIANTS` order (every assembled H is exactly real, so
+its eigenvalues are real or conjugate pairs), and return a `GroundState` with
+a real vector per matrix, after checking that they are finite and that the
+Hermitian ones are Hermitian.  `eigensolve` takes the whole stack of a
+tau1 = 0 field, checks its split into the inversion sectors of
+`BasisSet.sectors`, and makes one batched whole-matrix `eigh` call, in complex
+arithmetic only because the stored `sweep` and `table` outputs pin its
+rounding byte for byte.  `eigensolve_general` takes the sector stacks of any
+other field, whose pieces `assemble` checked per basis: per sector, one
+batched `eigvalsh` call (Hermitian members) and one `eigvals` call give each
+block's top eigenvalue; the larger top is the ground, which must be real (high
+levels may pair up), and inverse iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of the basis
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, sector_index
 
 #: Largest |imag| of a general solve's ground; the residual bound caps it.
 GROUND_IMAG_TOL = 1e-8
@@ -107,7 +107,7 @@ def eigensolve_general(blocks, hermitian, sector: np.ndarray) -> list[GroundStat
     (ComplexGroundError) or the shifted block is exactly singular."""
     hermitian = np.asarray(hermitian, dtype=bool)
     scale = check(blocks, hermitian)
-    idx = [np.flatnonzero(sector == s) for s in sorted(set(sector.tolist()))]
+    idx = sector_index(sector)
     top = np.empty((len(hermitian), len(blocks)), dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
         top[hermitian, s] = np.linalg.eigvalsh(b[hermitian])[..., -1]

@@ -4,9 +4,9 @@ helpers the tests share."""
 import numpy as np
 
 from torusmag import hamiltonian
-from torusmag.cli import VARIANTS
+from torusmag.basis import sector_index
 from torusmag.hamiltonian import (
-    _COUPLING, _CURVATURE, _term_table, assemble, quadrature_nodes,
+    _COUPLING, _CURVATURE, VARIANTS, _term_table, assemble, quadrature_nodes,
 )
 from torusmag.oracle import _grid_terms, _reflection_bases
 from torusmag.solver import eigensolve
@@ -15,11 +15,6 @@ from torusmag.solver import eigensolve
 #: The (vc_on, vmag_on) pairs the commands print, in the order of
 #: `assemble`'s stack.
 PRINTED = [(vc, vmag) for _, vc, vmag in VARIANTS]
-
-
-def sector_index(sector) -> list[np.ndarray]:
-    """The states of each inversion sector, in label order."""
-    return [np.flatnonzero(sector == s) for s in np.unique(sector)]
 
 
 def sector_blocks(h, sector) -> list[np.ndarray]:

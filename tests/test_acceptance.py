@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 
 from torusmag.basis import gram_schmidt_basis
-from torusmag.cli import VARIANTS, _ground_states
+from torusmag.cli import _ground_states
 from torusmag.field import FieldConfig
+from torusmag.hamiltonian import VARIANTS
 from torusmag.oracle import GridSpec, grid_solve
 
 from helpers import (amplitude, assemble_variant, circulation, hermiticity_defect,

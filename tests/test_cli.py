@@ -27,7 +27,7 @@ from torusmag.cli import (
     main,
     parse_config,
 )
-from torusmag.hamiltonian import assemble
+from torusmag.hamiltonian import VARIANTS, assemble
 from torusmag.oracle import AccuracyError
 from torusmag.solver import ComplexGroundError, HermiticityError
 
@@ -309,6 +309,8 @@ class TestTableCommand:
         report = json.loads(out.read_text())
         rows = {r["variant"]: r for r in report["rows"]}
         assert set(rows) == {"off-off", "on-off", "on-on"}
+        for row in rows.values():
+            assert all(set(c) == {"kind", "n", "m", "re"} for c in row["composition"])
         comp = {(c["kind"], c["n"]): c["re"] for c in rows["on-on"]["composition"]}
         assert comp[("f", 0)] == pytest.approx(0.968, abs=2e-3)
         assert abs(comp[("f", 1)]) == pytest.approx(0.244, abs=2e-3)
@@ -391,7 +393,7 @@ def diagonal_assemble(tau0, tau1, basis):
     """A stand-in for `assemble`: the same diagonal H for every variant, as
     one stack at tau1 = 0 and as sector stacks otherwise."""
     h = np.diag(np.arange(len(basis.labels()), dtype=float))
-    stack = np.stack([h] * len(cli.VARIANTS))
+    stack = np.stack([h] * len(VARIANTS))
     return stack if tau1 == 0.0 else sector_blocks(stack, basis.sectors)
 
 
@@ -695,6 +697,24 @@ class TestDependencies:
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_commands_load_no_numpy_ma(self, tmp_path):
+        # numpy.ma (which np.unique imports) adds about 1.4 MB to a process's
+        # peak RSS; no command path may load it
+        code = (
+            "import sys\nfrom torusmag.cli import main\n"
+            f"argv = ['sweep', '--orientation', 'tilted', '--tau-max', '1', '--out', {str(tmp_path)!r}]\n"
+            "assert main(argv) == 0\n"
+            "assert main(['table', '--orientation', 'in_plane']) == 0\n"
+            "assert main(['verify']) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestTeslaConversion:

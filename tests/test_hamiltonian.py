@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from torusmag import hamiltonian
-from torusmag.basis import gram_schmidt_basis
+from torusmag.basis import gram_schmidt_basis, sector_index
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import assemble, quadrature_nodes
 from helpers import (
@@ -17,7 +17,6 @@ from helpers import (
     hermiticity_defect,
     operator_matrix,
     reference_assemble,
-    sector_index,
     spectrum,
     variant_rows,
     whole_stack,
@@ -332,6 +331,25 @@ class TestBasisTerms:
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
         assert repr(small) == before
+
+    def test_integrates_each_row_once_per_basis(self, alpha, monkeypatch):
+        # the four field-free rows once for the record, which the pieces C
+        # and V reuse, and the eight field rows once for the other pieces
+        calls = []
+        increment = hamiltonian._BasisTerms.increment
+
+        def counted(self, i, row):
+            calls.append(i)
+            return increment(self, i, row)
+
+        monkeypatch.setattr(hamiltonian._BasisTerms, "increment", counted)
+        fresh = gram_schmidt_basis(alpha, n_even=3, n_odd=2, nu_range=(-1, 1))
+        assemble(0.4, 1.1, fresh)
+        assert sorted(calls) == list(range(12))
+        calls.clear()
+        for tau0, tau1 in [(0.0, -0.7), (1.3, 2.0)]:
+            assemble(tau0, tau1, fresh)
+        assert calls == []
 
     def test_holds_no_dense_matrix(self):
         # 4+4 functions and nu in [-12, 12]: dimension 200.  The record holds

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from torusmag.basis import gram_schmidt_basis
-from torusmag.cli import VARIANTS, RunConfig, main
+from torusmag.cli import RunConfig, main
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import assemble
+from torusmag.hamiltonian import VARIANTS, assemble
 from torusmag.oracle import GridSpec, grid_solve
 from torusmag import solver
 from torusmag.solver import (
@@ -248,6 +248,21 @@ class TestSectorSplit:
         with pytest.raises(ArithmeticError, match=r"couples the inversion sectors: "
                            r"max\|H_AB\| = 1\.000e-06 exceeds 1\.0e-12"):
             assemble(0.0, 1.0, fresh)
+
+    def test_basis_with_only_sector_b(self, alpha, tmp_path):
+        # f_n e^{i phi} only: every label is 1, so the one sector stack is
+        # labelled 1, not by its position 0
+        basis = gram_schmidt_basis(alpha, n_even=3, n_odd=0, nu_range=(1, 1))
+        assert basis.sectors.tolist() == [1, 1, 1]
+        [stack] = assemble(0.0, 1.0, basis)
+        assert stack.shape == (len(VARIANTS), 3, 3)
+        hermitian = [vmag for _, _, vmag in VARIANTS]
+        grounds = eigensolve_general([stack], hermitian, basis.sectors)
+        assert [g.sector for g in grounds] == [1, 1, 1]
+        ini = tmp_path / "b.ini"
+        ini.write_text("[basis]\nn_even = 3\nn_odd = 0\nnu_min = 1\nnu_max = 1\n")
+        argv = ["table", "--config", str(ini), "--orientation", "in_plane", "--tau", "1"]
+        assert main(argv) == 0
 
     def test_complex_level_in_one_block_passes_unless_it_is_the_ground(self):
         # sector A holds one real level, sector B the pair +/- i
