@@ -105,7 +105,7 @@ class BasisSet:
 
 
 def sector_index(labels: np.ndarray) -> list[np.ndarray]:
-    """The positions of each label, ascending: of `BasisSet.sectors`, each sector's."""
+    """The positions of each distinct label, in ascending label order."""
     # not np.unique: it imports numpy.ma, about 1.4 MB of peak RSS per process
     return [np.flatnonzero(labels == s) for s in sorted(set(labels.tolist()))]
 
