@@ -56,18 +56,33 @@ def tau_from_tesla(b_tesla: float, major_radius_m: float) -> float:
     """Dimensionless flux tau = e R^2 B / hbar for a field in tesla.
 
     For R = 500 angstrom this gives tau ~ 3.80 per tesla.  Raises
-    ValueError for a field that is not finite.
+    ValueError for a field that is not finite, and OverflowError where tau
+    is not.
     """
     if not math.isfinite(b_tesla):
         raise ValueError(f"field must be finite, got {b_tesla} T")
-    return E_CHARGE * major_radius_m**2 * b_tesla / HBAR
+    try:
+        tau = E_CHARGE * major_radius_m**2 * b_tesla / HBAR
+    except OverflowError:
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise OverflowError(f"field B = {b_tesla:g} T at R = {major_radius_m:g} m "
+                            "is out of range: tau is not finite")
+    return tau
 
 
 def energy_scale_mev(minor_radius_m: float) -> float:
     """hbar^2 / (2 m_e a^2) in meV for the minor radius a in metres.
 
     Physical energies are E = -eps * scale for a dimensionless eigenvalue
-    eps of the surface Hamiltonian.
+    eps of the surface Hamiltonian.  Raises OverflowError where a**2
+    overflows or the scale is not finite.
     """
-    joule = HBAR**2 / (2.0 * M_E * minor_radius_m**2)
-    return joule / E_CHARGE * 1e3
+    try:
+        mev = HBAR**2 / (2.0 * M_E * minor_radius_m**2) / E_CHARGE * 1e3
+    except (OverflowError, ZeroDivisionError):
+        mev = math.inf
+    if not math.isfinite(mev):
+        raise OverflowError(f"minor radius a = {minor_radius_m:g} m is out of range: "
+                            "the energy scale is not finite")
+    return mev

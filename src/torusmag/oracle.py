@@ -27,11 +27,18 @@ even nu) + (theta-odd x odd nu), its -1 eigenspace sector B.
 Only the ground state, the largest eigenvalue, is computed.  At tau1 != 0
 the operator is applied matrix-free, and LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23, 517 (2001)) finds each inversion sector's largest eigenvalue
-from a seeded random start projected onto the sector, as is each
-preconditioned residual; run per sector, it converges at the gap within the
-sector, so it stays fast where the sectors' ground levels cross.  The
-preconditioner is 1/(k^2 + c nu^2 + 1 + alpha^2 (tau0^2 + tau1^2)/4) by an
-FFT along theta, c = alpha^2/(1 - alpha^2)^(3/2) the mean of alpha^2/F^2.
+from a seeded random start projected onto the sector; run per sector, it
+converges at the gap within the sector, so it stays fast where the sectors'
+ground levels cross.  The preconditioner is (sigma - D)^-1, D the operator's
+nu-diagonal part, which is the `_nu_blocks` stacks, inverted once per field;
+each sector applies per nu column the one theta parity it holds there, so
+the preconditioned residual stays in the sector.  sigma - D >= 0.1 holds
+with no eigensolve: by Weyl's inequality where sigma is 0.1 above the
+largest entry of D's potential (D minus the negative semidefinite second
+derivative), and by a Cholesky factorization where bisection lowers sigma
+towards the potential's mean.  D carries the full theta dependence of
+alpha^2/F^2, so a sector takes at most 42 iterations at alpha = 0.5, 43 at
+0.8 and 30 at 0.95 on verify's fields at 64x32, and 15 at 0.99 at 128x32.
 
 An axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
 theta -> -theta, so its operator is one real symmetric block per nu and
@@ -60,8 +67,9 @@ MAX_GRID_POINTS = 8192
 #: Largest move of the ground eigenvalue that the refine check accepts.
 REFINE_TOL = 1e-4
 
-#: Iterations allowed in one inversion sector; tilted and in-plane fields
-#: took at most 91 at alpha = 0.5, 399 at 0.8 and 1951 at 0.99 (64x32, 128x32).
+#: Iterations allowed in one inversion sector; verify's tilted and in-plane
+#: fields take at most 42 at alpha = 0.5, 43 at 0.8, 30 at 0.95 (64x32) and
+#: 15 at 0.99 (128x32).
 MAX_ITERATIONS = 5000
 
 
@@ -198,11 +206,12 @@ def _grid_terms(
 def _nu_blocks(
     al: float, field: FieldConfig, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The axial-field grid operator as real symmetric theta blocks per nu:
-    a theta-even stack (n_phi, n_theta/2 + 1, n_theta/2 + 1) and a theta-odd
-    one (n_phi, n_theta/2 - 1, n_theta/2 - 1), entry k at the k-th nu in FFT
-    order.  Only valid at tau1 = 0, where every nu matrix is diagonal and no
-    term flips theta parity."""
+    """The nu-diagonal part of the operator, which is all of it at tau1 = 0,
+    as real symmetric theta blocks per nu: a theta-even stack
+    (n_phi, n_theta/2 + 1, n_theta/2 + 1) and a theta-odd one
+    (n_phi, n_theta/2 - 1, n_theta/2 - 1), entry k at the k-th nu in FFT
+    order.  Every term that flips theta parity has a zero nu diagonal, so
+    the two stacks hold the whole nu-diagonal part."""
     terms = _grid_terms(al, field, grid)
     return tuple(
         sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b in terms)
@@ -268,25 +277,46 @@ def _sector_ground(al: float, field: FieldConfig, grid: GridSpec) -> GroundState
         xb = (x.reshape(nt, n_phi) @ b_cat).reshape(nt, len(terms), n_phi)
         return (a_cat @ xb.swapaxes(0, 1).reshape(-1, n_phi)).ravel()
 
-    k, nu = np.arange(nt // 2 + 1)[:, None], np.fft.fftfreq(n_phi, d=1.0 / n_phi)
-    shift = 1.0 + 0.25 * al**2 * (field.tau0**2 + field.tau1**2)
-    inv_symbol = 1.0 / (k**2 + al**2 / (1.0 - al**2) ** 1.5 * nu**2 + shift)
+    # preconditioner (sigma - D)^-1 per theta parity: sigma starts at Weyl's
+    # bound and is bisected towards the potential's mean, which is the
+    # constant's Rayleigh quotient and so no more than D's top eigenvalue,
+    # while a Cholesky factorization still certifies sigma - D >= 0.1
+    bases = _reflection_bases(nt)
+    stacks = _nu_blocks(al, field, grid)
+    kinetic = fourier_diff_matrix(nt, 2)
+    potential = [np.diagonal(stack, axis1=1, axis2=2) - np.diagonal(q.T @ kinetic @ q)
+                 for stack, q in zip(stacks, bases)]
+    sigma = 0.1 + max(np.max(v) for v in potential)
+    low = np.max(potential[0] @ np.sum(bases[0], axis=0) ** 2) / nt
+    while sigma - low > 0.5:
+        mid = 0.5 * (low + sigma)
+        try:
+            for stack in stacks:
+                np.linalg.cholesky((mid - 0.1) * np.eye(stack.shape[-1]) - stack)
+            sigma = mid
+        except np.linalg.LinAlgError:
+            low = mid
+    inverses = [np.linalg.inv(sigma * np.eye(stack.shape[-1]) - stack) for stack in stacks]
     reflected = -np.arange(nt) % nt
     nu_signs = (-1.0) ** np.arange(n_phi)
     start = np.random.default_rng(0).standard_normal(nt * n_phi)
 
-    def largest(sign: float) -> float:  # in the sector where inversion is sign
-        def project(x: np.ndarray) -> np.ndarray:
-            x = x.reshape(nt, n_phi)
-            return (0.5 * (x + sign * nu_signs * x[reflected])).ravel()
+    def largest(m: int) -> float:  # in sector m, where inversion is (-1)^m
+        # sector m holds theta parity p at the nu of parity (p + m) % 2
+        held = [(q, inv, slice((p + m) % 2, None, 2))
+                for p, (q, inv) in enumerate(zip(bases, inverses))]
 
         def precondition(r: np.ndarray) -> np.ndarray:
-            r = np.fft.rfft(r.reshape(nt, n_phi), axis=0)
-            return project(np.fft.irfft(inv_symbol * r, n=nt, axis=0))
+            r, out = r.reshape(nt, n_phi), np.empty((nt, n_phi))
+            for q, inv, nu in held:
+                out[:, nu] = q @ (inv[nu] @ (r[:, nu].T @ q)[:, :, None])[:, :, 0].T
+            return out.ravel()
 
-        return lobpcg_max(apply, precondition, project(start))
+        x = start.reshape(nt, n_phi)
+        x = 0.5 * (x + (-1) ** m * nu_signs * x[reflected])
+        return lobpcg_max(apply, precondition, x.ravel())
 
-    eps = [largest(1.0), largest(-1.0)]  # sectors A and B
+    eps = [largest(0), largest(1)]  # sectors A and B
     sector = int(eps[1] > eps[0])
     return GroundState(eps[sector], sector)
 

@@ -734,6 +734,34 @@ class TestTeslaConversion:
         assert main(["tesla", "--config", str(ini), "1.0"]) == EXIT_CONFIG
         assert "radii must be positive" in capsys.readouterr().err
 
+    def test_overflowing_tau_exits_numeric_code(self, capsys):
+        # a finite field whose tau is not finite names the field and radius
+        assert main(["tesla", "1e308"]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical error: field B = 1e+308 T at R = 5e-08 m is out of "
+                       "range: tau is not finite\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["tesla", "1.0"], "field B = 1 T at R = 1e+190 m is out of range: "
+                               "tau is not finite"),
+            # the meV column's scale overflows in a**2, a = alpha R
+            (["sweep", "--mev"], "minor radius a = 5e+189 m is out of range: "
+                                 "the energy scale is not finite"),
+        ],
+        ids=["tesla", "sweep-mev"],
+    )
+    def test_overflowing_radius_exits_numeric_code(self, argv, message, tmp_path, monkeypatch, capsys):
+        ini = tmp_path / "huge.ini"
+        ini.write_text("[geometry]\nmajor_radius = 1e200\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", str(ini), *argv[1:]]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.ini"]
+
 
 class TestTraceTargets:
     def test_every_traced_layer_resolves_to_a_callable(self):

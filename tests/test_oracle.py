@@ -444,8 +444,9 @@ CROSSING_FIELDS = [FieldConfig(tau * TILT[0], tau * TILT[1]) for tau in (2.5, 2.
 
 @pytest.mark.parametrize(
     "al,field",
-    [(al, f) for al in (0.5, 0.8) for f in VERIFY_FIELDS] + [(0.5, f) for f in CROSSING_FIELDS],
-    ids=[f"verify{k}-{al}" for al in (0.5, 0.8) for k in range(7)]
+    [(al, f) for al in (0.5, 0.8, 0.95) for f in VERIFY_FIELDS]
+    + [(0.5, f) for f in CROSSING_FIELDS],
+    ids=[f"verify{k}-{al}" for al in (0.5, 0.8, 0.95) for k in range(7)]
     + [f"crossing{tau}" for tau in (2.5, 2.62, 2.63, 2.8)],
 )
 def test_ground_matches_reference_sector_blocks(al, field):
@@ -454,6 +455,37 @@ def test_ground_matches_reference_sector_blocks(al, field):
     ground = grid_solve(al, field, grid)
     assert abs(ground.eps0 - max(tops)) < 1e-10
     assert ground.sector == int(np.argmax(tops))
+
+
+# largest number of operator applies in one sector's LOBPCG over `verify`'s
+# tau1 != 0 fields at 64x32; the nu-diagonal preconditioner takes 44, 45 and
+# 32, the theta-mean kinetic symbol it replaced took 93, 203 and 420
+MAX_SECTOR_APPLIES = {0.5: 50, 0.8: 55, 0.95: 40}
+
+
+@pytest.mark.parametrize("al", sorted(MAX_SECTOR_APPLIES))
+def test_sector_solves_take_few_applies(al, monkeypatch):
+    # the seeded start makes each count repeat
+    counts = []
+    iterative = oracle.lobpcg_max
+
+    def counted_lobpcg(apply, precondition, x):
+        applies = []
+
+        def counted_apply(v):
+            applies.append(1)
+            return apply(v)
+
+        eps = iterative(counted_apply, precondition, x)
+        counts.append(len(applies))
+        return eps
+
+    monkeypatch.setattr(oracle, "lobpcg_max", counted_lobpcg)
+    for field in VERIFY_FIELDS:
+        if field.tau1 != 0.0:
+            grid_solve(al, field, GridSpec(64, 32))
+    assert len(counts) == 8  # two sectors for each of four fields
+    assert max(counts) <= MAX_SECTOR_APPLIES[al]
 
 
 def test_crossing_changes_the_ground_sector(alpha):
@@ -577,9 +609,11 @@ class TestNuBlocks:
             FieldConfig(math.sin(math.pi / 2), math.cos(math.pi / 2)),
         ],
     )
-    def test_in_plane_component_never_builds_nu_blocks(self, alpha, monkeypatch, field):
+    def test_in_plane_component_never_solves_nu_blocks(self, alpha, monkeypatch, field):
+        # its nu blocks build the preconditioner, but only the axial path
+        # hands them to the dense solve
         assert field.tau1 != 0.0
-        monkeypatch.setattr(oracle, "_nu_blocks", _never)
+        monkeypatch.setattr(oracle, "eigh", _never)
         ground = grid_solve(alpha, field, GRID)
         assert isinstance(ground, GroundState)
 
