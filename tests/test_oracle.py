@@ -458,8 +458,7 @@ def test_ground_matches_reference_sector_blocks(al, field):
 
 
 # largest number of operator applies in one sector's LOBPCG over `verify`'s
-# tau1 != 0 fields at 64x32; the nu-diagonal preconditioner takes 44, 45 and
-# 32, the theta-mean kinetic symbol it replaced took 93, 203 and 420
+# tau1 != 0 fields at 64x32, per alpha; the solves take at most 44, 45 and 32
 MAX_SECTOR_APPLIES = {0.5: 50, 0.8: 55, 0.95: 40}
 
 
