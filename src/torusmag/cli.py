@@ -225,7 +225,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             nu = comp.dominant_nu()
             row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
             if scale is not None:
-                row += f",{-eps0 * scale:.12g}"
+                e_mev = -eps0 * scale
+                if not math.isfinite(e_mev):
+                    raise OverflowError(f"tau = {tau:g} is out of range: "
+                                        "its energy in meV is not finite")
+                row += f",{e_mev:.12g}"
             lines.append(row)
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")

@@ -24,26 +24,27 @@ every term is a real theta matrix a times a real nu matrix b: on the real
 and commutes with every term; its +1 eigenspace is sector A = (theta-even x
 even nu) + (theta-odd x odd nu), its -1 eigenspace sector B.
 
-Only the ground state, the largest eigenvalue, is computed.  At tau1 != 0
-the operator is applied matrix-free, and LOBPCG (Knyazev, SIAM J. Sci.
-Comput. 23, 517 (2001)) finds each inversion sector's largest eigenvalue
-from a seeded random start projected onto the sector; run per sector, it
-converges at the gap within the sector, so it stays fast where the sectors'
-ground levels cross.  The preconditioner is (sigma - D)^-1, D the operator's
-nu-diagonal part, which is the `_nu_blocks` stacks, inverted once per field;
-each sector applies per nu column the one theta parity it holds there, so
-the preconditioned residual stays in the sector.  sigma - D >= 0.1 holds
-with no eigensolve: by Weyl's inequality where sigma is 0.1 above the
+Only the ground state, the largest eigenvalue, is computed.  `grid_solve`
+builds a field's terms (`_grid_terms`) and their nu-diagonal part D
+(`_nu_blocks`, which skips every term whose nu matrix has a zero diagonal,
+as the three that flip theta parity do) once, for whichever path runs.  An
+axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
+theta -> -theta, so D is its whole operator, one real symmetric block per
+nu and theta parity, each stack diagonalized in one batched dense call,
+which at 64 x 32 is faster than the iterative solve.  Any other field is
+applied matrix-free, and LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
+(2001)) finds each inversion sector's largest eigenvalue from a seeded
+random start projected onto the sector; run per sector, it converges at
+the gap within the sector, so it stays fast where the sectors' ground
+levels cross.  The preconditioner is (sigma - D)^-1, inverted once per
+field; each sector applies per nu column the one theta parity it holds
+there, so the preconditioned residual stays in the sector.  sigma - D >= 0.1
+holds with no eigensolve: by Weyl's inequality where sigma is 0.1 above the
 largest entry of D's potential (D minus the negative semidefinite second
 derivative), and by a Cholesky factorization where bisection lowers sigma
 towards the potential's mean.  D carries the full theta dependence of
 alpha^2/F^2, so a sector takes at most 42 iterations at alpha = 0.5, 43 at
 0.8 and 30 at 0.95 on verify's fields at 64x32, and 15 at 0.99 at 128x32.
-
-An axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
-theta -> -theta, so its operator is one real symmetric block per nu and
-theta parity (`_nu_blocks`), each stack diagonalized in one batched dense
-call, which at 64 x 32 is faster than the iterative solve.
 """
 
 from __future__ import annotations
@@ -203,19 +204,16 @@ def _grid_terms(
     return terms
 
 
-def _nu_blocks(
-    al: float, field: FieldConfig, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The nu-diagonal part of the operator, which is all of it at tau1 = 0,
+def _nu_blocks(terms: list, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nu-diagonal part of the operator `terms`, all of it at tau1 = 0,
     as real symmetric theta blocks per nu: a theta-even stack
     (n_phi, n_theta/2 + 1, n_theta/2 + 1) and a theta-odd one
     (n_phi, n_theta/2 - 1, n_theta/2 - 1), entry k at the k-th nu in FFT
-    order.  Every term that flips theta parity has a zero nu diagonal, so
-    the two stacks hold the whole nu-diagonal part."""
-    terms = _grid_terms(al, field, grid)
+    order.  Only terms with a nonzero nu diagonal are summed."""
+    kept = [(a, np.diag(b)) for a, b in terms if np.diag(b).any()]
     return tuple(
-        sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b in terms)
-        for q in _reflection_bases(grid.n_theta)
+        sum((q.T @ a @ q) * d[:, None, None] for a, d in kept)
+        for q in _reflection_bases(n_theta)
     )
 
 
@@ -264,11 +262,10 @@ def lobpcg_max(apply: Callable, precondition: Callable, x: np.ndarray) -> float:
     raise ConvergenceError(f"LOBPCG did not converge in {MAX_ITERATIONS} iterations")
 
 
-def _sector_ground(al: float, field: FieldConfig, grid: GridSpec) -> GroundState:
-    """Ground state at tau1 != 0: the larger of the two inversion sectors'
-    largest eigenvalues, each found by `lobpcg_max`."""
+def _sector_ground(terms: list, stacks: tuple, grid: GridSpec) -> GroundState:
+    """Ground state at tau1 != 0 of the operator `terms` with `_nu_blocks`
+    stacks: the larger of the sectors' top eigenvalues, by `lobpcg_max`."""
     nt, n_phi = grid.n_theta, grid.n_phi
-    terms = _grid_terms(al, field, grid)
     a_cat = np.hstack([a for a, _ in terms])
     b_cat = np.hstack([b.T for _, b in terms])
 
@@ -282,7 +279,6 @@ def _sector_ground(al: float, field: FieldConfig, grid: GridSpec) -> GroundState
     # constant's Rayleigh quotient and so no more than D's top eigenvalue,
     # while a Cholesky factorization still certifies sigma - D >= 0.1
     bases = _reflection_bases(nt)
-    stacks = _nu_blocks(al, field, grid)
     kinetic = fourier_diff_matrix(nt, 2)
     potential = [np.diagonal(stack, axis1=1, axis2=2) - np.diagonal(q.T @ kinetic @ q)
                  for stack, q in zip(stacks, bases)]
@@ -343,13 +339,15 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
+    terms = _grid_terms(alpha, field, grid)
+    stacks = _nu_blocks(terms, grid.n_theta)
     if field.tau1 == 0.0:
         # largest eigenvalue of each nu's block, per theta parity
-        top = np.array([eigh(stack)[:, -1] for stack in _nu_blocks(alpha, field, grid)])
+        top = np.array([eigh(stack)[:, -1] for stack in stacks])
         parity, nu = np.unravel_index(np.argmax(top), top.shape)
         ground = GroundState(float(top[parity, nu]), int(parity + nu) % 2)
     else:
-        ground = _sector_ground(alpha, field, grid)
+        ground = _sector_ground(terms, stacks, grid)
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine.eps0 - ground.eps0)

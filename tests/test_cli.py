@@ -762,6 +762,21 @@ class TestTeslaConversion:
         assert out == "" and err == f"numerical error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.ini"]
 
+    def test_overflowing_mev_energy_exits_numeric_code(self, tmp_path, monkeypatch, capsys):
+        # the scale is finite at R = 1, but -eps0 * scale overflows at tau = 1e153
+        ini = tmp_path / "small.ini"
+        ini.write_text("[geometry]\nmajor_radius = 1.0\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--config", str(ini), "--tau-max", "1e153", "--tau-step", "1e153"]
+        assert main([*argv, "--mev"]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("numerical error: tau = 1e+153 is out of range: "
+                                     "its energy in meV is not finite\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.ini"]
+        # without the meV column the same sweep is finite and written
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "sweep_axial.csv").is_file()
+
 
 class TestTraceTargets:
     def test_every_traced_layer_resolves_to_a_callable(self):

@@ -426,7 +426,9 @@ def captured_solves(monkeypatch, alpha, field, grid):
         return 0.0
 
     monkeypatch.setattr(oracle, "lobpcg_max", capture)
-    oracle._sector_ground(alpha, field, grid)
+    # called directly, so an axial field takes the matrix-free path too
+    terms = oracle._grid_terms(alpha, field, grid)
+    oracle._sector_ground(terms, _nu_blocks(terms, grid.n_theta), grid)
     return calls
 
 
@@ -564,6 +566,45 @@ def _never(*args, **kwargs):
     raise AssertionError("took the other path")
 
 
+def field_nu_blocks(alpha, field, grid):
+    """The `_nu_blocks` stacks of the field's `_grid_terms`."""
+    return _nu_blocks(oracle._grid_terms(alpha, field, grid), grid.n_theta)
+
+
+FIELD_KINDS = {
+    "axial": FieldConfig(2.0, 0.0),
+    "tilted": FieldConfig(1.3, 0.7),
+    "in_plane": FieldConfig(0.0, 2.0),
+}
+
+
+class TestBuiltOncePerField:
+    @pytest.mark.parametrize("refine", [False, True], ids=["coarse", "refine"])
+    @pytest.mark.parametrize("field", FIELD_KINDS.values(), ids=FIELD_KINDS)
+    def test_terms_and_nu_blocks_built_once_per_grid(self, alpha, monkeypatch, field, refine):
+        # whichever path runs, it reads the one build of each on its grid
+        calls = []
+        for name in ("_grid_terms", "_nu_blocks"):
+            def counted(*args, _name=name, _build=getattr(oracle, name)):
+                calls.append((_name, args[-1]))
+                return _build(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        grid_solve(alpha, field, GRID, refine=refine)
+        grids = [GRID, GridSpec(2 * GRID.n_theta, GRID.n_phi)][: 1 + refine]
+        assert calls == [c for g in grids for c in (("_grid_terms", g), ("_nu_blocks", g.n_theta))]
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
+    @pytest.mark.parametrize("field", FIELD_KINDS.values(), ids=FIELD_KINDS)
+    def test_nu_blocks_equal_the_all_terms_sum(self, alpha, field, grid):
+        # the skipped terms' zero nu diagonals add nothing but signs of zeros
+        terms = oracle._grid_terms(alpha, field, grid)
+        every_term = [sum((q.T @ a @ q) * np.diag(b)[:, None, None] for a, b in terms)
+                      for q in oracle._reflection_bases(grid.n_theta)]
+        for stack, reference in zip(_nu_blocks(terms, grid.n_theta), every_term, strict=True):
+            assert np.array_equal(stack, reference)
+
+
 class TestNuBlocks:
     @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
@@ -571,7 +612,7 @@ class TestNuBlocks:
         # the stacks hold the dense operator's whole spectrum, and grid_solve
         # returns its largest eigenvalue and the inversion half holding it
         halves = dense_sector_spectra(_build_operator(alpha, field, grid), grid)
-        stacks = np.concatenate([oracle.eigh(s).ravel() for s in _nu_blocks(alpha, field, grid)])
+        stacks = np.concatenate([oracle.eigh(s).ravel() for s in field_nu_blocks(alpha, field, grid)])
         assert np.max(np.abs(np.sort(stacks) - np.sort(np.concatenate(halves)))) < 1e-10
         ground = grid_solve(alpha, field, grid)
         tops = [h[-1] for h in halves]
@@ -582,7 +623,7 @@ class TestNuBlocks:
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_stack_is_real_symmetric_per_nu(self, alpha, field):
         # one stack per theta parity, each one block per nu
-        stacks = _nu_blocks(alpha, field, GRID)
+        stacks = field_nu_blocks(alpha, field, GRID)
         half = GRID.n_theta // 2
         assert [stack.shape for stack in stacks] == [
             (GRID.n_phi, half + 1, half + 1),
