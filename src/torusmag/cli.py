@@ -35,13 +35,7 @@ from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import VARIANTS, assemble
 from .oracle import GridSpec, grid_solve
-from .solver import (
-    GroundState,
-    StateComposition,
-    eigensolve,
-    eigensolve_general,
-    ground_state_composition,
-)
+from .solver import eigensolve, eigensolve_general, ground_state_composition
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -171,10 +165,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text())
+        cfg = parse_config(Path(args.config).read_text())
     else:
         cfg = RunConfig()
     return _apply_overrides(cfg, args)
@@ -189,24 +180,22 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
     )
 
 
-def _grounds(stack, basis: BasisSet, tau1: float, k=len(VARIANTS)) -> list[GroundState]:
-    """The ground of each of the last k variants of one field's `assemble`
-    result: at tau1 = 0 by the whole-matrix solve, whose rounding the stored
-    outputs pin, else by the sector solve, where a variant without the
-    magnetic coupling is not Hermitian."""
-    if tau1 == 0.0:
-        return eigensolve(stack[-k:], basis.sectors)
-    hermitian = [vmag for _, _, vmag in VARIANTS][-k:]
-    return eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
-
-
-def _ground_states(
-    basis: BasisSet, tau0: float, tau1: float
-) -> list[tuple[str, float, StateComposition]]:
-    """(name, eps0, composition) of each variant at one field, assembled once."""
-    grounds = _grounds(assemble(tau0, tau1, basis), basis, tau1)
-    return [(name, ground.eps0, ground_state_composition(ground.vector, basis))
-            for (name, _, _), ground in zip(VARIANTS, grounds)]
+def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
+    """(tau, name, `GroundState`) of each of the last k `VARIANTS`, in that
+    order, at each field cfg.split_tau(tau) in turn, assembled once: at
+    tau1 = 0 by the whole-matrix solve, whose rounding the stored outputs
+    pin, else by the sector solve, where a variant without the magnetic
+    coupling is not Hermitian."""
+    hermitian = [vmag for _, _, vmag in VARIANTS[-k:]]
+    for tau in taus:
+        tau0, tau1 = cfg.split_tau(tau)
+        stack = assemble(tau0, tau1, basis)
+        if tau1 == 0.0:
+            grounds = eigensolve(stack[-k:], basis.sectors)
+        else:
+            grounds = eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
+        for (name, _, _), ground in zip(VARIANTS[-k:], grounds):
+            yield tau, name, ground
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -220,17 +209,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["tau,variant,eps0,eps0_physical,nu_dominant"]
     if scale is not None:
         lines[0] += ",e_mev"
-    for tau in cfg.taus():
-        for name, eps0, comp in _ground_states(basis, *cfg.split_tau(tau)):
-            nu = comp.dominant_nu()
-            row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{nu}"
-            if scale is not None:
-                e_mev = -eps0 * scale
-                if not math.isfinite(e_mev):
-                    raise OverflowError(f"tau = {tau:g} is out of range: "
-                                        "its energy in meV is not finite")
-                row += f",{e_mev:.12g}"
-            lines.append(row)
+    for tau, name, ground in _field_grounds(cfg, basis, cfg.taus(), len(VARIANTS)):
+        eps0, comp = ground.eps0, ground_state_composition(ground.vector, basis)
+        row = f"{tau:.12g},{name},{eps0:.12g},{-eps0:.12g},{comp.dominant_nu()}"
+        if scale is not None:
+            e_mev = -eps0 * scale
+            if not math.isfinite(e_mev):
+                raise OverflowError(f"tau = {tau:g} is out of range: "
+                                    "its energy in meV is not finite")
+            row += f",{e_mev:.12g}"
+        lines.append(row)
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
@@ -247,20 +235,20 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(json_dir))
     # solved tau by tau, one assembly each, and reported variant by variant
     rows: dict[str, list[tuple[dict, str]]] = {name: [] for name, _, _ in VARIANTS}
-    for tau in taus:
-        for name, eps0, comp in _ground_states(basis, *cfg.split_tau(tau)):
-            row = {
-                "variant": name,
-                "tau": tau,
-                "eps0": eps0,
-                "composition": [
-                    {"kind": k, "n": n, "m": m, "re": a}
-                    for k, n, m, a in comp.real_combinations()
-                ],
-            }
-            fmt = "+.6f" if abs(eps0) < 1e6 else "+.6e"  # not ~300 digits at 1e150
-            text = f"{name:7s} tau={tau:<4g} eps0={eps0:{fmt}}  {comp.format_text()}"
-            rows[name].append((row, text))
+    for tau, name, ground in _field_grounds(cfg, basis, taus, len(VARIANTS)):
+        eps0, comp = ground.eps0, ground_state_composition(ground.vector, basis)
+        row = {
+            "variant": name,
+            "tau": tau,
+            "eps0": eps0,
+            "composition": [
+                {"kind": k, "n": n, "m": m, "re": a}
+                for k, n, m, a in comp.real_combinations()
+            ],
+        }
+        fmt = "+.6f" if abs(eps0) < 1e6 else "+.6e"  # not ~300 digits at 1e150
+        text = f"{name:7s} tau={tau:<4g} eps0={eps0:{fmt}}  {comp.format_text()}"
+        rows[name].append((row, text))
     ordered = [entry for entries in rows.values() for entry in entries]
     report = {"orientation": cfg.orientation, "rows": [row for row, _ in ordered]}
     text_lines = [text for _, text in ordered]
@@ -282,11 +270,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid_eps0: dict[FieldConfig, float] = {}
     for orientation in ("axial", "tilted", "in_plane"):
         ocfg = dataclasses.replace(cfg, orientation=orientation)
-        for tau in (0.0, 1.0, 2.0):
-            field = FieldConfig(*ocfg.split_tau(tau), vc_on=True, vmag_on=True)
-            # only on-on, which is Hermitian, is compared, on the printed path
-            stack = assemble(field.tau0, field.tau1, basis)
-            eps_basis = _grounds(stack, basis, field.tau1, 1)[0].eps0
+        # only on-on, which is Hermitian, is compared, on the printed path
+        for tau, _, basis_ground in _field_grounds(ocfg, basis, (0.0, 1.0, 2.0), 1):
+            field = FieldConfig(*ocfg.split_tau(tau))
+            eps_basis = basis_ground.eps0
             if field not in grid_eps0:
                 ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
                 grid_eps0[field] = ground.eps0

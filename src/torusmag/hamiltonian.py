@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def _term_table(
         (-al * st / f, _ONE, 1, 0),
         (-al**2 / f**2, _ONE, 0, 2),
         (-t0 * al**2 * np.ones_like(st), _ONE, 0, 1),
-        (t1 * al**3 * st * (1.0 / f), _COS, 0, 1),  # not / f: the outputs pin it
+        (t1 * al**3 * st / f, _COS, 0, 1),
         (al * t1 * (al + ct), _ISIN, 1, 0),
         (-0.25 * t0_sq * al**2 * f**2, _ONE, 0, 0),
         (-0.25 * t1_sq * al**2 * f**2, _SIN2, 0, 0),
@@ -149,16 +150,22 @@ class _BasisTerms:
         """Each sector's blocks of the `_PIECES`, flattened, (8, n_s * n_s),
         after checking that no piece couples the sectors: H is their linear
         combination, so this covers every field."""
+        # each state's place in sector order, by nu, then function: a piece's
+        # sector blocks and the blocks between the sectors are then views
+        at = np.argsort(np.concatenate(self.index)).reshape(self.shape[:2]).T
+        ends = np.cumsum([i.size for i in self.index])
+        spans = [slice(end - i.size, end) for i, end in zip(self.index, ends)]
         out = [np.empty((len(_PIECES), i.size**2)) for i in self.index]
         for k, (rows, unit) in enumerate(_PIECES.items()):
             table = _term_table(self.alpha, *unit, self.theta)
-            h = np.zeros(self.shape)
+            h = np.zeros((len(self.sectors),) * 2)
             for i in rows:
-                h[:, self.phi[i][0], :, self.phi[i][1]] += self.row(i, table)
-            h = h.reshape(len(self.sectors), -1)
-            check([h[None]], False, self.sectors)
-            for block, i in zip(out, self.index):
-                block[k] = h[np.ix_(i, i)].ravel()
+                r, c, _ = self.phi[i]
+                h[at[r, :, None], at[c, None, :]] += self.row(i, table)
+            check([h[None, s, s] for s in spans], False,
+                  [h[None, s, t] for s, t in permutations(spans, 2)])
+            for block, s in zip(out, spans):
+                block[k] = h[s, s].ravel()
         return out
 
 

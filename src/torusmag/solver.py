@@ -23,6 +23,7 @@ and the oracle, so a caller can handle all numerical failures at once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -61,19 +62,21 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def check(blocks, hermitian, sector=None) -> np.ndarray:
+def check(blocks, hermitian, between) -> np.ndarray:
     """Each matrix's scale max(1, max|H|) over blocks, stacks (k, m, m) that
-    hold k matrices by blocks, after checking that they are finite and real,
-    that no Hermitian one (hermitian[i]) departs from H^T and, given the
-    sector labels of a whole stack blocks[0], that none couples the sectors,
-    by more than HERMITICITY_TOL times its scale (relative, as rounding is)."""
-    if any(np.iscomplexobj(b) or not np.isfinite(b).all() for b in blocks):
+    hold k matrices by blocks, and between, stacks (k, m, n) of their entries
+    between the inversion sectors, after checking that all are finite and
+    real, that no Hermitian one (hermitian[i]) departs from H^T and that none
+    couples the sectors, by more than HERMITICITY_TOL times its scale
+    (relative, as rounding is)."""
+    every = [*blocks, *between]
+    if any(np.iscomplexobj(b) or not np.isfinite(b).all() for b in every):
         raise ArithmeticError("matrix is not finite and real")
-    scale = np.maximum(1.0, np.max([np.max(np.abs(b), axis=(1, 2)) for b in blocks], 0))
+    peak = [np.max(np.abs(b), axis=(1, 2)) for b in every]
+    scale = np.maximum(1.0, np.max(peak, 0))
     defect = 0.0 * scale if not np.any(hermitian) else hermitian * np.max(
         [np.max(np.abs(b - b.transpose(0, 2, 1)), axis=(1, 2)) for b in blocks], 0)
-    leak = 0.0 * scale if sector is None else np.max(
-        np.abs(blocks[0]) * (sector[:, None] != sector), axis=(1, 2))
+    leak = np.max([0.0 * scale, *peak[len(blocks):]], 0)
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
             raise ArithmeticError(f"matrix couples the inversion sectors: "
@@ -90,7 +93,8 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
     sector is the label, in sector, of its vector's largest amplitude.
     Raises ArithmeticError when a `check` bound fails (HermiticityError for
     a matrix that is not Hermitian, instead of silently symmetrizing)."""
-    check([h], True, sector)
+    between = permutations(sector_index(sector), 2)
+    check([h], True, [h[:, i[:, None], j] for i, j in between])
     # complex only because the stored outputs pin its rounding (ROADMAP item 1)
     w, v = np.linalg.eigh((0.5 * (h + h.transpose(0, 2, 1))).astype(complex))
     x = [vi[:, np.argmax(wi)].real for wi, vi in zip(w, v)]  # Im x is exactly 0
@@ -106,7 +110,7 @@ def eigensolve_general(blocks, hermitian, sector: np.ndarray) -> list[GroundStat
     bound fails (HermiticityError for a Hermitian member), the ground is complex
     (ComplexGroundError) or the shifted block is exactly singular."""
     hermitian = np.asarray(hermitian, dtype=bool)
-    scale = check(blocks, hermitian)
+    scale = check(blocks, hermitian, ())
     idx = sector_index(sector)
     top = np.empty((len(hermitian), len(blocks)), dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):

@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 
 from torusmag.basis import gram_schmidt_basis
-from torusmag.cli import _ground_states
+from torusmag.cli import RunConfig, _field_grounds
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import VARIANTS
 from torusmag.oracle import GridSpec, grid_solve
+from torusmag.solver import ground_state_composition
 
 from helpers import (amplitude, assemble_variant, circulation, hermiticity_defect,
                      operator_matrix, residual, solve_ground, spectrum)
@@ -48,7 +49,7 @@ def split(orientation: str, tau: float) -> tuple[float, float]:
 
 class PointCache:
     """Solve each (orientation, tau) field once, as the commands do: all
-    three variants from one assembly, through `cli._ground_states`."""
+    three variants from one assembly, through `cli._field_grounds`."""
 
     def __init__(self, basis):
         self.basis = basis
@@ -57,10 +58,11 @@ class PointCache:
     def solve(self, orientation, tau, vc, vmag):
         key = (orientation, tau)
         if key not in self._store:
-            states = _ground_states(self.basis, *split(orientation, tau))
+            cfg = RunConfig(orientation=orientation)
+            grounds = _field_grounds(cfg, self.basis, [tau], len(VARIANTS))
             self._store[key] = {
-                (vc_on, vmag_on): (eps0, comp)
-                for (_, vc_on, vmag_on), (_, eps0, comp) in zip(VARIANTS, states)
+                (vc_on, vmag_on): (g.eps0, ground_state_composition(g.vector, self.basis))
+                for (_, vc_on, vmag_on), (_, _, g) in zip(VARIANTS, grounds)
             }
         return self._store[key][vc, vmag]
 

@@ -420,6 +420,41 @@ class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.ini"]) == EXIT_CONFIG
 
+    def test_config_read_from_a_pipe(self, tmp_path, capsys):
+        # a process substitution, --config <(...), names a pipe, not a file
+        text = "[geometry]\nalpha = 0.4\n"
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert main(["table", "--tau", "1"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(["table", "--tau", "1", "--config", str(ini)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        try:
+            argv = ["table", "--tau", "1", "--config", f"/dev/fd/{read}"]
+            assert main(argv) == EXIT_OK
+        finally:
+            os.close(read)
+        assert capsys.readouterr().out == expected != default
+
+    @pytest.mark.parametrize("name", ["missing.ini", "."])
+    def test_unreadable_config_exits_config_code(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        # a missing path or a directory: a file error naming the path, and
+        # nothing is solved or written
+        monkeypatch.setattr(cli, "gram_schmidt_basis", never_assemble)
+        monkeypatch.setattr(cli, "assemble", never_assemble)
+        path = tmp_path / name
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("file error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert out == "" and not list(tmp_path.iterdir())
+
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sweep]\ntau_step = banana\n")

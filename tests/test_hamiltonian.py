@@ -351,6 +351,27 @@ class TestBasisTerms:
             assemble(tau0, tau1, fresh)
         assert calls == []
 
+    @pytest.mark.parametrize("f_row,f_col", [(0, 3), (3, 0)])
+    def test_leak_between_sectors_caught_either_way(
+        self, alpha, monkeypatch, f_row, f_col
+    ):
+        # f0 and g1 (function 3 of 3+2) at the lowest nu lie in different
+        # sectors, so the entry lands in one of the two blocks between them
+        increment = hamiltonian._BasisTerms.increment
+
+        def leaking(self, i, row):
+            inc = increment(self, i, row)
+            if i == 3:  # the row of the piece A0
+                inc = inc.copy()
+                inc[0, f_row, f_col] += 1e-6
+            return inc
+
+        monkeypatch.setattr(hamiltonian._BasisTerms, "increment", leaking)
+        fresh = gram_schmidt_basis(alpha, n_even=3, n_odd=2, nu_range=(-1, 1))
+        with pytest.raises(ArithmeticError, match=r"couples the inversion sectors: "
+                           r"max\|H_AB\| = 1\.000e-06 exceeds 1\.0e-12"):
+            assemble(0.4, 1.1, fresh)
+
     def test_holds_no_dense_matrix(self):
         # 4+4 functions and nu in [-12, 12]: dimension 200.  The record holds
         # per-function-pair and per-node data and each affine piece's two
