@@ -194,6 +194,7 @@ def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
             grounds = eigensolve(stack[-k:], basis.sectors)
         else:
             grounds = eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
+        del stack  # not held while the caller reads the grounds
         for (name, _, _), ground in zip(VARIANTS[-k:], grounds):
             yield tau, name, ground
 
