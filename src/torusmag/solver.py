@@ -97,8 +97,7 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
     check([h], True, [h[:, i[:, None], j] for i, j in between])
     # complex only because the stored outputs pin its rounding (ROADMAP item 1)
     w, v = np.linalg.eigh((0.5 * (h + h.transpose(0, 2, 1))).astype(complex))
-    # Im x is exactly 0; a copy, so a ground does not hold all of v
-    x = [vi[:, np.argmax(wi)].real.copy() for wi, vi in zip(w, v)]
+    x = v[np.arange(len(v)), :, np.argmax(w, axis=1)].real  # a copy; Im x is exactly 0
     return [GroundState(float(wi.max()), xi, int(sector[np.argmax(np.abs(xi))]))
             for wi, xi in zip(w, x)]
 
