@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
-from .hamiltonian import VARIANTS, assemble
+from .hamiltonian import N_QUAD, VARIANTS, assemble
 from .oracle import GridSpec, grid_solve
 from .solver import eigensolve, eigensolve_general, ground_state_composition
 
@@ -105,6 +105,13 @@ class RunConfig:
         dim = (self.n_even + self.n_odd) * (self.nu_max - self.nu_min + 1)
         if dim > MAX_BASIS_DIM:
             raise ConfigError(f"basis dimension {dim} exceeds {MAX_BASIS_DIM}")
+        # cos and sin of N_QUAD / 2 theta alias on the theta rule's nodes
+        half = N_QUAD // 2
+        if self.n_even > half or self.n_odd >= half:
+            raise ConfigError(
+                f"{N_QUAD} theta nodes integrate at most {half} even and "
+                f"{half - 1} odd functions, got {self.n_even} and {self.n_odd}"
+            )
 
     def taus(self) -> list[float]:
         n = _tau_count((self.tau_stop - self.tau_start) / self.tau_step)

@@ -17,7 +17,7 @@ batched `eigvalsh` call (Hermitian members) and one `eigvals` call give each
 block's top eigenvalue; the larger top is the ground, which must be real (high
 levels may pair up), and inverse iteration on its block gives the vector.
 
-Every error raised here is an ArithmeticError, as are those of the basis
+Every error raised here is an ArithmeticError, as are those of `assemble`
 and the oracle, so a caller can handle all numerical failures at once."""
 
 from __future__ import annotations

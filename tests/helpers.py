@@ -4,7 +4,7 @@ helpers the tests share."""
 import numpy as np
 
 from torusmag import hamiltonian
-from torusmag.basis import sector_index
+from torusmag.basis import _primitive_gram, sector_index
 from torusmag.hamiltonian import (
     _COUPLING, _CURVATURE, VARIANTS, _term_table, assemble, quadrature_nodes,
 )
@@ -171,3 +171,34 @@ def circulation(comp) -> float:
 def residual(ground, h: np.ndarray) -> float:
     """||H v - eps0 v|| of a ground pair (its vector is unit norm)."""
     return float(np.linalg.norm(h @ ground.vector - ground.eps0 * ground.vector))
+
+
+def reference_gram_schmidt_block(alpha: float, odd: bool, count: int) -> np.ndarray:
+    """`basis._gram_schmidt_block` as it was written with its checks: every
+    projection as u @ gram @ v, a sign fix and two raises, which never fire.
+    The rewrite must stay bitwise equal to it."""
+    parity = "odd" if odd else "even"
+    gram = _primitive_gram(alpha, odd, count)
+
+    def dot(u: np.ndarray, v: np.ndarray) -> float:
+        return float(u @ gram @ v)
+
+    funcs: list[np.ndarray] = []
+    for i in range(count):
+        v = np.eye(count)[i]
+        for _ in range(2):  # one re-orthogonalization pass
+            for u in funcs:
+                v = v - dot(u, v) * u
+        nrm2 = dot(v, v)
+        if nrm2 <= 0:
+            raise AssertionError(f"{parity} primitive {i} numerically degenerate")
+        v = v / np.sqrt(nrm2)
+        if v[i] < 0:  # leading coefficient made positive
+            v = -v
+        funcs.append(v)
+    coeffs = np.array(funcs).reshape(count, count)
+    loss = np.abs(coeffs @ gram @ coeffs.T - np.eye(count))
+    if np.any(loss > 1e-10):
+        i, j = np.unravel_index(np.argmax(loss), loss.shape)
+        raise AssertionError(f"orthogonality loss at {parity} pair ({i}, {j})")
+    return coeffs

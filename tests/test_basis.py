@@ -5,9 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from torusmag.basis import BasisSet, _primitive_gram, gram_schmidt_basis
+from helpers import reference_gram_schmidt_block
+from torusmag.basis import (
+    BasisSet, _gram_schmidt_block, _primitive_gram, gram_schmidt_basis,
+)
+
+#: The largest aspect ratio below 1, where the Gram matrix is least well
+#: conditioned.
+ALPHA_TOP = float(np.nextafter(1.0, 0.0))
 
 
 def quadrature_inner_product(alpha: float, f, g, n: int = 256) -> np.ndarray:
@@ -26,11 +33,11 @@ def primitives(alpha: float, count: int) -> BasisSet:
     return BasisSet(np.eye(count), np.eye(count), (0, 0), alpha)
 
 
-def basis_gram(basis: BasisSet) -> np.ndarray:
+def basis_gram(basis: BasisSet, n: int = 256) -> np.ndarray:
     def vals(theta):
         return basis.values(theta, 0)
 
-    return quadrature_inner_product(basis.alpha, vals, vals)
+    return quadrature_inner_product(basis.alpha, vals, vals, n)
 
 
 class TestThetaFunction:
@@ -191,8 +198,20 @@ class TestGramSchmidtBasis:
             gram_schmidt_basis(alpha, nu_range=(2, -2))
 
     @settings(deadline=None, max_examples=20)
-    @given(st.floats(min_value=0.05, max_value=0.9))
-    def test_orthonormality_across_aspect_ratios(self, alpha):
-        basis = gram_schmidt_basis(alpha, n_even=4, n_odd=4, nu_range=(0, 0))
-        gram = basis_gram(basis)
-        assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+    @given(st.floats(min_value=0.05, max_value=0.9), st.just((4, 4)))
+    # harmonics up to 255 on 1024 nodes: the products and F are integrated exactly
+    @example(ALPHA_TOP, (256, 255))
+    def test_orthonormality_across_aspect_ratios(self, alpha, counts):
+        basis = gram_schmidt_basis(alpha, *counts, nu_range=(0, 0))
+        gram = basis_gram(basis, 1024)
+        assert np.max(np.abs(gram - np.eye(sum(counts)))) < 1e-10
+
+    @pytest.mark.parametrize("count", [1, 2, 6, 24, 256])
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, ALPHA_TOP])
+    def test_bitwise_equal_to_checked_reference(self, alpha, odd, count):
+        # each projection is (u @ gram) @ v with u @ gram computed once
+        assert np.array_equal(
+            _gram_schmidt_block(alpha, odd, count),
+            reference_gram_schmidt_block(alpha, odd, count),
+        )

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusmag import basis as basis_module
 from torusmag import cli, oracle, solver
-from torusmag.basis import BasisSet, DegeneracyError
+from torusmag.basis import BasisSet
 from torusmag.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -483,10 +482,20 @@ class TestErrorPaths:
         assert main(["sweep", "--out", str(tmp_path)] + flags) == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
 
-    def test_oversized_basis_exits_config_code(self, tmp_path, capsys):
+    def test_oversized_basis_exits_config_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gram_schmidt_basis", refuse(AssertionError("built")))
         ini = tmp_path / "big.ini"
-        ini.write_text("[basis]\nnu_min = -1000\nnu_max = 1000\n")
-        assert main(["basis-dump", "--config", str(ini)]) == EXIT_CONFIG
+        # a dimension over MAX_BASIS_DIM, then harmonic 256, which the 512
+        # theta nodes alias, in either parity
+        for command, basis, message in [
+            ("basis-dump", "nu_min = -1000\nnu_max = 1000", "dimension 24012 exceeds"),
+            ("table", "n_even = 257", "at most 256 even and 255 odd functions, got 257 and 6"),
+            ("table", "n_odd = 256", "at most 256 even and 255 odd functions, got 6 and 256"),
+        ]:
+            ini.write_text(f"[basis]\n{basis}\n")
+            assert main([command, "--config", str(ini)]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
 
     @pytest.mark.parametrize(
         "patch,argv,message",
@@ -504,16 +513,6 @@ class TestErrorPaths:
             pytest.param(
                 (cli, "grid_solve", refuse(AccuracyError("moved on refinement"))),
                 ["verify"], "moved on refinement", id="accuracy",
-            ),
-            pytest.param(
-                (cli, "gram_schmidt_basis", refuse(DegeneracyError("degenerate"))),
-                ["basis-dump"], "degenerate", id="degeneracy",
-            ),
-            # a real orthogonality loss: every deviation exceeds a negative bound
-            pytest.param(
-                (basis_module, "ORTHO_TOL", -1.0), ["basis-dump"],
-                r"orthogonality loss at even pair \(\d+, \d+\)",
-                id="orthogonality-loss",
             ),
             # tau**2 overflows a float
             pytest.param(
