@@ -15,7 +15,8 @@ flags taking precedence.  Defaults are the reference configuration:
 R = 500, alpha = 1/2, six functions per parity, nu in [-2, 2].
 
 Exit codes: 0 success, 1 configuration or file error, 2 verification failure,
-3 numerical error (any ArithmeticError, overflow of a huge field included).
+3 numerical error (any ArithmeticError, overflow of a huge field included),
+141 a reader of the output that stopped early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Flags whose dest names a RunConfig field override that field."""
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file's RunConfig, the defaults without one; flags whose
+    dest names a RunConfig field override that field."""
+    cfg = parse_config(Path(args.config).read_text() if args.config else "")
     updates = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(cfg)
@@ -170,39 +173,30 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **updates)
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
-    return _apply_overrides(cfg, args)
-
-
 def _build_basis(cfg: RunConfig) -> BasisSet:
-    return gram_schmidt_basis(
-        cfg.alpha,
-        n_even=cfg.n_even,
-        n_odd=cfg.n_odd,
-        nu_range=(cfg.nu_min, cfg.nu_max),
-    )
+    return gram_schmidt_basis(cfg.alpha, cfg.n_even, cfg.n_odd, (cfg.nu_min, cfg.nu_max))
 
 
 def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
     """(tau, name, `GroundState`) of each of the last k `VARIANTS`, in that
     order, at each field cfg.split_tau(tau) in turn, assembled once: at
     tau1 = 0 by the whole-matrix solve, whose rounding the stored outputs
-    pin, else by the sector solve, where a variant without the magnetic
+    pin, of off-off and the "on" matrix, whose ground on-off and on-on
+    share, else by the sector solve, where a variant without the magnetic
     coupling is not Hermitian."""
-    hermitian = [vmag for _, _, vmag in VARIANTS[-k:]]
+    variants = VARIANTS[-k:]
+    hermitian = [vmag for _, _, vmag in variants]
+    first = int(variants[0][1])  # at tau1 = 0 a variant's matrix is stack[vc_on]
     for tau in taus:
         tau0, tau1 = cfg.split_tau(tau)
         stack = assemble(tau0, tau1, basis)
         if tau1 == 0.0:
-            grounds = eigensolve(stack[-k:], basis.sectors)
+            solved = eigensolve(stack[first:], basis.sectors)
+            grounds = [solved[vc - first] for _, vc, _ in variants]
         else:
             grounds = eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
         del stack  # not held while the caller reads the grounds
-        for (name, _, _), ground in zip(VARIANTS[-k:], grounds):
+        for (name, _, _), ground in zip(variants, grounds):
             yield tau, name, ground
 
 
@@ -260,10 +254,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     ordered = [entry for entries in rows.values() for entry in entries]
     report = {"orientation": cfg.orientation, "rows": [row for row, _ in ordered]}
     text_lines = [text for _, text in ordered]
-    print("\n".join(text_lines))
-    if args.json_out:
+    if args.json_out:  # written first: a reader may stop before the rows end
         Path(args.json_out).write_text(json.dumps(report, indent=2))
-        print(f"wrote {args.json_out}")
+        text_lines.append(f"wrote {args.json_out}")
+    print("\n".join(text_lines))
     return EXIT_OK
 
 
@@ -274,18 +268,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     basis = _build_basis(cfg)
     failures = 0
-    # tau = 0 is the same field in every orientation: solve the grid once
-    grid_eps0: dict[FieldConfig, float] = {}
+    # tau = 0 is the same field in every orientation: solve each side once
+    eps0: dict[FieldConfig, tuple[float, float]] = {}
     for orientation in ("axial", "tilted", "in_plane"):
         ocfg = dataclasses.replace(cfg, orientation=orientation)
-        # only on-on, which is Hermitian, is compared, on the printed path
-        for tau, _, basis_ground in _field_grounds(ocfg, basis, (0.0, 1.0, 2.0), 1):
+        for tau in (0.0, 1.0, 2.0):
             field = FieldConfig(*ocfg.split_tau(tau))
-            eps_basis = basis_ground.eps0
-            if field not in grid_eps0:
-                ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
-                grid_eps0[field] = ground.eps0
-            eps_grid = grid_eps0[field]
+            if field not in eps0:
+                # only on-on, which is Hermitian, is compared, on the printed path
+                [(_, _, basis_ground)] = _field_grounds(ocfg, basis, (tau,), 1)
+                grid_ground = grid_solve(cfg.alpha, field, grid, refine=args.refine)
+                eps0[field] = basis_ground.eps0, grid_ground.eps0
+            eps_basis, eps_grid = eps0[field]
             diff = abs(eps_basis - eps_grid)
             tol = max(1e-3, 1e-3 * abs(eps_basis))
             ok = diff <= tol
@@ -327,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
 
     def orientation(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--orientation", choices=["axial", "tilted", "in_plane"]
-        )
+        p.add_argument("--orientation", choices=["axial", "tilted", "in_plane"])
 
     p_sweep = sub.add_parser("sweep", help="ground eigenvalue vs tau, CSV")
     common(p_sweep)
@@ -375,7 +367,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error; we use 1
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that stopped shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader stopped: exit as a shell reports a SIGPIPE, with
+        # stdout on devnull so that the flush at exit cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,7 @@ class FieldConfig:
     tau0 is the axial flux parameter, tau1 the in-plane one; either sign is
     allowed.  vc_on / vmag_on switch the curvature potential and the
     magnetic curvature coupling on; the pair names a variant of
-    `hamiltonian.VARIANTS`, whose order `hamiltonian.assemble` follows.
+    `hamiltonian.VARIANTS`; at tau1 = 0 on-off and on-on are one operator.
     """
 
     tau0: float

@@ -30,9 +30,10 @@ H = C + V + tau0 A0 + tau1 A1 + tau0^2 Q0 + tau1^2 Q1 + tau0 tau1 X + tau1 K
 exactly, and no piece couples the two inversion sectors.  So at tau1 != 0,
 `assemble` combines the eight real pieces, integrated and checked once per
 basis and kept as sector blocks, into one (3, n_s, n_s) stack per sector.
-At tau1 = 0 the stored outputs pin the rounding of an ordered loop: it adds
-the nonzero rows in table order to the on-on slot of a zero stack, copied to
-the other slots before V and K.  `_BasisTerms` keeps the per-basis parts.
+At tau1 = 0, K is zero, so on-off and on-on are one "on" matrix, and the
+stored outputs pin the rounding of an ordered loop: it adds the nonzero rows
+in table order to the on slot of a zero stack, copied to the off-off slot
+before V.  `_BasisTerms` keeps the per-basis parts.
 """
 
 from __future__ import annotations
@@ -176,12 +177,12 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 
 
 def assemble(tau0: float, tau1: float, basis: BasisSet):
-    """The real matrices of the surface Hamiltonian at one field, off-off,
-    on-off and on-on as in `VARIANTS`: at tau1 = 0 one float64 (3, n, n)
-    stack in `basis.labels()` order, else a list of one such (3, n_s, n_s)
-    stack per inversion sector, in label order.  The curvature potential
-    enters as 1/(4 F^2), which is a^2 (h^2 - k) on the torus.  Raises
-    OverflowError, naming the field, when a matrix is not finite."""
+    """The real matrices of the surface Hamiltonian at one field: at tau1 = 0
+    a float64 (2, n, n) stack in `basis.labels()` order, off-off and the "on"
+    matrix that on-off and on-on share, else a list of one (3, n_s, n_s)
+    stack of the `VARIANTS` per inversion sector, in label order.  The
+    curvature potential enters as 1/(4 F^2), a^2 (h^2 - k) on the torus.
+    Raises OverflowError, naming the field, when a matrix is not finite."""
     terms = _BASIS_TERMS.get(basis)
     if terms is None:
         terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
@@ -194,17 +195,15 @@ def assemble(tau0: float, tau1: float, basis: BasisSet):
             out = [(coeff @ p).reshape(3, i.size, i.size)
                    for p, i in zip(terms.pieces, terms.index)]
         else:
-            stack = np.zeros((3, *terms.shape))
-            h = stack[2]  # the running sum, on-on at the end
+            stack = np.zeros((2, *terms.shape))
+            h = stack[1]  # the running sum, on at the end
             rows = _term_table(basis.alpha, tau0, tau1, terms.theta)
             for i, (r, c, _) in enumerate(terms.phi):
                 if i == _CURVATURE:
                     stack[0] = h
-                elif i == _COUPLING:
-                    stack[1] = h
-                if rows[i][0].any():  # a zero row changes no bit
+                if rows[i][0].any():  # a zero row, K's among them, changes no bit
                     h[:, r, :, c] += terms.row(i, rows)
-            out = [stack.reshape(3, len(basis.sectors), -1)]
+            out = [stack.reshape(2, len(basis.sectors), -1)]
     if not all(np.isfinite(s).all() for s in out):
         raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "
                             "its matrices are not finite")

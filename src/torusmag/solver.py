@@ -4,18 +4,19 @@ The dimensionless eigenvalue convention is eps = -2 m E a^2 / hbar^2, so
 the physical ground state is the eigenvector with the LARGEST raw eps.
 
 Both solvers take one field's real matrices as `hamiltonian.assemble` returns
-them, in `hamiltonian.VARIANTS` order (every assembled H is exactly real, so
-its eigenvalues are real or conjugate pairs), and return a `GroundState` with
-a real vector per matrix, after checking that they are finite and that the
-Hermitian ones are Hermitian.  `eigensolve` takes the whole stack of a
-tau1 = 0 field, checks its split into the inversion sectors of
-`BasisSet.sectors`, and makes one batched whole-matrix `eigh` call, in complex
-arithmetic only because the stored `sweep` and `table` outputs pin its
-rounding byte for byte.  `eigensolve_general` takes the sector stacks of any
-other field, whose pieces `assemble` checked per basis: per sector, one
-batched `eigvalsh` call (Hermitian members) and one `eigvals` call give each
-block's top eigenvalue; the larger top is the ground, which must be real (high
-levels may pair up), and inverse iteration on its block gives the vector.
+them (every assembled H is exactly real, so its eigenvalues are real or
+conjugate pairs), and return a `GroundState` with a real vector per matrix,
+after checking that they are finite and that the Hermitian ones are
+Hermitian.  `eigensolve` takes the whole stack of a tau1 = 0 field, off-off
+and the "on" matrix that on-off and on-on share, checks its split into the
+inversion sectors of `BasisSet.sectors`, and makes one batched whole-matrix
+`eigh` call, in complex arithmetic only because the stored `sweep` and
+`table` outputs pin its rounding byte for byte.  `eigensolve_general` takes
+the sector stacks of any other field, in `hamiltonian.VARIANTS` order, whose
+pieces `assemble` checked per basis: per sector, one batched `eigvalsh` call
+(Hermitian members) and one `eigvals` call give each block's top eigenvalue;
+the larger top is the ground, which must be real (high levels may pair up),
+and inverse iteration on its block gives the vector.
 
 Every error raised here is an ArithmeticError, as are those of `assemble`
 and the oracle, so a caller can handle all numerical failures at once."""

@@ -13,7 +13,7 @@ from torusmag.solver import eigensolve
 
 
 #: The (vc_on, vmag_on) pairs the commands print, in the order of
-#: `assemble`'s stack.
+#: `assemble`'s sector stacks and of `whole_stack`.
 PRINTED = [(vc, vmag) for _, vc, vmag in VARIANTS]
 
 
@@ -24,12 +24,13 @@ def sector_blocks(h, sector) -> list[np.ndarray]:
 
 
 def whole_stack(tau0, tau1, basis) -> np.ndarray:
-    """`assemble`'s three matrices at one field as a whole (3, n, n) stack: at
-    tau1 != 0 its sector stacks on the diagonal blocks, with exact zeros
-    between the sectors."""
+    """The printed variants' matrices at one field as a whole (3, n, n) stack,
+    in `PRINTED` order: at tau1 = 0 `assemble`'s off-off and its one "on"
+    matrix repeated for on-off and on-on, else its sector stacks on the
+    diagonal blocks, with exact zeros between the sectors."""
     out = assemble(tau0, tau1, basis)
     if tau1 == 0.0:
-        return out
+        return out[[int(vc) for vc, _ in PRINTED]]
     n = len(basis.sectors)
     whole = np.zeros((len(PRINTED), n, n))
     for block, i in zip(out, sector_index(basis.sectors)):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -389,11 +390,12 @@ def never_assemble(*args, **kwargs):
 
 
 def diagonal_assemble(tau0, tau1, basis):
-    """A stand-in for `assemble`: the same diagonal H for every variant, as
-    one stack at tau1 = 0 and as sector stacks otherwise."""
+    """A stand-in for `assemble`: the same diagonal H for every matrix, as
+    the off-off and "on" stack at tau1 = 0 and as sector stacks otherwise."""
     h = np.diag(np.arange(len(basis.labels()), dtype=float))
-    stack = np.stack([h] * len(VARIANTS))
-    return stack if tau1 == 0.0 else sector_blocks(stack, basis.sectors)
+    if tau1 == 0.0:
+        return np.stack([h] * 2)
+    return sector_blocks(np.stack([h] * len(VARIANTS)), basis.sectors)
 
 
 def leaking_assemble(tau0, tau1, basis):
@@ -682,7 +684,8 @@ class TestVerifyCommand:
 
     def test_basis_side_solves_on_the_printed_path(self, monkeypatch):
         # on-on is solved as sweep and table solve it: the whole matrix at
-        # the five tau1 = 0 fields, the sector solve at the four others
+        # the three distinct tau1 = 0 fields (tau = 0 once for all three
+        # orientations), the sector solve at the four others
         calls = {"eigensolve": [], "eigensolve_general": []}
 
         def recorder(name):
@@ -697,7 +700,7 @@ class TestVerifyCommand:
         for name in calls:
             monkeypatch.setattr(cli, name, recorder(name))
         main(["verify", "--n-theta", "16", "--n-phi", "16"])
-        assert [len(h) for h, *_ in calls["eigensolve"]] == [1] * 5
+        assert [len(h) for h, *_ in calls["eigensolve"]] == [1] * 3
         # one stack per sector, each holding the on-on block only
         assert [[len(s) for s in h] for h, *_ in calls["eigensolve_general"]] == [[1, 1]] * 4
         assert [hermitian for _, hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
@@ -716,6 +719,76 @@ class TestVerifyCommand:
             assert float(margin) == pytest.approx(
                 float(diff) / float(tol), rel=1.5e-2
             )
+
+
+class TestOneSolvePerOperator:
+    @pytest.mark.parametrize("argv,size,count", [
+        (["sweep"], 2, len(RunConfig().taus())),  # every field axial
+        (["table"], 2, 3),  # axial tau = 0, 1, 2
+        (["verify"], 1, 3),  # tau = 0 once for all orientations, 1 and 2 axial
+    ], ids=["sweep", "table", "verify"])
+    def test_whole_matrix_solve_takes_each_operator_once(
+        self, argv, size, count, tmp_path, monkeypatch
+    ):
+        # at tau1 = 0 on-off and on-on are one operator, solved once with
+        # off-off (sweep, table) or alone (verify's on-on)
+        stacks = []
+        eigensolve = cli.eigensolve
+
+        def recorded(h, sector):
+            stacks.append(h.copy())
+            return eigensolve(h, sector)
+
+        monkeypatch.setattr(cli, "eigensolve", recorded)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        assert [len(h) for h in stacks] == [size] * count
+        for h in stacks:
+            assert not any(np.array_equal(a, b) for a, b in combinations(h, 2))
+
+
+def run_cli(argv, **kwargs) -> subprocess.Popen:
+    """A `python -m torusmag.cli` process on this checkout's source, with
+    Python's default buffering, so that output can still be pending at exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "torusmag.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestClosedStdout:
+    """A reader of stdout that stops early is not a file error: the process
+    exits 141 (128 + SIGPIPE, as a shell reports it) and says nothing."""
+
+    def test_reader_that_stops_after_a_few_bytes(self, tmp_path):
+        # 2.6 MB of JSON, far more than the pipe holds
+        ini = tmp_path / "big.ini"
+        ini.write_text("[basis]\nn_even = 256\nn_odd = 255\nnu_min = 0\nnu_max = 0\n")
+        proc = run_cli(["basis-dump", "--config", str(ini)], stdout=subprocess.PIPE)
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        with proc.stderr:
+            assert head.startswith(b"{") and proc.stderr.read() == b""
+
+    @pytest.mark.parametrize("argv,json_rows", [
+        # 300 rows, well past the 8 KB that stdout buffers, after the JSON
+        (["table", *[f"--tau={i / 50:g}" for i in range(100)]], 300),
+        (["tesla", "1"], None),  # buffered until the end of the command
+    ], ids=["table-json-out", "tesla"])
+    def test_reader_closed_before_the_first_byte(self, argv, json_rows, tmp_path):
+        out = tmp_path / "table.json"
+        if json_rows:
+            argv = [*argv, "--json-out", str(out)]
+        read, write = os.pipe()
+        os.close(read)
+        proc = run_cli(argv, stdout=write)
+        os.close(write)
+        assert proc.wait(timeout=120) == 141
+        with proc.stderr:
+            assert proc.stderr.read() == b""
+        if json_rows:
+            assert len(json.loads(out.read_text())["rows"]) == json_rows
 
 
 class TestDependencies:

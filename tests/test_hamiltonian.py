@@ -239,9 +239,14 @@ class TestSharedAssembly:
 
     def test_builds_exactly_the_printed_variants(self, basis):
         # a printed variant cannot lose its matrix, and no unread one is
-        # built: the whole stack at tau1 = 0, one stack per sector otherwise
+        # built: at tau1 = 0 the coupling K is zero, so on-off and on-on are
+        # one matrix and the whole stack holds off-off and that one; one
+        # stack of the three per sector otherwise
         n = len(basis.labels())
-        assert assemble(0.6, 0.0, basis).shape == (len(PRINTED), n, n)
+        assert assemble(0.6, 0.0, basis).shape == (2, n, n)
+        on_off, on_on = (reference_assemble(FieldConfig(0.6, 0.0, vmag_on=vmag), basis)
+                         for vmag in (False, True))
+        assert on_off.tobytes() == on_on.tobytes()
         sizes = [i.size for i in sector_index(basis.sectors)]
         shapes = [s.shape for s in assemble(0.6, -1.1, basis)]
         assert shapes == [(len(PRINTED), m, m) for m in sizes] and sum(sizes) == n
@@ -251,9 +256,11 @@ class TestSharedAssembly:
         alpha, n_even, n_odd, nu_range = SHARED_BASES[shape]
         basis = gram_schmidt_basis(alpha, n_even, n_odd, nu_range)
         # the tau1 = 0 fields, whose rounding the stored outputs pin: axial,
-        # negative axial and zero fields
+        # negative axial and zero fields, on-off and on-on both against the
+        # one "on" matrix
         for tau0, tau1 in [(1.7, 0.0), (-2.5, 0.0), (0.0, 0.0)]:
-            for (vc, vmag), h in zip(PRINTED, assemble(tau0, tau1, basis)):
+            off, on = assemble(tau0, tau1, basis)
+            for (vc, vmag), h in zip(PRINTED, (off, on, on), strict=True):
                 field = FieldConfig(tau0, tau1, vc_on=vc, vmag_on=vmag)
                 ref = reference_assemble(field, basis)
                 assert h.dtype == ref.dtype and h.shape == ref.shape
