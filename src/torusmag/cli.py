@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .basis import BasisSet, gram_schmidt_basis
 from .field import FieldConfig, energy_scale_mev, tau_from_tesla
 from .hamiltonian import N_QUAD, VARIANTS, assemble
@@ -47,6 +49,12 @@ EXIT_NUMERIC = 3
 #: bound is the size of the default verification grid.
 MAX_TAU_POINTS = 10_001
 MAX_BASIS_DIM = 2048
+
+#: Largest relative error of the theta rule on the mean of 1/F that a run accepts.
+THETA_RULE_TOL = 1e-13
+
+#: Largest bytes of sector stacks that one sector solve takes from a sweep.
+CHUNK_BYTES = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -81,6 +89,17 @@ class RunConfig:
             raise ConfigError(f"unknown orientation {self.orientation!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        # 1/F has Fourier coefficients r**|m| / sqrt(1 - alpha**2), r = alpha /
+        # (1 + sqrt(1 - alpha**2)), so the theta rule's relative error on its
+        # mean is 2 r**N / (1 - r**N): at most THETA_RULE_TOL up to this alpha
+        r = (THETA_RULE_TOL / (2.0 + THETA_RULE_TOL)) ** (1.0 / N_QUAD)
+        limit = 2.0 * r / (1.0 + r * r)
+        if self.alpha > limit:
+            raise ConfigError(
+                f"alpha must be at most {limit:.6f}, where the "
+                f"{N_QUAD}-node theta rule integrates 1/F to {THETA_RULE_TOL:g}, "
+                f"got {self.alpha}"
+            )
         if not (math.isfinite(self.major_radius) and self.major_radius > 0):
             raise ConfigError(
                 f"torus radii must be positive and finite, got "
@@ -179,25 +198,55 @@ def _build_basis(cfg: RunConfig) -> BasisSet:
 
 def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
     """(tau, name, `GroundState`) of each of the last k `VARIANTS`, in that
-    order, at each field cfg.split_tau(tau) in turn, assembled once: at
-    tau1 = 0 by the whole-matrix solve, whose rounding the stored outputs
-    pin, of off-off and the "on" matrix, whose ground on-off and on-on
-    share, else by the sector solve, where a variant without the magnetic
-    coupling is not Hermitian."""
+    order, at each field cfg.split_tau(tau) in turn, each assembled once
+    with only those variants.  A tau1 = 0 field is solved at once by the
+    whole-matrix solve, whose rounding the stored outputs pin, of off-off
+    and the "on" matrix, whose ground on-off and on-on share.  Consecutive
+    other fields gather in chunks of at most CHUNK_BYTES of sector stacks
+    (at least one field), each solved by one sector solve, where a variant
+    without the magnetic coupling is not Hermitian and on-on's sector tops,
+    certified per basis by `assemble`, bound its eigenvalues.  A refusal is
+    that of the earliest failing field, as in a field-by-field solve."""
     variants = VARIANTS[-k:]
     hermitian = [vmag for _, _, vmag in variants]
-    first = int(variants[0][1])  # at tau1 = 0 a variant's matrix is stack[vc_on]
+    first = int(variants[0][1])  # at tau1 = 0 a variant's matrix is stack[vc_on - first]
+    chunk: list = []  # (tau, sector stacks) of the tau1 != 0 fields not yet solved
+
+    def solve_chunk():
+        if not chunk:
+            return
+        taus, stacks = zip(*chunk)
+        chunk.clear()
+        # one field is solved in place: a copy would double its bytes
+        blocks = stacks[0] if len(stacks) == 1 else [np.concatenate(s) for s in zip(*stacks)]
+        del stacks  # the fields' own stacks are not held while they are solved
+        # on-on, the last variant, bounds the others
+        grounds = eigensolve_general(blocks, hermitian, basis.sectors, bound=k - 1)
+        del blocks  # not held while the caller reads the grounds
+        for i, tau in enumerate(taus):
+            for (name, _, _), ground in zip(variants, grounds[i * k:(i + 1) * k]):
+                yield tau, name, ground
+
     for tau in taus:
         tau0, tau1 = cfg.split_tau(tau)
-        stack = assemble(tau0, tau1, basis)
+        try:
+            stack = assemble(tau0, tau1, basis, variants)
+        except ArithmeticError:  # an earlier field's refusal comes first
+            yield from solve_chunk()
+            raise
         if tau1 == 0.0:
-            solved = eigensolve(stack[first:], basis.sectors)
-            grounds = [solved[vc - first] for _, vc, _ in variants]
-        else:
-            grounds = eigensolve_general([s[-k:] for s in stack], hermitian, basis.sectors)
-        del stack  # not held while the caller reads the grounds
-        for (name, _, _), ground in zip(variants, grounds):
-            yield tau, name, ground
+            yield from solve_chunk()
+            solved = eigensolve(stack, basis.sectors)
+            del stack  # not held while the caller reads the grounds
+            for name, vc, _ in variants:
+                yield tau, name, solved[vc - first]
+            continue
+        field = sum(s.nbytes for s in stack)
+        chunk.append((tau, stack))
+        del stack  # held by the chunk alone
+        if (len(chunk) + 1) * field > CHUNK_BYTES:
+            yield from solve_chunk()
+    yield from solve_chunk()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -29,7 +29,10 @@ V, magnetic coupling K), are nested prefixes of `_term_table`.
 H = C + V + tau0 A0 + tau1 A1 + tau0^2 Q0 + tau1^2 Q1 + tau0 tau1 X + tau1 K
 exactly, and no piece couples the two inversion sectors.  So at tau1 != 0,
 `assemble` combines the eight real pieces, integrated and checked once per
-basis and kept as sector blocks, into one (3, n_s, n_s) stack per sector.
+basis and kept as sector blocks, into one (k, n_s, n_s) stack per sector of
+the k variants asked for.  The check also holds K antisymmetric and V
+positive semidefinite, which bounds the off variants' eigenvalues by
+on-on's top in each sector for the sector solve.
 At tau1 = 0, K is zero, so on-off and on-on are one "on" matrix, and the
 stored outputs pin the rounding of an ordered loop: it adds the nonzero rows
 in table order to the on slot of a zero stack, copied to the off-off slot
@@ -45,7 +48,7 @@ from itertools import permutations
 import numpy as np
 
 from .basis import BasisSet, sector_index
-from .solver import check
+from .solver import HERMITICITY_TOL, check
 
 #: Nodes of the periodic trapezoid rule for the theta integrals.
 N_QUAD = 512
@@ -167,7 +170,29 @@ class _BasisTerms:
                   [h[None, s, t] for s, t in permutations(spans, 2)])
             for block, s in zip(out, spans):
                 block[k] = h[s, s].ravel()
+        for block, i in zip(out, self.index):  # V and K are pieces 1 and 7
+            _check_bounds(block[1].reshape(i.size, i.size), block[7].reshape(i.size, i.size))
         return out
+
+
+def _check_bounds(v: np.ndarray, k: np.ndarray) -> None:
+    """Check that the sector block v of the curvature piece is positive
+    semidefinite and that k of the coupling piece is antisymmetric, each
+    within HERMITICITY_TOL times max(1, max|piece|).  On-off's symmetric
+    part is then on-on's, and off-off's is on-on's less V, so no eigenvalue
+    of theirs has a real part above on-on's top (Bendixson), which the
+    sector solve takes as a bound."""
+    bound = HERMITICITY_TOL * max(1.0, np.max(np.abs(k), initial=0.0))
+    defect = np.max(np.abs(k + k.T), initial=0.0)
+    if defect > bound:
+        raise ArithmeticError(f"coupling piece is not antisymmetric: max|K + K^T| "
+                              f"= {defect:.3e} exceeds {bound:.1e}")
+    bound = HERMITICITY_TOL * max(1.0, np.max(np.abs(v), initial=0.0))
+    try:
+        np.linalg.cholesky(v + bound * np.eye(len(v)))
+    except np.linalg.LinAlgError:
+        raise ArithmeticError(f"curvature piece is not positive semidefinite: "
+                              f"V + {bound:.1e} I has no Cholesky factor") from None
 
 
 #: Each basis's field-free terms, dropped when the basis is.
@@ -176,12 +201,13 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 )
 
 
-def assemble(tau0: float, tau1: float, basis: BasisSet):
-    """The real matrices of the surface Hamiltonian at one field: at tau1 = 0
-    a float64 (2, n, n) stack in `basis.labels()` order, off-off and the "on"
-    matrix that on-off and on-on share, else a list of one (3, n_s, n_s)
-    stack of the `VARIANTS` per inversion sector, in label order.  The
-    curvature potential enters as 1/(4 F^2), a^2 (h^2 - k) on the torus.
+def assemble(tau0: float, tau1: float, basis: BasisSet, variants=VARIANTS):
+    """The real matrices of the surface Hamiltonian at one field, for the
+    variants, a tail of `VARIANTS`: at tau1 = 0 a float64 stack in
+    `basis.labels()` order, off-off if asked, then the "on" matrix that
+    on-off and on-on share, else a list of one (k, n_s, n_s) stack of the k
+    variants per inversion sector, in label order.  The curvature potential
+    enters as 1/(4 F^2), a^2 (h^2 - k) on the torus.
     Raises OverflowError, naming the field, when a matrix is not finite."""
     terms = _BASIS_TERMS.get(basis)
     if terms is None:
@@ -191,19 +217,20 @@ def assemble(tau0: float, tau1: float, basis: BasisSet):
         if tau1 != 0.0:
             t0, t1 = np.float64(tau0), np.float64(tau1)
             field = [t0, t1, t0 * t0, t1 * t1, t0 * t1]  # times A0, A1, Q0, Q1, X
-            coeff = np.array([[1.0, vc, *field, vmag * t1] for _, vc, vmag in VARIANTS])
-            out = [(coeff @ p).reshape(3, i.size, i.size)
+            coeff = np.array([[1.0, vc, *field, vmag * t1] for _, vc, vmag in variants])
+            out = [(coeff @ p).reshape(len(variants), i.size, i.size)
                    for p, i in zip(terms.pieces, terms.index)]
         else:
-            stack = np.zeros((2, *terms.shape))
-            h = stack[1]  # the running sum, on at the end
+            # two slots when off-off, whose vc_on is off, is asked for
+            stack = np.zeros((2 - variants[0][1], *terms.shape))
+            h = stack[-1]  # the running sum, on at the end
             rows = _term_table(basis.alpha, tau0, tau1, terms.theta)
             for i, (r, c, _) in enumerate(terms.phi):
-                if i == _CURVATURE:
+                if i == _CURVATURE and len(stack) == 2:
                     stack[0] = h
                 if rows[i][0].any():  # a zero row, K's among them, changes no bit
                     h[:, r, :, c] += terms.row(i, rows)
-            out = [stack.reshape(2, len(basis.sectors), -1)]
+            out = [stack.reshape(len(stack), len(basis.sectors), -1)]
     if not all(np.isfinite(s).all() for s in out):
         raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "
                             "its matrices are not finite")

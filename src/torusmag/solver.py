@@ -12,11 +12,20 @@ and the "on" matrix that on-off and on-on share, checks its split into the
 inversion sectors of `BasisSet.sectors`, and makes one batched whole-matrix
 `eigh` call, in complex arithmetic only because the stored `sweep` and
 `table` outputs pin its rounding byte for byte.  `eigensolve_general` takes
-the sector stacks of any other field, in `hamiltonian.VARIANTS` order, whose
-pieces `assemble` checked per basis: per sector, one batched `eigvalsh` call
-(Hermitian members) and one `eigvals` call give each block's top eigenvalue;
-the larger top is the ground, which must be real (high levels may pair up),
-and inverse iteration on its block gives the vector.
+the sector stacks of a chunk of other fields, each in `hamiltonian.VARIANTS`
+order, whose pieces `assemble` checked per basis.  Per sector, one batched
+`eigvalsh` call gives the Hermitian members' top eigenvalues.  A
+non-Hermitian member's symmetric part is on-on's less the curvature
+potential V, which is positive semidefinite, since the coupling K is
+antisymmetric (both checked per basis), so by Bendixson's theorem
+(Re lambda(A) <= lambda_max((A + A^T) / 2)) no eigenvalue of its block in a
+sector has a real part above on-on's top there: batched `eigvals` calls
+solve its block in the sector where on-on's top is larger, and the other
+block only if the top found does not exceed on-on's top there by
+RESIDUAL_TOL times the scale.  The larger top is the ground, which must be
+real (high levels may pair up), and one batched inverse iteration per
+sector on the ground blocks gives the vectors.  A refusal is that of the
+earliest failing field, as a field-by-field solve raises it.
 
 Every error raised here is an ArithmeticError, as are those of `assemble`
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -103,47 +112,105 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
             for wi, xi in zip(w, x)]
 
 
-def eigensolve_general(blocks, hermitian, sector: np.ndarray) -> list[GroundState]:
-    """Ground state of each of k matrices given by their sector stacks:
-    blocks[s] (k, n_s, n_s) holds the states labelled by the s-th smallest
-    label of sector, as `assemble` returns a tau1 != 0 field; matrix i must
-    be Hermitian where hermitian[i].  Raises ArithmeticError when a `check`
-    bound fails (HermiticityError for a Hermitian member), the ground is complex
-    (ComplexGroundError) or the shifted block is exactly singular."""
+def eigensolve_general(blocks, hermitian, sector: np.ndarray, bound=None) -> list[GroundState]:
+    """Ground state of each of m matrices given by their sector stacks:
+    blocks[s] (m, n_s, n_s) holds the states labelled by the s-th smallest
+    label of sector, for the fields of a chunk in turn, each with the k =
+    len(hermitian) members of a tau1 != 0 field as `assemble` returns it;
+    member j must be Hermitian where hermitian[j].  With bound = j, member j
+    is Hermitian and in each sector its top bounds the real part of every
+    eigenvalue of the field's other members, as `assemble` certifies for
+    on-on; a non-Hermitian member's other sector is then solved only while
+    its top so far does not exceed that sector's bound by RESIDUAL_TOL times
+    its scale.  Raises ArithmeticError when a `check` bound fails
+    (HermiticityError for a Hermitian member), the ground is complex
+    (ComplexGroundError) or the shifted block is exactly singular, for the
+    earliest failing field, in the order of a field-by-field solve."""
     hermitian = np.asarray(hermitian, dtype=bool)
-    scale = check(blocks, hermitian, ())
-    idx = sector_index(sector)
-    top = np.empty((len(hermitian), len(blocks)), dtype=complex)  # per matrix and sector
+    k, m = len(hermitian), len(blocks[0])
+    try:
+        scale = check(blocks, np.tile(hermitian, m // k), ())
+    except ArithmeticError:
+        if m > k:  # each field's check comes before its solve
+            _solve_each(blocks, hermitian, sector, bound, k)
+        raise
+    try:
+        return _ground_states(blocks, hermitian, sector, bound, scale)
+    except ArithmeticError:
+        if m > 1:  # field by field, then member by member
+            _solve_each(blocks, hermitian, sector, bound, k if m > k else 1)
+        raise
+
+
+def _solve_each(blocks, hermitian, sector, bound, size) -> None:
+    """Solve each run of size matrices alone, a field (size = k) or a
+    member (size = 1), raising the first failure."""
+    k = len(hermitian)
+    for i in range(0, len(blocks[0]), size):
+        part = [b[i:i + size] for b in blocks]
+        if size == k:
+            eigensolve_general(part, hermitian, sector, bound)
+        else:
+            eigensolve_general(part, hermitian[[i % k]], sector)
+
+
+def _ground_states(blocks, hermitian, sector, bound, scale) -> list[GroundState]:
+    """`eigensolve_general` past its `check`, on one batch per sector."""
+    m, k = len(scale), len(hermitian)
+    herm = np.tile(hermitian, m // k)
+    tol = RESIDUAL_TOL * scale
+    top = np.full((m, len(blocks)), -np.inf, dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
-        top[hermitian, s] = np.linalg.eigvalsh(b[hermitian])[..., -1]
-        # complex values sort by real part first
-        top[~hermitian, s] = np.sort(np.linalg.eigvals(b[~hermitian]))[..., -1]
-    states = []
-    for i, s in enumerate(np.argmax(top.real, axis=1)):
-        imag, bound = abs(top[i, s].imag), RESIDUAL_TOL * scale[i]
-        if imag > min(GROUND_IMAG_TOL, bound):
-            raise ComplexGroundError(f"ground eigenvalue has imaginary part {imag:.3e}, "
-                                     f"above {min(GROUND_IMAG_TOL, bound):.1e}")
-        eps0, k = top[i, s].real, int(np.rint(np.log2(scale[i])))
+        top[herm, s] = np.linalg.eigvalsh(b[herm])[..., -1]
+    # each matrix's bound per sector: its field's member `bound`, or none
+    ceiling = np.full(top.shape, np.inf) if bound is None else np.repeat(
+        top[bound::k].real, k, axis=0)
+    for rank in np.argsort(-ceiling, axis=1, kind="stable").T:
+        # sectors in falling order of their bound: the next one is solved
+        # unless the top so far exceeds its bound (Bendixson)
+        wanted = ~herm & ~(top.real.max(axis=1) > ceiling[np.arange(m), rank] + tol)
+        for s, b in enumerate(blocks):
+            chosen = wanted & (rank == s)
+            if chosen.any():
+                # complex values sort by real part first
+                top[chosen, s] = np.sort(np.linalg.eigvals(b[chosen]))[..., -1]
+    ground = np.argmax(top.real, axis=1)
+    top = top[np.arange(m), ground]
+    imag, limit = np.abs(top.imag), np.minimum(GROUND_IMAG_TOL, tol)
+    if np.any(imag > limit):
+        i = np.argmax(imag > limit)
+        raise ComplexGroundError(f"ground eigenvalue has imaginary part {imag[i]:.3e}, "
+                                 f"above {limit[i]:.1e}")
+    eps0, e = top.real, np.rint(np.log2(scale)).astype(int)
+    idx = sector_index(sector)
+    vectors = np.zeros((m, len(sector)))
+    for s, b in enumerate(blocks):
+        i = np.flatnonzero(ground == s)
+        if not i.size:
+            continue
         # inverse iteration from a start of ones, shifted just past eps0, on
-        # the block over 2**k ~ scale[i]: exact, and no overflow at huge fields
-        block = np.ldexp(blocks[s][i], -k)
-        shift = np.ldexp(eps0 + INVERSE_SHIFT * max(1.0, abs(eps0)), -k)
-        shifted = block - shift * np.eye(len(block))
+        # the block over 2**e ~ scale: exact, and no overflow at huge fields
+        n = len(idx[s])
+        shifted = b[i]  # a copy, scaled and shifted in place
+        np.ldexp(shifted, -e[i, None, None], out=shifted)
+        shift = np.ldexp(eps0[i] + INVERSE_SHIFT * np.maximum(1.0, np.abs(eps0[i])), -e[i])
+        shifted.reshape(i.size, n * n)[:, ::n + 1] -= shift[:, None]  # the diagonals
         try:
-            x = np.linalg.solve(shifted, np.ones(len(block)))
-            x = np.linalg.solve(shifted, x / np.linalg.norm(x))
+            x = np.linalg.solve(shifted, np.ones((i.size, n, 1)))
+            x = np.linalg.solve(shifted, x / np.linalg.norm(x, axis=1, keepdims=True))
         except np.linalg.LinAlgError as exc:  # a LinAlgError is a ValueError
             raise ArithmeticError(f"shifted ground block is singular: {exc}") from exc
-        x /= np.linalg.norm(x)
-        residual = np.ldexp(np.linalg.norm(block @ x - np.ldexp(eps0, -k) * x), k)
-        if not residual <= bound:
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        # B x - eps0 x for the scaled block B, from the shifted one
+        r = shifted @ x + (shift - np.ldexp(eps0[i], -e[i]))[:, None, None] * x
+        residual = np.ldexp(np.linalg.norm(r[..., 0], axis=1), e[i])
+        if not np.all(residual <= tol[i]):
+            j = np.argmin(residual <= tol[i])
             raise ArithmeticError(
-                f"ground vector residual {residual:.3e} exceeds {bound:.1e}")
-        vector = np.zeros(len(sector))
-        vector[idx[s]] = x
-        states.append(GroundState(float(eps0), vector, int(sector[idx[s][0]])))
-    return states
+                f"ground vector residual {residual[j]:.3e} exceeds {tol[i][j]:.1e}")
+        vectors[i[:, None], idx[s]] = x[..., 0]
+    label = [int(sector[i[0]]) for i in idx]
+    return [GroundState(float(eps0[i]), vectors[i], label[ground[i]]) for i in range(m)]
 
 
 @dataclass(frozen=True, eq=False)

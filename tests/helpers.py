@@ -54,6 +54,40 @@ def leak_into_a_piece(monkeypatch, n_even: int) -> None:
     monkeypatch.setattr(hamiltonian._BasisTerms, "increment", leaking)
 
 
+def break_a_bound(monkeypatch, row: int, at: tuple, entry: float) -> None:
+    """Add entry to row's increment at index at, (harmonic nonzero, row
+    function, column function), in every basis built from now on: within a
+    sector, into the coupling row (`_COUPLING`) a symmetric part, into the
+    curvature row (`_CURVATURE`), for a diagonal entry below minus V's, a
+    negative direction."""
+    increment = hamiltonian._BasisTerms.increment
+
+    def broken(self, i, table_row):
+        inc = increment(self, i, table_row)
+        if i == row:
+            inc = inc.copy()
+            inc[at] += entry
+        return inc
+
+    monkeypatch.setattr(hamiltonian._BasisTerms, "increment", broken)
+
+
+def reference_sector_tops(blocks, hermitian) -> np.ndarray:
+    """Each matrix's top eigenvalue in every sector, (m, sectors), complex:
+    the last of `eigvalsh` for a Hermitian member and the largest of
+    `eigvals` by real part for the others, in both sectors of every matrix,
+    one matrix at a time.  The reference for the certified sector solve,
+    which skips a sector that cannot hold the ground."""
+    tops = np.empty((len(blocks[0]), len(blocks)), dtype=complex)
+    for s, stack in enumerate(blocks):
+        for i, h in enumerate(stack):
+            if hermitian[i % len(hermitian)]:
+                tops[i, s] = np.linalg.eigvalsh(h)[-1]
+            else:
+                tops[i, s] = np.sort(np.linalg.eigvals(h))[-1]
+    return tops
+
+
 def assemble_variant(field, basis) -> np.ndarray:
     """The assembled matrix of the printed variant that field's toggles name."""
     i = PRINTED.index((field.vc_on, field.vmag_on))

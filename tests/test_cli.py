@@ -109,6 +109,30 @@ out_dir = results
         with pytest.raises(ConfigError):
             RunConfig(alpha=1.5)
 
+    def test_alpha_past_the_theta_rule_exits_config_code(self, tmp_path, monkeypatch, capsys):
+        # near alpha = 1 the 512-node rule misses the moments of 1/F: verify
+        # failed all 9 points with margins of 5e5 at 0.9995, and table printed
+        # an eps0 wrong by 7.24 at 0.9999; both are refused before any build
+        monkeypatch.setattr(cli, "gram_schmidt_basis", never_assemble)
+        ini = tmp_path / "thin.ini"
+        for alpha in ("0.9995", "0.9999"):
+            ini.write_text(f"[geometry]\nalpha = {alpha}\n")
+            for command in ("verify", "table", "sweep"):
+                assert main([command, "--config", str(ini)]) == EXIT_CONFIG
+                out, err = capsys.readouterr()
+                assert out == "" and err == (
+                    "configuration error: alpha must be at most 0.998214, where the "
+                    f"512-node theta rule integrates 1/F to 1e-13, got {alpha}\n")
+        RunConfig(alpha=0.998)
+        # the limit is where the rule's relative error on the mean of 1/F,
+        # 2 r^512 / (1 - r^512) in closed form, reaches 1e-13
+        alpha = 0.998214
+        theta = np.arange(512) * 2.0 * np.pi / 512
+        error = np.mean(1.0 / (1.0 + alpha * np.cos(theta))) * np.sqrt(1.0 - alpha**2) - 1.0
+        assert error == pytest.approx(1e-13, rel=0.05)
+        with pytest.raises(ConfigError, match="alpha must be at most 0.998214"):
+            RunConfig(alpha=0.998215)
+
     def test_tau_grid(self):
         cfg = RunConfig(tau_start=0.0, tau_stop=1.0, tau_step=0.5)
         assert cfg.taus() == [0.0, 0.5, 1.0]
@@ -249,8 +273,8 @@ class TestSweepCommand:
         def recorder(name):
             layer = getattr(cli, name)
 
-            def recorded(stack, *args):
-                grounds = layer(stack, *args)
+            def recorded(stack, *args, **kwargs):
+                grounds = layer(stack, *args, **kwargs)
                 stacks = stack if isinstance(stack, list) else [stack]  # sector stacks
                 dtypes.setdefault(name, set()).update(
                     [s.dtype for s in stacks] + [g.vector.dtype for g in grounds])
@@ -266,9 +290,10 @@ class TestSweepCommand:
         assert dtypes == {name: {np.dtype(np.float64)} for name in solvers}
 
     def test_one_assembly_per_field(self, tmp_path, monkeypatch):
-        # the three variants of a field share one assembly and reach one
-        # solver call: the whole-matrix solve at tau1 = 0, the sector solve
-        # otherwise; counted at the names the benchmark's tracer wraps
+        # the three variants of a field share one assembly; a tau1 = 0 field
+        # reaches the whole-matrix solve alone, and consecutive others share
+        # one sector solve per chunk of at most CHUNK_BYTES of sector stacks;
+        # counted at the names the benchmark's tracer wraps
         calls = {"assemble": 0, "eigensolve": 0, "eigensolve_general": 0}
 
         def counter(name):
@@ -284,11 +309,19 @@ class TestSweepCommand:
             monkeypatch.setattr(cli, name, counter(name))
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_OK
         assert calls == {"assemble": 13, "eigensolve": 13, "eigensolve_general": 0}
-        calls.update(assemble=0, eigensolve=0, eigensolve_general=0)
-        argv = ["sweep", "--orientation", "in_plane", "--tau-max", "1"]
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
-        # tau = 0 whole, tau = 0.25 ... 1 by sectors
-        assert calls == {"assemble": 5, "eigensolve": 1, "eigensolve_general": 4}
+        argv = ["sweep", "--orientation", "in_plane", "--out", str(tmp_path)]
+        field = 3 * 2 * 30**2 * 8  # bytes of a default field's two sector stacks
+        # tau = 0 whole, the other 12 fields by sectors: in chunks of
+        # CHUNK_BYTES // field, or one by one below a field's bytes
+        written = set()
+        for budget in (cli.CHUNK_BYTES, 5 * field, field - 1):
+            chunks = -(-12 // max(1, budget // field))
+            monkeypatch.setattr(cli, "CHUNK_BYTES", budget)
+            calls.update(assemble=0, eigensolve=0, eigensolve_general=0)
+            assert main(argv) == EXIT_OK
+            assert calls == {"assemble": 13, "eigensolve": 1, "eigensolve_general": chunks}
+            written.add((tmp_path / "sweep_in_plane.csv").read_bytes())
+        assert len(written) == 1  # the chunks change no byte
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
@@ -323,6 +356,13 @@ class TestTableCommand:
         assert main(["table", "--tau", value]) == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
 
+
+    def test_rows_keep_the_order_of_tau(self, capsys):
+        # in plane, tau = 0 is a tau1 = 0 field between two chunked ones
+        assert main(["table", "--orientation", "in_plane",
+                     "--tau", "1", "--tau", "0", "--tau", "2"]) == EXIT_OK
+        taus = re.findall(r"^\S+ +tau=(\S+)", capsys.readouterr().out, re.MULTILINE)
+        assert taus == ["1", "0", "2"] * len(VARIANTS)
 
     def test_huge_eps0_prints_in_exponent_form(self, capsys):
         # a fixed-point eps0 at tau = 1e150 would take about 300 digits
@@ -389,19 +429,19 @@ def never_assemble(*args, **kwargs):
     raise AssertionError("solved a point before the output was checked")
 
 
-def diagonal_assemble(tau0, tau1, basis):
+def diagonal_assemble(tau0, tau1, basis, variants=VARIANTS):
     """A stand-in for `assemble`: the same diagonal H for every matrix, as
     the off-off and "on" stack at tau1 = 0 and as sector stacks otherwise."""
     h = np.diag(np.arange(len(basis.labels()), dtype=float))
     if tau1 == 0.0:
-        return np.stack([h] * 2)
-    return sector_blocks(np.stack([h] * len(VARIANTS)), basis.sectors)
+        return np.stack([h] * (2 - variants[0][1]))
+    return sector_blocks(np.stack([h] * len(variants)), basis.sectors)
 
 
-def leaking_assemble(tau0, tau1, basis):
+def leaking_assemble(tau0, tau1, basis, variants=VARIANTS):
     """A stand-in for `assemble`: its stack with a 1e-6 entry between an
     A-sector and a B-sector state in every variant."""
-    stack = assemble(tau0, tau1, basis)
+    stack = assemble(tau0, tau1, basis, variants)
     a, b = np.flatnonzero(basis.sectors == 0)[3], np.flatnonzero(basis.sectors == 1)[5]
     stack[:, a, b] += 1e-6
     stack[:, b, a] += 1e-6
@@ -580,6 +620,28 @@ class TestErrorPaths:
         assert re.fullmatch(f"numerical error: {message}\n", err)
         assert out == "" and not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,config,message", [
+        # tau = 3.2 has a complex ground, and tau = 1e155 overflows after it
+        (["sweep"], "[field]\norientation = in_plane\n[sweep]\ntau_start = 3.2\n"
+                    "tau_stop = 2e155\ntau_step = 1e155\n",
+         "ground eigenvalue has imaginary part 6.181e-02, above 3.8e-09"),
+        # the overflow at tau = 1e155 comes before tau = 3.2's complex ground
+        (["table", "--orientation", "in_plane", "--tau", "1e155", "--tau", "3.2"], None,
+         "field tau0=0, tau1=1e+155 is out of range: its matrices are not finite"),
+    ], ids=["sweep-complex-first", "table-overflow-first"])
+    def test_earliest_failing_field_is_reported(
+        self, argv, config, message, tmp_path, monkeypatch, capsys
+    ):
+        # a chunk of fields is refused as a field-by-field solve refuses it
+        monkeypatch.chdir(tmp_path)
+        if config:
+            (tmp_path / "run.ini").write_text(config)
+            argv = argv + ["--config", "run.ini"]
+        assert main(argv) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.ini"] if config else [])
+
     def test_cross_sector_entry_at_tau1_zero_exits_numeric_code(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -691,9 +753,9 @@ class TestVerifyCommand:
         def recorder(name):
             layer = getattr(cli, name)
 
-            def recorded(*args):
+            def recorded(*args, **kwargs):
                 calls[name].append(args)
-                return layer(*args)
+                return layer(*args, **kwargs)
 
             return recorded
 
@@ -704,6 +766,20 @@ class TestVerifyCommand:
         # one stack per sector, each holding the on-on block only
         assert [[len(s) for s in h] for h, *_ in calls["eigensolve_general"]] == [[1, 1]] * 4
         assert [hermitian for _, hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
+
+    def test_assembles_on_on_alone(self, monkeypatch, capsys):
+        # verify reads on-on only, so each field builds that one matrix: one
+        # matrix per sector stack at tau1 != 0, no off-off copy at tau1 = 0
+        sizes = []
+
+        def recorded(*args):
+            out = assemble(*args)
+            sizes.append([len(s) for s in out] if isinstance(out, list) else [len(out)])
+            return out
+
+        monkeypatch.setattr(cli, "assemble", recorded)
+        main(["verify", "--n-theta", "16", "--n-phi", "16"])
+        assert sorted(sizes) == [[1]] * 3 + [[1, 1]] * 4
 
     def test_each_line_reports_its_margin(self, capsys):
         # the exit code is not checked: only the printed margins are tested

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from torusmag.basis import gram_schmidt_basis
+from torusmag.basis import gram_schmidt_basis, sector_index
 from torusmag.cli import RunConfig, main
 from torusmag.field import FieldConfig
-from torusmag.hamiltonian import VARIANTS, assemble
+from torusmag.hamiltonian import _COUPLING, _CURVATURE, VARIANTS, assemble
 from torusmag.oracle import GridSpec, grid_solve
 from torusmag import solver
 from torusmag.solver import (
     GROUND_IMAG_TOL,
+    RESIDUAL_TOL,
     ComplexGroundError,
     HermiticityError,
     eigensolve,
@@ -19,8 +20,8 @@ from torusmag.solver import (
 )
 
 from helpers import (
-    amplitude, assemble_variant, circulation, leak_into_a_piece, norm_sq, residual,
-    sector_blocks, solve_ground, spectrum, whole_stack,
+    amplitude, assemble_variant, break_a_bound, circulation, leak_into_a_piece, norm_sq,
+    reference_sector_tops, residual, sector_blocks, solve_ground, spectrum, whole_stack,
 )
 
 
@@ -394,6 +395,104 @@ class TestSectorSolveAgainstFullMatrix:
                         assert 1.0 - abs(np.vdot(v, g.vector)) <= 1e-12
                     solved += 1
         assert solved > 0 and refused > 0, (solved, refused)
+
+
+def seeded_fields(rng, count: int) -> list[tuple[float, float]]:
+    """count axial, count in-plane and count randomly tilted fields (tau0,
+    tau1), tau in [0, 3.1]."""
+    tau = rng.uniform(0.0, 3.1, (3, count))
+    tilt = rng.uniform(0.0, np.pi / 2, count)
+    return ([(t, 0.0) for t in tau[0]] + [(0.0, t) for t in tau[1]]
+            + [(t * np.sin(a), t * np.cos(a)) for t, a in zip(tau[2], tilt)])
+
+
+class TestCertifiedSectorSolve:
+    """On-on's sector tops bound the off variants' eigenvalues (Bendixson),
+    so the chunked sector solve skips a sector that cannot hold the ground."""
+
+    def test_equals_solving_both_sectors(self, monkeypatch):
+        # a chunk of seeded fields per aspect ratio and basis, the default and
+        # a 10+10 one, against the tops of both sectors of every matrix:
+        # eps0 bit for bit, the same sector, the vector of `eig` to 1e-12
+        rng = np.random.default_rng(31)
+        hermitian = [vmag for _, _, vmag in VARIANTS]
+        eigvals, sizes = np.linalg.eigvals, []
+
+        def counted(a):
+            sizes.append(len(a))
+            return eigvals(a)
+
+        solved = skipped = 0
+        for alpha in (0.3, 0.5, 0.8):
+            for shape in [(6, 6, (-2, 2)), (10, 10, (-4, 4))]:
+                basis = gram_schmidt_basis(alpha, *shape)
+                stacks = [sector_blocks(whole_stack(*field, basis), basis.sectors)
+                          for field in seeded_fields(rng, 2)]
+                blocks = [np.concatenate(s) for s in zip(*stacks)]
+                tops = reference_sector_tops(blocks, hermitian)
+                scale = np.maximum(1.0, np.max([np.abs(b).max(axis=(1, 2)) for b in blocks], 0))
+                onon = np.repeat(tops[2::3].real, 3, axis=0)
+                # Bendixson: no off variant's top exceeds on-on's in its sector
+                assert np.all(tops.real <= onon + RESIDUAL_TOL * scale[:, None])
+                # no ground is complex, so the chunk solves
+                assert np.all(np.abs(tops.max(axis=1).imag) <= GROUND_IMAG_TOL)
+                sizes.clear()
+                monkeypatch.setattr(np.linalg, "eigvals", counted)
+                got = eigensolve_general(blocks, hermitian, basis.sectors, bound=2)
+                monkeypatch.undo()
+                labels = [basis.sectors[i[0]] for i in sector_index(basis.sectors)]
+                for i, g in enumerate(got):
+                    s = np.argmax(tops[i].real)
+                    assert (g.eps0, g.sector) == (tops[i, s].real, labels[s])
+                    w, v = np.linalg.eig(blocks[s][i])
+                    x = np.zeros(len(basis.sectors), dtype=complex)
+                    x[basis.sectors == labels[s]] = v[:, np.argmax(w.real)]
+                    assert 1.0 - abs(np.vdot(x, g.vector)) <= 1e-12
+                full = 4 * len(got) // 3  # two off variants, two sectors each
+                solved += full
+                skipped += full - sum(sizes)
+        assert 0 < skipped < solved, (solved, skipped)
+
+    @pytest.mark.parametrize("row,at,entry,message", [
+        # f0 and g1 at neighbouring nu, which are in one sector
+        (_COUPLING, (0, 0, 6), 1e-6, r"coupling piece is not antisymmetric: "
+                                     r"max\|K \+ K\^T\| = 1\.000e-06 exceeds 1\.0e-12"),
+        # f0 at the lowest nu, whose V entry is below 1
+        (_CURVATURE, (0, 0, 0), -1.0, r"curvature piece is not positive semidefinite: "
+                                      r"V \+ 1\.0e-12 I has no Cholesky factor"),
+    ], ids=["symmetric-coupling", "negative-curvature"])
+    def test_broken_bound_raises_at_the_per_basis_check(
+        self, alpha, monkeypatch, row, at, entry, message
+    ):
+        break_a_bound(monkeypatch, row, at, entry)
+        fresh = gram_schmidt_basis(alpha, n_even=6, n_odd=6, nu_range=(-2, 2))
+        assemble(1.0, 0.0, fresh)  # the whole-matrix path builds no piece
+        with pytest.raises(ArithmeticError, match=message):
+            assemble(0.0, 1.0, fresh)
+
+    @pytest.mark.parametrize("hermitian,fields,shift,error", [
+        # field 1 fails its check, but field 0's complex ground comes first
+        ([False, True], [["pair", "sym"], ["sym", "upper"]], None, ComplexGroundError),
+        # within a field, member 0's singular block comes before member 1's
+        # complex ground
+        ([False, False], [["sym", "sym"], ["diag", "pair"]], 0.0, "singular"),
+    ], ids=["earlier-field", "earlier-member"])
+    def test_earliest_failure_of_a_chunk_is_raised(
+        self, monkeypatch, hermitian, fields, shift, error
+    ):
+        # as a field-by-field solve raises it
+        toys = {"pair": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -5.0]],
+                "sym": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.3]],
+                "upper": [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
+                "diag": np.diag([1.0, 3.0, 2.0])}
+        blocks = [np.array([toys[name] for field in fields for name in field])]
+        if shift is not None:
+            monkeypatch.setattr(solver, "INVERSE_SHIFT", shift)
+        match = "singular" if error == "singular" else None
+        with pytest.raises(ArithmeticError, match=match) as info:
+            eigensolve_general(blocks, hermitian, np.zeros(3, dtype=int), bound=None)
+        if error != "singular":
+            assert type(info.value) is error
 
 
 #: The fields of `verify` with tau1 != 0, and the pi/4 tilt at tau = 2.7,
