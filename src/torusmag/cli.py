@@ -54,7 +54,7 @@ MAX_BASIS_DIM = 2048
 THETA_RULE_TOL = 1e-13
 
 #: Largest bytes of sector stacks that one sector solve takes from a sweep.
-CHUNK_BYTES = 1 << 18
+CHUNK_BYTES = 1 << 19
 
 
 class ConfigError(ValueError):

@@ -18,14 +18,15 @@ order, whose pieces `assemble` checked per basis.  Per sector, one batched
 non-Hermitian member's symmetric part is on-on's less the curvature
 potential V, which is positive semidefinite, since the coupling K is
 antisymmetric (both checked per basis), so by Bendixson's theorem
-(Re lambda(A) <= lambda_max((A + A^T) / 2)) no eigenvalue of its block in a
-sector has a real part above on-on's top there: batched `eigvals` calls
-solve its block in the sector where on-on's top is larger, and the other
-block only if the top found does not exceed on-on's top there by
-RESIDUAL_TOL times the scale.  The larger top is the ground, which must be
-real (high levels may pair up), and one batched inverse iteration per
-sector on the ground blocks gives the vectors.  A refusal is that of the
-earliest failing field, as a field-by-field solve raises it.
+(Re lambda(A) <= lambda_max((A + A^T) / 2)) on-on's top in a sector bounds
+the real parts of its block's eigenvalues there.  Rayleigh-quotient
+iteration from that bound gives a top and vector, kept if a Cholesky factor
+shows by the same theorem that the block on the vector's complement has no
+larger real part, else from `eigvals` and inverse iteration; on-on's lower
+sector is solved unless that or the member's own symmetric part there is
+below the top found.  The larger top is the ground, which must be real (high
+levels may pair up).  A refusal is that of the earliest failing field, as a
+field-by-field solve raises it.
 
 Every error raised here is an ArithmeticError, as are those of `assemble`
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -48,6 +49,11 @@ HERMITICITY_TOL = 1e-12
 
 #: Largest |B x - eps0 x| / max(1, max|H|) of a sector solve's ground vector.
 RESIDUAL_TOL = 1e-10
+
+#: Rayleigh-quotient iteration stops at |B x - mu x| <= RAYLEIGH_TOL * 2**e,
+#: 2**e ~ max(1, max|H|), or gives up after RAYLEIGH_STEPS solves; mu is kept
+#: if no other eigenvalue has a real part above mu + CERTIFY_TOL * 2**e.
+RAYLEIGH_TOL, RAYLEIGH_STEPS, CERTIFY_TOL = 1e-15, 12, 1e-13
 
 #: Inverse iteration shifts the block by eps0 + INVERSE_SHIFT * max(1, |eps0|).
 INVERSE_SHIFT = 1e-13
@@ -84,8 +90,9 @@ def check(blocks, hermitian, between) -> np.ndarray:
         raise ArithmeticError("matrix is not finite and real")
     peak = [np.max(np.abs(b), axis=(1, 2)) for b in every]
     scale = np.maximum(1.0, np.max(peak, 0))
-    defect = 0.0 * scale if not np.any(hermitian) else hermitian * np.max(
-        [np.max(np.abs(b - b.transpose(0, 2, 1)), axis=(1, 2)) for b in blocks], 0)
+    defect, herm = 0.0 * scale, np.broadcast_to(hermitian, scale.shape)  # Hermitian alone
+    defect[herm] = np.max([np.max(np.abs(h - h.transpose(0, 2, 1)), axis=(1, 2))
+                           for h in (b if herm.all() else b[herm] for b in blocks)], 0)
     leak = np.max([0.0 * scale, *peak[len(blocks):]], 0)
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
@@ -118,11 +125,10 @@ def eigensolve_general(blocks, hermitian, sector: np.ndarray, bound=None) -> lis
     label of sector, for the fields of a chunk in turn, each with the k =
     len(hermitian) members of a tau1 != 0 field as `assemble` returns it;
     member j must be Hermitian where hermitian[j].  With bound = j, member j
-    is Hermitian and in each sector its top bounds the real part of every
-    eigenvalue of the field's other members, as `assemble` certifies for
-    on-on; a non-Hermitian member's other sector is then solved only while
-    its top so far does not exceed that sector's bound by RESIDUAL_TOL times
-    its scale.  Raises ArithmeticError when a `check` bound fails
+    is Hermitian and its top in each sector bounds the real parts of the
+    field's other members there, as `assemble` certifies for on-on: it
+    starts their Rayleigh-quotient iteration and can rule out their other
+    sector.  Raises ArithmeticError when a `check` bound fails
     (HermiticityError for a Hermitian member), the ground is complex
     (ComplexGroundError) or the shifted block is exactly singular, for the
     earliest failing field, in the order of a field-by-field solve."""
@@ -159,41 +165,44 @@ def _ground_states(blocks, hermitian, sector, bound, scale) -> list[GroundState]
     m, k = len(scale), len(hermitian)
     herm = np.tile(hermitian, m // k)
     tol = RESIDUAL_TOL * scale
+    # each block is solved over 2**e ~ scale: exact, and no overflow at huge fields
+    f = np.ldexp(1.0, -np.rint(np.log2(scale)).astype(int))
     top = np.full((m, len(blocks)), -np.inf, dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
         top[herm, s] = np.linalg.eigvalsh(b[herm])[..., -1]
     # each matrix's bound per sector: its field's member `bound`, or none
     ceiling = np.full(top.shape, np.inf) if bound is None else np.repeat(
         top[bound::k].real, k, axis=0)
-    for rank in np.argsort(-ceiling, axis=1, kind="stable").T:
-        # sectors in falling order of their bound: the next one is solved
-        # unless the top so far exceeds its bound (Bendixson)
-        wanted = ~herm & ~(top.real.max(axis=1) > ceiling[np.arange(m), rank] + tol)
+    idx, vectors = sector_index(sector), np.zeros((m, len(sector)))  # Rayleigh's, then the rest
+    for nth, rank in enumerate(np.argsort(-ceiling, axis=1, kind="stable").T):
+        # sectors in falling order of their bound: the next one is solved unless
+        # the top so far exceeds its bound or the member's own symmetric part there
+        best = top.real.max(axis=1)
+        wanted = ~herm & ~(best > ceiling[np.arange(m), rank] + tol)
         for s, b in enumerate(blocks):
-            chosen = wanted & (rank == s)
-            if chosen.any():
-                # complex values sort by real part first
-                top[chosen, s] = np.sort(np.linalg.eigvals(b[chosen]))[..., -1]
+            i = np.flatnonzero(wanted & (rank == s))
+            if nth:
+                i = i[~_bendixson(b[i] * f[i, None, None], (best[i] - tol[i]) * f[i])]
+            if i.size:
+                mu, x, ok = _rayleigh(b[i] * f[i, None, None], ceiling[i, s] * f[i])
+                ok[ok] = _bendixson(b[i[ok]] * f[i[ok], None, None], mu[ok] + CERTIFY_TOL, x[ok])
+                j = i[ok]
+                top[j, s], vectors[j[:, None], idx[s]] = mu[ok] / f[j], x[ok]
+                if not ok.all():  # complex values sort by real part first
+                    top[i[~ok], s] = np.sort(np.linalg.eigvals(b[i[~ok]]))[..., -1]
     ground = np.argmax(top.real, axis=1)
     top = top[np.arange(m), ground]
-    imag, limit = np.abs(top.imag), np.minimum(GROUND_IMAG_TOL, tol)
+    eps0, imag, limit = top.real, np.abs(top.imag), np.minimum(GROUND_IMAG_TOL, tol)
     if np.any(imag > limit):
         i = np.argmax(imag > limit)
         raise ComplexGroundError(f"ground eigenvalue has imaginary part {imag[i]:.3e}, "
                                  f"above {limit[i]:.1e}")
-    eps0, e = top.real, np.rint(np.log2(scale)).astype(int)
-    idx = sector_index(sector)
-    vectors = np.zeros((m, len(sector)))
     for s, b in enumerate(blocks):
-        i = np.flatnonzero(ground == s)
-        if not i.size:
-            continue
-        # inverse iteration from a start of ones, shifted just past eps0, on
-        # the block over 2**e ~ scale: exact, and no overflow at huge fields
-        n = len(idx[s])
-        shifted = b[i]  # a copy, scaled and shifted in place
-        np.ldexp(shifted, -e[i, None, None], out=shifted)
-        shift = np.ldexp(eps0[i] + INVERSE_SHIFT * np.maximum(1.0, np.abs(eps0[i])), -e[i])
+        vectors[np.flatnonzero(ground != s)[:, None], idx[s]] = 0.0
+        # inverse iteration where no Rayleigh vector, of residual far below tol, is in place
+        i, n = np.flatnonzero((ground == s) & ~vectors[:, idx[s]].any(axis=1)), len(idx[s])
+        shifted = b[i] * f[i, None, None]  # shifted in place
+        shift = (eps0[i] + INVERSE_SHIFT * np.maximum(1.0, np.abs(eps0[i]))) * f[i]
         shifted.reshape(i.size, n * n)[:, ::n + 1] -= shift[:, None]  # the diagonals
         try:
             x = np.linalg.solve(shifted, np.ones((i.size, n, 1)))
@@ -202,8 +211,8 @@ def _ground_states(blocks, hermitian, sector, bound, scale) -> list[GroundState]
             raise ArithmeticError(f"shifted ground block is singular: {exc}") from exc
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         # B x - eps0 x for the scaled block B, from the shifted one
-        r = shifted @ x + (shift - np.ldexp(eps0[i], -e[i]))[:, None, None] * x
-        residual = np.ldexp(np.linalg.norm(r[..., 0], axis=1), e[i])
+        r = shifted @ x + (shift - eps0[i] * f[i])[:, None, None] * x
+        residual = np.linalg.norm(r[..., 0], axis=1) / f[i]
         if not np.all(residual <= tol[i]):
             j = np.argmin(residual <= tol[i])
             raise ArithmeticError(
@@ -211,6 +220,57 @@ def _ground_states(blocks, hermitian, sector, bound, scale) -> list[GroundState]
         vectors[i[:, None], idx[s]] = x[..., 0]
     label = [int(sector[i[0]]) for i in idx]
     return [GroundState(float(eps0[i]), vectors[i], label[ground[i]]) for i in range(m)]
+
+
+def _bendixson(a, top, x=None) -> np.ndarray:
+    """Whether a Cholesky factor of c = top I - (a + a^T) / 2 shows that no
+    eigenvalue of each matrix of the stack a has a real part above top
+    (Bendixson); with x, no other than that of unit right vector x, as they
+    are those of a on the complement of x (a Schur step), where c is projected."""
+    c = -0.5 * (a + a.transpose(0, 2, 1))
+    np.einsum("...ii->...i", c)[...] += top[:, None]
+    if x is not None:  # Q c Q + x x^T = c - x z^T - z x^T, z = c x - (x^T c x + 1) x / 2
+        y = (c @ x[..., None])[..., 0]
+        z = y - 0.5 * (np.einsum("ij,ij->i", x, y) + 1.0)[:, None] * x
+        c -= x[:, :, None] * z[:, None, :]
+        c -= z[:, :, None] * x[:, None, :]
+    ok = np.ones(len(c), dtype=bool)
+    for j, h in enumerate(c):  # one by one: a batch raises if any has none
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            ok[j] = False
+    return ok
+
+
+def _rayleigh(a, shift):
+    """An eigenvalue mu, unit right vector x and whether |a x - mu x| reached
+    RAYLEIGH_TOL, per matrix of the stack a (overwritten), by Rayleigh-quotient
+    iteration (Parlett, Math. Comp. 28, 679 (1974)) from a start of ones: two
+    solves at shift, a bound of the real parts, then at the Rayleigh quotient."""
+    mu, x, done = np.empty(len(a)), np.empty(a.shape[:2]), np.zeros(len(a), dtype=bool)
+    live, v = np.arange(len(a)), np.full((*a.shape[:2], 1), a.shape[1] ** -0.5)
+    d = np.einsum("...ii->...i", a).copy()
+    shift = np.minimum(shift, np.abs(a).sum(axis=2).max(axis=1))  # |lambda| <= max row sum
+    for step in range(RAYLEIGH_STEPS):
+        np.einsum("...ii->...i", a)[...] = d - shift[:, None]
+        try:
+            v = np.linalg.solve(a, v)
+        except np.linalg.LinAlgError:  # a shift is exactly singular
+            break
+        np.einsum("...ii->...i", a)[...] = d
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        av = a @ v
+        q = np.einsum("ijk,ijk->i", v, av)
+        stop = np.linalg.norm(av - q[:, None, None] * v, axis=(1, 2)) <= RAYLEIGH_TOL
+        shift = q if step else shift
+        if stop.any():
+            j = live[stop]
+            mu[j], x[j], done[j] = q[stop], v[stop, :, 0], True
+            live, a, d, v, shift = (z[~stop] for z in (live, a, d, v, shift))  # the rest
+            if not live.size:
+                break
+    return mu, x, done
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,6 +88,37 @@ def reference_sector_tops(blocks, hermitian) -> np.ndarray:
     return tops
 
 
+def refined_top(h, digits: int = 40) -> float:
+    """The top eigenvalue of the real matrix h, real and isolated, to about
+    `digits` digits: `eig` picks it and its vector, and two Newton steps on
+    (h - lam) x = 0, x_k = 1 refine both in mpmath, each squaring the error
+    (1e-15 -> 1e-30 -> below 10**-digits)."""
+    import mpmath  # with sympy, a test extra
+
+    w, v = np.linalg.eig(h)
+    order = np.argsort(-w.real)
+    top, x = w[order[0]], v[:, order[0]]
+    assert top.imag == 0.0 and w[order[1]].real < top.real - 1e-6 * np.abs(w).max()
+    n, k = len(h), int(np.argmax(np.abs(x)))
+    with mpmath.workdps(digits):
+        a = mpmath.matrix(h.tolist())
+        x = mpmath.matrix((x.real / x[k].real).tolist())
+        lam = mpmath.mpf(float(top.real))
+        for _ in range(2):
+            # the Jacobian [[h - lam I, -x], [e_k^T, 0]] and the residual
+            jac = mpmath.zeros(n + 1)
+            jac[:n, :n] = a - lam * mpmath.eye(n)
+            jac[:n, n] = -x
+            jac[n, k] = 1
+            rhs = mpmath.zeros(n + 1, 1)
+            rhs[:n, 0] = lam * x - a * x
+            step = mpmath.lu_solve(jac, rhs)
+            x += step[:n, 0]
+            lam += step[n]
+        assert abs(step[n]) < 1e-25  # the second step is already squared
+        return float(lam)
+
+
 def assemble_variant(field, basis) -> np.ndarray:
     """The assembled matrix of the printed variant that field's toggles name."""
     i = PRINTED.index((field.vc_on, field.vmag_on))
