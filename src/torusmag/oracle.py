@@ -30,27 +30,34 @@ builds a field's terms (`_grid_terms`) and their nu-diagonal part D
 as the three that flip theta parity do) once, for whichever path runs.  An
 axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
 theta -> -theta, so D is its whole operator, one real symmetric block per
-nu and theta parity, each stack diagonalized in one batched dense call,
-which at 64 x 32 is faster than the iterative solve.  Any other field is
-applied matrix-free, and LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
-(2001)) finds each inversion sector's largest eigenvalue from a seeded
-random start projected onto the sector; run per sector, it converges at
-the gap within the sector, so it stays fast where the sectors' ground
-levels cross.  The preconditioner is (sigma - D)^-1, inverted once per
-field; each sector applies per nu column the one theta parity it holds
-there, so the preconditioned residual stays in the sector.  sigma - D >= 0.1
-holds with no eigensolve: by Weyl's inequality where sigma is 0.1 above the
-largest entry of D's potential (D minus the negative semidefinite second
-derivative), and by a Cholesky factorization where bisection lowers sigma
-towards the potential's mean.  D carries the full theta dependence of
-alpha^2/F^2, so a sector takes at most 42 iterations at alpha = 0.5, 43 at
-0.8 and 30 at 0.95 on verify's fields at 64x32, and 15 at 0.99 at 128x32.
+nu and theta parity.  Weyl's inequality (Horn & Johnson, Matrix Analysis,
+Thm 4.3.1) bounds each block's top by the top of its nu-free theta term
+plus the largest entries of its theta-diagonal terms; only the blocks whose
+bound reaches the best-bounded block's top are diagonalized, in one batched
+dense call per theta parity (1 to 5 of the 64 at alpha = 0.5 on verify's
+axial fields at 64 x 32, up to 45 at 0.95).  Any other field is applied
+matrix-free, the five of its seven terms whose theta matrix is diagonal
+entrywise and the other two by matrix products, and LOBPCG (Knyazev, SIAM
+J. Sci. Comput. 23, 517 (2001)) finds each inversion sector's largest
+eigenvalue from a seeded random start projected onto the sector; run per
+sector, it converges at the gap within the sector, so it stays fast where
+the sectors' ground levels cross.  The preconditioner is (sigma - D)^-1,
+inverted once per field; each sector applies per nu column the one theta
+parity it holds there, so the preconditioned residual stays in the sector.
+sigma - D >= 0.1 holds with no eigensolve: by Weyl's inequality where sigma
+is 0.1 above the largest entry of D's potential (D minus the negative
+semidefinite second derivative), and by a Cholesky factorization where
+bisection lowers sigma towards the potential's mean.  D carries the full
+theta dependence of alpha^2/F^2, so a sector takes at most 42 iterations at
+alpha = 0.5, 43 at 0.8 and 30 at 0.95 on verify's fields at 64x32, and 15
+at 0.99 at 128x32.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +118,10 @@ class GridSpec:
             )
 
 
+@cache
 def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
-    """Dense spectral differentiation matrix on n periodic points.
+    """Dense spectral differentiation matrix on n periodic points, built
+    once per (n, order) and returned read-only.
 
     Odd orders zero the Nyquist mode, which keeps the matrix exactly
     antisymmetric; even orders keep it, so second derivatives of the
@@ -123,7 +132,9 @@ def fourier_diff_matrix(n: int, order: int) -> np.ndarray:
         k = k.copy()
         k[n // 2] = 0.0
     spec = (1j * k) ** order
-    return np.real(np.fft.ifft(spec[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    d = np.real(np.fft.ifft(spec[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    d.flags.writeable = False
+    return d
 
 
 def _reflection_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +160,9 @@ def _grid_terms(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The grid operator as a sum of real (theta matrix) x (nu matrix) terms.
 
-    At tau1 = 0 only the three terms that keep theta parity remain, and
-    each of their nu matrices is diagonal.
+    At tau1 = 0 only the three terms that keep theta parity remain, each
+    of their nu matrices is diagonal, and so is every theta matrix but the
+    first, whose nu matrix is the identity.
     """
     t0, t1 = field.tau0, field.tau1
     nt, np_ = grid.n_theta, grid.n_phi
@@ -217,6 +229,43 @@ def _nu_blocks(terms: list, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _theta_diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of the theta matrix a if it has no other nonzero entry."""
+    d = np.diagonal(a)
+    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
+def _axial_ground(terms: list, stacks: tuple, n_theta: int) -> GroundState:
+    """Ground state at tau1 = 0, where the `_nu_blocks` stacks are the whole
+    operator: the largest top eigenvalue over the blocks, and its sector.
+
+    By Weyl's inequality a block's top is at most the top of the first
+    term's theta block (its nu matrix is the identity) plus, per other
+    term, the largest entry of its theta diagonal times its nu entry.  The
+    best-bounded block is solved first; a block whose bound lies below that
+    top, less a rounding margin, cannot hold the ground state and is not
+    solved.  The rest are solved in one batched call per theta parity, each
+    block exactly as a solve of the whole stack would, so the result is too.
+    """
+    (a0, _), *diagonal = terms
+    spectra = [eigh(q.T @ a0 @ q) for q in _reflection_bases(n_theta)]
+    shifts = [np.diagonal(a)[:, None] * np.diag(b)[None, :] for a, b in diagonal]
+    bounds = np.array([s[-1] for s in spectra])[:, None] + sum(np.max(x, axis=0) for x in shifts)
+    # every block's norm is at most scale, and a top's rounding far less
+    scale = max(np.max(np.abs(s)) for s in spectra) + sum(np.max(np.abs(x)) for x in shifts)
+    top = np.full(bounds.shape, -np.inf)
+    best = np.unravel_index(np.argmax(bounds), bounds.shape)
+    top[best] = eigh(stacks[best[0]][best[1]])[-1]
+    floor = top[best] - 1e-10 * scale
+    for parity, stack in enumerate(stacks):
+        # a NaN bound rules nothing out
+        candidates = ~(bounds[parity] < floor) & (top[parity] == -np.inf)
+        if candidates.any():
+            top[parity, candidates] = eigh(stack[candidates])[:, -1]
+    parity, nu = np.unravel_index(np.argmax(top), top.shape)
+    return GroundState(float(top[parity, nu]), int(parity + nu) % 2)
+
+
 def _ritz_coefficients(s: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Coefficients on the unit rows of s, [x, w] or [x, w, p], of the
     largest Ritz vector of their span; hs holds H applied to each row.
@@ -266,13 +315,20 @@ def _sector_ground(terms: list, stacks: tuple, grid: GridSpec) -> GroundState:
     """Ground state at tau1 != 0 of the operator `terms` with `_nu_blocks`
     stacks: the larger of the sectors' top eigenvalues, by `lobpcg_max`."""
     nt, n_phi = grid.n_theta, grid.n_phi
-    a_cat = np.hstack([a for a, _ in terms])
-    b_cat = np.hstack([b.T for _, b in terms])
+    diagonals = [_theta_diagonal(a) for a, _ in terms]
+    dense = [(a, b) for (a, b), d in zip(terms, diagonals) if d is None]
+    scaled = [(d, b) for (_, b), d in zip(terms, diagonals) if d is not None]
+    a_cat = np.hstack([a for a, _ in dense])
+    d_cat = np.stack([d for d, _ in scaled], axis=1)
+    b_cat = np.hstack([b.T for _, b in dense + scaled])
 
     def apply(x: np.ndarray) -> np.ndarray:
-        # the sum of a @ x @ b.T over the terms, as two products
+        # the sum of a @ x @ b.T over the terms: x @ b.T for all at once,
+        # then a dense theta matrix as a product, a diagonal one entrywise
         xb = (x.reshape(nt, n_phi) @ b_cat).reshape(nt, len(terms), n_phi)
-        return (a_cat @ xb.swapaxes(0, 1).reshape(-1, n_phi)).ravel()
+        hx = a_cat @ xb[:, :len(dense)].swapaxes(0, 1).reshape(-1, n_phi)
+        hx += np.einsum("tk,tkn->tn", d_cat, xb[:, len(dense):])
+        return hx.ravel()
 
     # preconditioner (sigma - D)^-1 per theta parity: sigma starts at Weyl's
     # bound and is bisected towards the potential's mean, which is the
@@ -342,10 +398,7 @@ def grid_solve(
     terms = _grid_terms(alpha, field, grid)
     stacks = _nu_blocks(terms, grid.n_theta)
     if field.tau1 == 0.0:
-        # largest eigenvalue of each nu's block, per theta parity
-        top = np.array([eigh(stack)[:, -1] for stack in stacks])
-        parity, nu = np.unravel_index(np.argmax(top), top.shape)
-        ground = GroundState(float(top[parity, nu]), int(parity + nu) % 2)
+        ground = _axial_ground(terms, stacks, grid.n_theta)
     else:
         ground = _sector_ground(terms, stacks, grid)
     if refine:

@@ -6,7 +6,8 @@ The exact symmetries the oracle relies on are tested on it as maps of the
 grid points (inversion, C2 about the in-plane field axis, theta-reflection
 at tau1 = 0, field reversal).  An axial field's nu blocks must reproduce
 its spectrum, and `grid_solve` the ground state and inversion sector of its
-halves under inversion.  `helpers.reference_sector_blocks` builds the two
+halves under inversion; every block its Weyl bound leaves unsolved must lie
+below that ground.  `helpers.reference_sector_blocks` builds the two
 inversion sectors with np.kron: each must be the dense operator between
 the grid vectors that `sector_rows` names, the oracle's matrix-free
 operator must match it in each sector, and the ground state that LOBPCG
@@ -192,6 +193,13 @@ class TestDifferentiationMatrices:
         d = fourier_diff_matrix(24, 1)
         assert np.max(np.abs(d + d.T)) < 1e-12
 
+    def test_built_once_and_read_only(self):
+        # every caller shares the one build, so none may write to it
+        d = fourier_diff_matrix(24, 2)
+        assert fourier_diff_matrix(24, 2) is d
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0] = 1.0
+
 
 class TestGridSolve:
     def test_free_particle_ground_state(self, alpha):
@@ -357,21 +365,24 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("grid", [GRID, GridSpec(64, 32)], ids=["32x16", "64x32"])
     @pytest.mark.parametrize(
         "tau0,tau1",
-        [(1.3, 0.7), (math.sin(math.pi / 4), math.cos(math.pi / 4)), (-2.0, 1.0), (2.0, 0.0)],
-        ids=["1.3-0.7", "quarter_tilt", "-2.0-1.0", "2.0-0.0"],
+        [(1.3, 0.7), (math.sin(math.pi / 4), math.cos(math.pi / 4)), (-2.0, 1.0), (2.0, 0.0),
+         (0.0, 2.0)],
+        ids=["1.3-0.7", "quarter_tilt", "-2.0-1.0", "2.0-0.0", "0.0-2.0"],
     )
     def test_apply_matches_kron_reference(self, alpha, monkeypatch, tau0, tau1, grid):
         # the matrix-free operator that LOBPCG is handed, applied to each
         # sector's columns, keeps the sector and is the kron block there; the
-        # preconditioner keeps the sector too
+        # preconditioner keeps the sector too.  The apply multiplies a
+        # diagonal theta matrix entrywise, which in plane includes the zero
+        # ones of the tau0 terms
         field = FieldConfig(tau0, tau1)
         solves = captured_solves(monkeypatch, alpha, field, grid)
         blocks = reference_sector_blocks(alpha, field, grid)
         for (apply, precondition, start), q, block in zip(solves, sector_columns(grid), blocks):
             hq = np.stack([apply(col) for col in q.T], axis=1)
-            scale = np.max(np.abs(block))
-            assert np.max(np.abs(q.T @ hq - block)) < 1e-13 * scale
-            assert np.max(np.abs(hq - q @ (q.T @ hq))) < 1e-13 * scale
+            qhq, scale = q.T @ hq, np.max(np.abs(block))
+            assert np.max(np.abs(qhq - block)) < 1e-13 * scale
+            assert np.max(np.abs(hq - q @ qhq)) < 1e-13 * scale
             for x in (start, precondition(start)):
                 assert np.linalg.norm(x - q @ (q.T @ x)) < 1e-13 * np.linalg.norm(x)
 
@@ -620,6 +631,43 @@ class TestNuBlocks:
         assert ground.sector == int(np.argmax(tops))
         assert abs(tops[0] - tops[1]) > 1e-3  # the sector is not a tie
 
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(16, 16), GridSpec(64, 32), GridSpec(128, 32)],
+        ids=["16x16", "64x32", "128x32"],
+    )
+    def test_skipped_blocks_lie_below_the_ground(self, monkeypatch, grid):
+        # every block grid_solve leaves unsolved has a top below the ground,
+        # and the ground and its sector are those of the whole stacks' tops;
+        # the first two solves are the bounds' theta blocks, not nu blocks
+        dense, build, solved, built = oracle.eigh, oracle._nu_blocks, [], []
+
+        def recorded(a):
+            solved.append(a)
+            return dense(a)
+
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "eigh", recorded)
+        monkeypatch.setattr(oracle, "_nu_blocks", kept)
+        skipped = 0
+        for al in (0.05, 0.5, 0.8, 0.95, 0.998):
+            for tau0 in (0.0, 1.0, -1.0, 2.0, 5.0, -7.3):
+                solved.clear()
+                ground = grid_solve(al, FieldConfig(tau0, 0.0), grid)
+                seen = {m.tobytes() for a in solved[2:] for m in a.reshape(-1, *a.shape[-2:])}
+                stacks = built.pop()
+                tops = np.array([dense(stack)[:, -1] for stack in stacks])
+                parity, nu = np.unravel_index(np.argmax(tops), tops.shape)
+                assert ground == (tops[parity, nu], (parity + nu) % 2)
+                for stack, top in zip(stacks, tops):
+                    for block, block_top in zip(stack, top):
+                        if block.tobytes() not in seen:
+                            skipped += 1
+                            assert block_top < ground.eps0
+        assert skipped > 0
+
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_stack_is_real_symmetric_per_nu(self, alpha, field):
         # one stack per theta parity, each one block per nu
@@ -659,19 +707,16 @@ class TestNuBlocks:
 
 
 @pytest.mark.parametrize(
-    "field,stacks,solves",
-    [
-        (FieldConfig(0.0, 2.0), 0, 2),
-        (FieldConfig(1.3, 0.7), 0, 2),
-        (FieldConfig(2.0, 0.0), 2, 0),
-        (FieldConfig(0.0, 0.0), 2, 0),
-    ],
+    "field",
+    [FieldConfig(0.0, 2.0), FieldConfig(1.3, 0.7), FieldConfig(2.0, 0.0), FieldConfig(0.0, 0.0)],
     ids=["in_plane", "tilted", "axial", "zero"],
 )
-def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field, stacks, solves):
-    # an axial field makes one oracle.eigh call per theta-parity stack, any
-    # other one lobpcg_max call per inversion sector; no other eigensolve
-    # sees more than a Rayleigh-Ritz step's 3 x 3 matrix
+def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field):
+    # an axial field solves through oracle.eigh its two Weyl-bound blocks,
+    # one per theta parity, its best-bounded nu block, and at most one stack
+    # per theta parity of the blocks the bounds leave open; any other field
+    # makes one lobpcg_max call per inversion sector instead.  No other
+    # eigensolve sees more than a Rayleigh-Ritz step's 3 x 3 matrix
     eigh_shapes, sizes, runs = [], [], []
     dense, iterative = oracle.eigh, oracle.lobpcg_max
 
@@ -692,8 +737,24 @@ def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field, stack
 
         monkeypatch.setattr(np.linalg, name, small_only)
     ground = grid_solve(alpha, field, GRID)
-    assert [len(shape) for shape in eigh_shapes] == [3] * stacks
-    assert len(runs) == solves
+    half = GRID.n_theta // 2
+    if field.tau1 == 0.0:
+        assert eigh_shapes[:2] == [(half + 1, half + 1), (half - 1, half - 1)]
+        assert len(eigh_shapes[2]) == 2
+        assert [len(shape) for shape in eigh_shapes[3:]] in ([], [3], [3, 3])
+        assert not runs
+    else:
+        assert not eigh_shapes
+        assert len(runs) == 2
     assert max(sizes, default=0) <= 3
-    assert bool(sizes) == bool(solves)
+    assert bool(sizes) == bool(runs)
     assert isinstance(ground, GroundState)
+
+
+@pytest.mark.parametrize("field", [FieldConfig(1e200, 0.0), FieldConfig(1e200, 1.0)],
+                         ids=["axial", "tilted"])
+def test_overflowing_field_raises_before_any_solve(alpha, monkeypatch, field):
+    monkeypatch.setattr(oracle, "eigh", _never)
+    monkeypatch.setattr(oracle, "lobpcg_max", _never)
+    with pytest.raises(OverflowError):
+        grid_solve(alpha, field, GRID)
