@@ -27,30 +27,28 @@ even nu) + (theta-odd x odd nu), its -1 eigenspace sector B.
 Only the ground state, the largest eigenvalue, is computed.  `grid_solve`
 builds a field's terms (`_grid_terms`) and their nu-diagonal part D
 (`_nu_blocks`, which skips every term whose nu matrix has a zero diagonal,
-as the three that flip theta parity do) once, for whichever path runs.  An
-axial field (tau1 = 0) conserves nu and is symmetric under z -> -z,
-theta -> -theta, so D is its whole operator, one real symmetric block per
-nu and theta parity.  Weyl's inequality (Horn & Johnson, Matrix Analysis,
-Thm 4.3.1) bounds each block's top by the top of its nu-free theta term
-plus the largest entries of its theta-diagonal terms; only the blocks whose
-bound reaches the best-bounded block's top are diagonalized, in one batched
-dense call per theta parity (1 to 5 of the 64 at alpha = 0.5 on verify's
-axial fields at 64 x 32, up to 45 at 0.95).  Any other field is applied
-matrix-free, the five of its seven terms whose theta matrix is diagonal
-entrywise and the other two by matrix products, and LOBPCG (Knyazev, SIAM
-J. Sci. Comput. 23, 517 (2001)) finds each inversion sector's largest
-eigenvalue from a seeded random start projected onto the sector; run per
-sector, it converges at the gap within the sector, so it stays fast where
-the sectors' ground levels cross.  The preconditioner is (sigma - D)^-1,
-inverted once per field; each sector applies per nu column the one theta
-parity it holds there, so the preconditioned residual stays in the sector.
-sigma - D >= 0.1 holds with no eigensolve: by Weyl's inequality where sigma
-is 0.1 above the largest entry of D's potential (D minus the negative
-semidefinite second derivative), and by a Cholesky factorization where
-bisection lowers sigma towards the potential's mean.  D carries the full
-theta dependence of alpha^2/F^2, so a sector takes at most 42 iterations at
-alpha = 0.5, 43 at 0.8 and 30 at 0.95 on verify's fields at 64x32, and 15
-at 0.99 at 128x32.
+as the three that flip theta parity do) once, and finds D's top eigenvalue
+(`_diagonal_ground`), one real symmetric block per nu and theta parity.
+Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1) bounds each
+block's top by the top of its nu-free theta term plus the largest entries
+of the other summed terms, whose theta matrices are diagonal; only the
+blocks whose bound reaches the best-bounded block's top are diagonalized,
+in one batched dense call per theta parity (1 to 5 of the 64 at alpha = 0.5
+on verify's axial fields at 64 x 32, up to 45 at 0.95).  An axial field
+(tau1 = 0) conserves nu and is symmetric under z -> -z, theta -> -theta, so
+D is its whole operator and D's top its ground state.  Any other field is
+applied matrix-free, the five of its seven terms whose theta matrix is
+diagonal entrywise and the other two by matrix products, and LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) finds each inversion
+sector's largest eigenvalue from a seeded random start projected onto the
+sector; run per sector, it converges at the gap within the sector, so it
+stays fast where the sectors' ground levels cross.  The preconditioner is
+(sigma - D)^-1, inverted once per field, with sigma D's top plus 0.1, so
+sigma - D >= 0.1; each sector applies per nu column the one theta parity
+it holds there, so the preconditioned residual stays in the sector.  D
+carries the full theta dependence of alpha^2/F^2, so a sector takes 15 to
+45 operator applies at alpha = 0.5, 14 to 43 at 0.8 and 10 to 32 at 0.95
+on verify's fields at 64x32, and 7 to 17 at 0.99 at 128x32.
 """
 
 from __future__ import annotations
@@ -75,9 +73,9 @@ MAX_GRID_POINTS = 8192
 #: Largest move of the ground eigenvalue that the refine check accepts.
 REFINE_TOL = 1e-4
 
-#: Iterations allowed in one inversion sector; verify's tilted and in-plane
-#: fields take at most 42 at alpha = 0.5, 43 at 0.8, 30 at 0.95 (64x32) and
-#: 15 at 0.99 (128x32).
+#: Iterations allowed in one inversion sector, one operator apply each;
+#: verify's tilted and in-plane fields take at most 45 applies at alpha =
+#: 0.5, 43 at 0.8, 32 at 0.95 (64x32) and 17 at 0.99 (128x32).
 MAX_ITERATIONS = 5000
 
 
@@ -235,19 +233,21 @@ def _theta_diagonal(a: np.ndarray) -> np.ndarray | None:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _axial_ground(terms: list, stacks: tuple, n_theta: int) -> GroundState:
-    """Ground state at tau1 = 0, where the `_nu_blocks` stacks are the whole
-    operator: the largest top eigenvalue over the blocks, and its sector.
+def _diagonal_ground(terms: list, stacks: tuple, n_theta: int) -> GroundState:
+    """The top eigenvalue of D, the `_nu_blocks` stacks of the operator
+    `terms`, and its sector: the ground state at tau1 = 0, where D is the
+    whole operator.
 
     By Weyl's inequality a block's top is at most the top of the first
-    term's theta block (its nu matrix is the identity) plus, per other
-    term, the largest entry of its theta diagonal times its nu entry.  The
-    best-bounded block is solved first; a block whose bound lies below that
-    top, less a rounding margin, cannot hold the ground state and is not
-    solved.  The rest are solved in one batched call per theta parity, each
-    block exactly as a solve of the whole stack would, so the result is too.
+    term's theta block (its nu matrix is the identity) plus, per other term
+    that `_nu_blocks` sums (each has a diagonal theta matrix), the largest
+    entry of its theta diagonal times its nu entry.  The best-bounded block
+    is solved first; a block whose bound lies below that top, less a
+    rounding margin, cannot hold D's top and is not solved.  The rest are
+    solved in one batched call per theta parity, each block exactly as a
+    solve of the whole stack would, so the result is too.
     """
-    (a0, _), *diagonal = terms
+    (a0, _), *diagonal = [(a, b) for a, b in terms if np.diag(b).any()]
     spectra = [eigh(q.T @ a0 @ q) for q in _reflection_bases(n_theta)]
     shifts = [np.diagonal(a)[:, None] * np.diag(b)[None, :] for a, b in diagonal]
     bounds = np.array([s[-1] for s in spectra])[:, None] + sum(np.max(x, axis=0) for x in shifts)
@@ -311,9 +311,10 @@ def lobpcg_max(apply: Callable, precondition: Callable, x: np.ndarray) -> float:
     raise ConvergenceError(f"LOBPCG did not converge in {MAX_ITERATIONS} iterations")
 
 
-def _sector_ground(terms: list, stacks: tuple, grid: GridSpec) -> GroundState:
+def _sector_ground(terms: list, stacks: tuple, grid: GridSpec, sigma: float) -> GroundState:
     """Ground state at tau1 != 0 of the operator `terms` with `_nu_blocks`
-    stacks: the larger of the sectors' top eigenvalues, by `lobpcg_max`."""
+    stacks D: the larger of the sectors' top eigenvalues, by `lobpcg_max`
+    preconditioned by (sigma - D)^-1, where sigma - D >= 0.1."""
     nt, n_phi = grid.n_theta, grid.n_phi
     diagonals = [_theta_diagonal(a) for a, _ in terms]
     dense = [(a, b) for (a, b), d in zip(terms, diagonals) if d is None]
@@ -330,24 +331,7 @@ def _sector_ground(terms: list, stacks: tuple, grid: GridSpec) -> GroundState:
         hx += np.einsum("tk,tkn->tn", d_cat, xb[:, len(dense):])
         return hx.ravel()
 
-    # preconditioner (sigma - D)^-1 per theta parity: sigma starts at Weyl's
-    # bound and is bisected towards the potential's mean, which is the
-    # constant's Rayleigh quotient and so no more than D's top eigenvalue,
-    # while a Cholesky factorization still certifies sigma - D >= 0.1
     bases = _reflection_bases(nt)
-    kinetic = fourier_diff_matrix(nt, 2)
-    potential = [np.diagonal(stack, axis1=1, axis2=2) - np.diagonal(q.T @ kinetic @ q)
-                 for stack, q in zip(stacks, bases)]
-    sigma = 0.1 + max(np.max(v) for v in potential)
-    low = np.max(potential[0] @ np.sum(bases[0], axis=0) ** 2) / nt
-    while sigma - low > 0.5:
-        mid = 0.5 * (low + sigma)
-        try:
-            for stack in stacks:
-                np.linalg.cholesky((mid - 0.1) * np.eye(stack.shape[-1]) - stack)
-            sigma = mid
-        except np.linalg.LinAlgError:
-            low = mid
     inverses = [np.linalg.inv(sigma * np.eye(stack.shape[-1]) - stack) for stack in stacks]
     reflected = -np.arange(nt) % nt
     nu_signs = (-1.0) ** np.arange(n_phi)
@@ -380,8 +364,10 @@ def grid_solve(
     refine: bool = False,
 ) -> GroundState:
     """Ground state of the grid operator at aspect ratio alpha: its largest
-    raw eigenvalue and inversion sector, by dense solves nu by nu for an
-    axial field (tau1 == 0.0) and matrix-free per sector for any other.
+    raw eigenvalue and inversion sector: the top of the nu-diagonal part D
+    by dense solves nu by nu, which is the whole operator for an axial field
+    (tau1 == 0.0), and for any other field matrix-free per sector, shifted
+    by D's top.
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
@@ -397,10 +383,9 @@ def grid_solve(
         )
     terms = _grid_terms(alpha, field, grid)
     stacks = _nu_blocks(terms, grid.n_theta)
-    if field.tau1 == 0.0:
-        ground = _axial_ground(terms, stacks, grid.n_theta)
-    else:
-        ground = _sector_ground(terms, stacks, grid)
+    ground = _diagonal_ground(terms, stacks, grid.n_theta)
+    if field.tau1 != 0.0:
+        ground = _sector_ground(terms, stacks, grid, ground.eps0 + 0.1)
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine.eps0 - ground.eps0)

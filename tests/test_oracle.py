@@ -6,13 +6,14 @@ The exact symmetries the oracle relies on are tested on it as maps of the
 grid points (inversion, C2 about the in-plane field axis, theta-reflection
 at tau1 = 0, field reversal).  An axial field's nu blocks must reproduce
 its spectrum, and `grid_solve` the ground state and inversion sector of its
-halves under inversion; every block its Weyl bound leaves unsolved must lie
-below that ground.  `helpers.reference_sector_blocks` builds the two
-inversion sectors with np.kron: each must be the dense operator between
-the grid vectors that `sector_rows` names, the oracle's matrix-free
-operator must match it in each sector, and the ground state that LOBPCG
-returns must be the largest of the two blocks' top eigenvalues, with its
-sector.
+halves under inversion; at any field, every block its Weyl bound leaves
+unsolved must lie below the top of the nu blocks, which is that ground at
+tau1 = 0 and shifts the sector solve's preconditioner otherwise.
+`helpers.reference_sector_blocks` builds the two inversion sectors with
+np.kron: each must be the dense operator between the grid vectors that
+`sector_rows` names, the oracle's matrix-free operator must match it in
+each sector, and the ground state that LOBPCG returns must be the largest
+of the two blocks' top eigenvalues, with its sector.
 """
 
 import math
@@ -437,9 +438,12 @@ def captured_solves(monkeypatch, alpha, field, grid):
         return 0.0
 
     monkeypatch.setattr(oracle, "lobpcg_max", capture)
-    # called directly, so an axial field takes the matrix-free path too
+    # called directly, so an axial field takes the matrix-free path too,
+    # shifted as grid_solve shifts it
     terms = oracle._grid_terms(alpha, field, grid)
-    oracle._sector_ground(terms, _nu_blocks(terms, grid.n_theta), grid)
+    stacks = _nu_blocks(terms, grid.n_theta)
+    top = oracle._diagonal_ground(terms, stacks, grid.n_theta).eps0
+    oracle._sector_ground(terms, stacks, grid, top + 0.1)
     return calls
 
 
@@ -471,7 +475,8 @@ def test_ground_matches_reference_sector_blocks(al, field):
 
 
 # largest number of operator applies in one sector's LOBPCG over `verify`'s
-# tau1 != 0 fields at 64x32, per alpha; the solves take at most 44, 45 and 32
+# tau1 != 0 fields at 64x32, per alpha; the solves take 15 to 45, 14 to 43
+# and 10 to 32
 MAX_SECTOR_APPLIES = {0.5: 50, 0.8: 55, 0.95: 40}
 
 
@@ -510,6 +515,14 @@ def test_crossing_changes_the_ground_sector(alpha):
 def test_seeded_start_repeats_bitwise(alpha):
     field = FieldConfig(0.7, 0.7)
     assert grid_solve(alpha, field, GRID).eps0 == grid_solve(alpha, field, GRID).eps0
+
+
+def test_strong_in_plane_field_ends_in_convergence_error():
+    # D's top shifts the preconditioner at any field strength, so a field
+    # far beyond what the grid resolves ends in the iteration cap; it used
+    # to hang while choosing the shift
+    with pytest.raises(ConvergenceError):
+        grid_solve(0.5, FieldConfig(0.0, 1e9), GridSpec(16, 16))
 
 
 def test_iteration_cap_raises_convergence_error(alpha, monkeypatch):
@@ -636,10 +649,12 @@ class TestNuBlocks:
         ids=["16x16", "64x32", "128x32"],
     )
     def test_skipped_blocks_lie_below_the_ground(self, monkeypatch, grid):
-        # every block grid_solve leaves unsolved has a top below the ground,
-        # and the ground and its sector are those of the whole stacks' tops;
-        # the first two solves are the bounds' theta blocks, not nu blocks
-        dense, build, solved, built = oracle.eigh, oracle._nu_blocks, [], []
+        # every block grid_solve leaves unsolved has a top below D's top,
+        # the largest of the whole stacks' tops; an axial field's ground and
+        # its sector are D's top and its block's, and any other field hands
+        # D's top + 0.1 to the sector solve as its shift.  The first two
+        # solves are the bounds' theta blocks, not nu blocks
+        dense, build, solved, built, shifts = oracle.eigh, oracle._nu_blocks, [], [], []
 
         def recorded(a):
             solved.append(a)
@@ -649,24 +664,35 @@ class TestNuBlocks:
             built.append(build(*args))
             return built[-1]
 
+        def shifted(*args):  # records sigma, the last argument
+            shifts.append(args[-1])
+            return GroundState(0.0, 0)
+
         monkeypatch.setattr(oracle, "eigh", recorded)
         monkeypatch.setattr(oracle, "_nu_blocks", kept)
+        monkeypatch.setattr(oracle, "_sector_ground", shifted)
         skipped = 0
+        fields = [FieldConfig(tau0, 0.0) for tau0 in (0.0, 1.0, -1.0, 2.0, 5.0, -7.3)]
+        fields += [FieldConfig(*f) for f in ((1.3, 0.7), (-2.0, 1.0), (0.0, 1.0), (0.0, -3.0))]
         for al in (0.05, 0.5, 0.8, 0.95, 0.998):
-            for tau0 in (0.0, 1.0, -1.0, 2.0, 5.0, -7.3):
+            for field in fields:
                 solved.clear()
-                ground = grid_solve(al, FieldConfig(tau0, 0.0), grid)
+                ground = grid_solve(al, field, grid)
                 seen = {m.tobytes() for a in solved[2:] for m in a.reshape(-1, *a.shape[-2:])}
                 stacks = built.pop()
                 tops = np.array([dense(stack)[:, -1] for stack in stacks])
                 parity, nu = np.unravel_index(np.argmax(tops), tops.shape)
-                assert ground == (tops[parity, nu], (parity + nu) % 2)
+                if field.tau1 == 0.0:
+                    assert ground == (tops[parity, nu], (parity + nu) % 2)
+                else:
+                    assert shifts.pop() == tops[parity, nu] + 0.1
                 for stack, top in zip(stacks, tops):
                     for block, block_top in zip(stack, top):
                         if block.tobytes() not in seen:
                             skipped += 1
-                            assert block_top < ground.eps0
+                            assert block_top < tops[parity, nu]
         assert skipped > 0
+        assert not shifts
 
     @pytest.mark.parametrize("field", AXIAL_FIELDS)
     def test_stack_is_real_symmetric_per_nu(self, alpha, field):
@@ -697,13 +723,25 @@ class TestNuBlocks:
             FieldConfig(math.sin(math.pi / 2), math.cos(math.pi / 2)),
         ],
     )
-    def test_in_plane_component_never_solves_nu_blocks(self, alpha, monkeypatch, field):
-        # its nu blocks build the preconditioner, but only the axial path
-        # hands them to the dense solve
+    def test_in_plane_component_takes_its_ground_from_the_sectors(self, alpha, monkeypatch, field):
+        # its nu blocks are solved, through oracle.eigh, for D's top alone,
+        # before the one sector solve whose ground grid_solve returns
         assert field.tau1 != 0.0
-        monkeypatch.setattr(oracle, "eigh", _never)
-        ground = grid_solve(alpha, field, GRID)
-        assert isinstance(ground, GroundState)
+        events, dense, sentinel = [], oracle.eigh, GroundState(123.0, 1)
+
+        def counted_eigh(a):
+            events.append("eigh")
+            return dense(a)
+
+        def sectors(*args):
+            events.append("sectors")
+            return sentinel
+
+        monkeypatch.setattr(oracle, "eigh", counted_eigh)
+        monkeypatch.setattr(oracle, "_sector_ground", sectors)
+        assert grid_solve(alpha, field, GRID) is sentinel
+        assert events[-1] == "sectors" and events.count("sectors") == 1
+        assert events.count("eigh") >= 3
 
 
 @pytest.mark.parametrize(
@@ -712,10 +750,10 @@ class TestNuBlocks:
     ids=["in_plane", "tilted", "axial", "zero"],
 )
 def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field):
-    # an axial field solves through oracle.eigh its two Weyl-bound blocks,
-    # one per theta parity, its best-bounded nu block, and at most one stack
-    # per theta parity of the blocks the bounds leave open; any other field
-    # makes one lobpcg_max call per inversion sector instead.  No other
+    # every field solves through oracle.eigh its two Weyl-bound blocks, one
+    # per theta parity, its best-bounded nu block, and at most one stack per
+    # theta parity of the blocks the bounds leave open; a field with tau1 !=
+    # 0 then makes one lobpcg_max call per inversion sector.  No other
     # eigensolve sees more than a Rayleigh-Ritz step's 3 x 3 matrix
     eigh_shapes, sizes, runs = [], [], []
     dense, iterative = oracle.eigh, oracle.lobpcg_max
@@ -738,14 +776,10 @@ def test_every_block_solved_through_module_eigh(alpha, monkeypatch, field):
         monkeypatch.setattr(np.linalg, name, small_only)
     ground = grid_solve(alpha, field, GRID)
     half = GRID.n_theta // 2
-    if field.tau1 == 0.0:
-        assert eigh_shapes[:2] == [(half + 1, half + 1), (half - 1, half - 1)]
-        assert len(eigh_shapes[2]) == 2
-        assert [len(shape) for shape in eigh_shapes[3:]] in ([], [3], [3, 3])
-        assert not runs
-    else:
-        assert not eigh_shapes
-        assert len(runs) == 2
+    assert eigh_shapes[:2] == [(half + 1, half + 1), (half - 1, half - 1)]
+    assert len(eigh_shapes[2]) == 2
+    assert [len(shape) for shape in eigh_shapes[3:]] in ([], [3], [3, 3])
+    assert len(runs) == (0 if field.tau1 == 0.0 else 2)
     assert max(sizes, default=0) <= 3
     assert bool(sizes) == bool(runs)
     assert isinstance(ground, GroundState)
