@@ -371,7 +371,8 @@ def grid_solve(
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
-    more than REFINE_TOL.
+    more than REFINE_TOL.  A field whose grid operator overflows raises
+    OverflowError naming it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -381,11 +382,16 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
-    terms = _grid_terms(alpha, field, grid)
-    stacks = _nu_blocks(terms, grid.n_theta)
-    ground = _diagonal_ground(terms, stacks, grid.n_theta)
-    if field.tau1 != 0.0:
-        ground = _sector_ground(terms, stacks, grid, ground.eps0 + 0.1)
+    try:
+        with np.errstate(over="raise"):
+            terms = _grid_terms(alpha, field, grid)
+            stacks = _nu_blocks(terms, grid.n_theta)
+            ground = _diagonal_ground(terms, stacks, grid.n_theta)
+            if field.tau1 != 0.0:
+                ground = _sector_ground(terms, stacks, grid, ground.eps0 + 0.1)
+    except (OverflowError, FloatingPointError) as exc:  # a float's or an array's
+        raise OverflowError(f"field tau0={field.tau0:g}, tau1={field.tau1:g} is out of "
+                            "range: the grid operator overflows") from exc
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine.eps0 - ground.eps0)

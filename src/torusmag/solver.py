@@ -25,8 +25,8 @@ shows by the same theorem that the block on the vector's complement has no
 larger real part, else from `eigvals` and inverse iteration; on-on's lower
 sector is solved unless that or the member's own symmetric part there is
 below the top found.  The larger top is the ground, which must be real (high
-levels may pair up).  A refusal is that of the earliest failing field, as a
-field-by-field solve raises it.
+levels may pair up).  The chunk passes each stage at once, so a refusal is
+that of the first failing stage; `cli._field_grounds` finds the field.
 
 Every error raised here is an ArithmeticError, as are those of `assemble`
 and the oracle, so a caller can handle all numerical failures at once."""
@@ -128,42 +128,15 @@ def eigensolve_general(blocks, hermitian, sector: np.ndarray, bound=None) -> lis
     is Hermitian and its top in each sector bounds the real parts of the
     field's other members there, as `assemble` certifies for on-on: it
     starts their Rayleigh-quotient iteration and can rule out their other
-    sector.  Raises ArithmeticError when a `check` bound fails
-    (HermiticityError for a Hermitian member), the ground is complex
-    (ComplexGroundError) or the shifted block is exactly singular, for the
-    earliest failing field, in the order of a field-by-field solve."""
+    sector.  The whole batch passes each stage before the next, so the
+    ArithmeticError raised is that of the first failing stage: a `check`
+    bound (HermiticityError for a Hermitian member), a complex ground
+    (ComplexGroundError), then per sector an exactly singular shifted block
+    and a ground vector's residual above RESIDUAL_TOL times its scale."""
     hermitian = np.asarray(hermitian, dtype=bool)
-    k, m = len(hermitian), len(blocks[0])
-    try:
-        scale = check(blocks, np.tile(hermitian, m // k), ())
-    except ArithmeticError:
-        if m > k:  # each field's check comes before its solve
-            _solve_each(blocks, hermitian, sector, bound, k)
-        raise
-    try:
-        return _ground_states(blocks, hermitian, sector, bound, scale)
-    except ArithmeticError:
-        if m > 1:  # field by field, then member by member
-            _solve_each(blocks, hermitian, sector, bound, k if m > k else 1)
-        raise
-
-
-def _solve_each(blocks, hermitian, sector, bound, size) -> None:
-    """Solve each run of size matrices alone, a field (size = k) or a
-    member (size = 1), raising the first failure."""
-    k = len(hermitian)
-    for i in range(0, len(blocks[0]), size):
-        part = [b[i:i + size] for b in blocks]
-        if size == k:
-            eigensolve_general(part, hermitian, sector, bound)
-        else:
-            eigensolve_general(part, hermitian[[i % k]], sector)
-
-
-def _ground_states(blocks, hermitian, sector, bound, scale) -> list[GroundState]:
-    """`eigensolve_general` past its `check`, on one batch per sector."""
-    m, k = len(scale), len(hermitian)
+    m, k = len(blocks[0]), len(hermitian)
     herm = np.tile(hermitian, m // k)
+    scale = check(blocks, herm, ())
     tol = RESIDUAL_TOL * scale
     # each block is solved over 2**e ~ scale: exact, and no overflow at huge fields
     f = np.ldexp(1.0, -np.rint(np.log2(scale)).astype(int))

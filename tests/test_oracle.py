@@ -17,6 +17,8 @@ of the two blocks' top eigenvalues, with its sector.
 """
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -302,6 +304,17 @@ class TestGridSolve:
     def test_refuses_non_hermitian_variant(self, alpha):
         with pytest.raises(UnsupportedVariantError):
             grid_solve(alpha, FieldConfig(0.0, 1.0, vmag_on=False), GridSpec(32, 16))
+
+    @pytest.mark.parametrize("tau1", [1e50, 1e100, 1e150, 1e154, 1e160])
+    def test_overflowing_field_is_refused_by_name(self, tau1):
+        # an array overflow in the iteration (a RuntimeWarning the suite
+        # turns into an error) or tau1**2 of a float, named as the field's
+        # overflow within a tenth of a second
+        start = time.perf_counter()
+        message = f"field tau0=0, tau1={tau1:g} is out of range: the grid operator overflows"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            grid_solve(0.5, FieldConfig(0.0, tau1), GridSpec(16, 16))
+        assert time.perf_counter() - start < 0.1
 
     def test_coarse_grid_fails_refinement_check(self, alpha):
         # a strong in-plane field localizes the state enough that a

@@ -1,5 +1,7 @@
 """Eigendecomposition, ground-state selection, composition analysis."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from torusmag.cli import RunConfig, main
 from torusmag.field import FieldConfig
 from torusmag.hamiltonian import _COUPLING, _CURVATURE, VARIANTS, assemble
 from torusmag.oracle import GridSpec, grid_solve
-from torusmag import solver
+from torusmag import cli, solver
 from torusmag.solver import (
     GROUND_IMAG_TOL,
     RESIDUAL_TOL,
@@ -573,29 +575,56 @@ class TestCertifiedSectorSolve:
         with pytest.raises(ArithmeticError, match=message):
             assemble(0.0, 1.0, fresh)
 
-    @pytest.mark.parametrize("hermitian,fields,shift,error", [
+    #: 3x3 toy matrices of one sector: "pair" has eigenvalues +-i and -5,
+    #: so its ground is complex, "upper" is not symmetric and "diag" has its
+    #: top exactly, so its shifted block is singular without INVERSE_SHIFT
+    TOYS = {"pair": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -5.0]],
+            "sym": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.3]],
+            "upper": [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
+            "diag": np.diag([1.0, 3.0, 2.0])}
+
+    @pytest.mark.parametrize("fields,error,calls", [
+        ([["sym", "sym"], ["sym", "sym"]], None, 1),
+        # a one-field chunk is not solved again
+        ([["pair", "sym"]], ComplexGroundError, 1),
         # field 1 fails its check, but field 0's complex ground comes first
-        ([False, True], [["pair", "sym"], ["sym", "upper"]], None, ComplexGroundError),
-        # within a field, member 0's singular block comes before member 1's
-        # complex ground
-        ([False, False], [["sym", "sym"], ["diag", "pair"]], 0.0, "singular"),
-    ], ids=["earlier-field", "earlier-member"])
-    def test_earliest_failure_of_a_chunk_is_raised(
-        self, monkeypatch, hermitian, fields, shift, error
-    ):
-        # as a field-by-field solve raises it
-        toys = {"pair": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -5.0]],
-                "sym": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.3]],
-                "upper": [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
-                "diag": np.diag([1.0, 3.0, 2.0])}
-        blocks = [np.array([toys[name] for field in fields for name in field])]
-        if shift is not None:
-            monkeypatch.setattr(solver, "INVERSE_SHIFT", shift)
-        match = "singular" if error == "singular" else None
-        with pytest.raises(ArithmeticError, match=match) as info:
-            eigensolve_general(blocks, hermitian, np.zeros(3, dtype=int), bound=None)
-        if error != "singular":
-            assert type(info.value) is error
+        ([["pair", "sym"], ["sym", "upper"]], ComplexGroundError, 2),
+        # field 0 solves alone, field 1's complex ground comes before field 2's check
+        ([["sym", "sym"], ["pair", "sym"], ["sym", "upper"]], ComplexGroundError, 3),
+    ], ids=["no-failure", "one-field", "earlier-field", "second-field"])
+    def test_earliest_failure_of_a_chunk_is_raised(self, monkeypatch, fields, error, calls):
+        # on-off and on-on of in-plane fields, one chunk: a failing chunk is
+        # solved again field by field up to the first failing field, as a
+        # field-by-field solve raises its refusal
+        stacks = {float(tau): [np.array([self.TOYS[name] for name in field])]
+                  for tau, field in enumerate(fields, 1)}
+        monkeypatch.setattr(cli, "assemble", lambda tau0, tau1, basis, variants: stacks[tau1])
+        solved = []
+
+        def spied(blocks, *args, **kwargs):
+            solved.append(len(blocks[0]))
+            return eigensolve_general(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigensolve_general", spied)
+        grounds = cli._field_grounds(RunConfig(orientation="in_plane"),
+                                     SimpleNamespace(sectors=one_block(np.eye(3))), stacks, 2)
+        if error is None:
+            assert len(list(grounds)) == 2 * len(fields)
+        else:
+            with pytest.raises(error):
+                list(grounds)
+        assert solved == [2 * len(fields)] + [2] * (calls - 1)
+
+    def test_first_failing_stage_of_a_field_is_raised(self, monkeypatch):
+        # member 0's shifted block is singular, but member 1's complex
+        # ground, an earlier stage, is raised
+        monkeypatch.setattr(solver, "INVERSE_SHIFT", 0.0)
+        blocks = [np.array([self.TOYS["diag"], self.TOYS["pair"]])]
+        with pytest.raises(ComplexGroundError, match=r"imaginary part 1\.000e\+00"):
+            eigensolve_general(blocks, [False, False], one_block(np.eye(3)))
+        # alone, member 0 raises its singular block
+        with pytest.raises(ArithmeticError, match="shifted ground block is singular"):
+            eigensolve_general([blocks[0][:1]], [False], one_block(np.eye(3)))
 
 
 #: The fields of `verify` with tau1 != 0, and the pi/4 tilt at tau = 2.7,
