@@ -203,13 +203,11 @@ def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
     whole-matrix solve, whose rounding the stored outputs pin, of off-off
     and the "on" matrix, whose ground on-off and on-on share.  Consecutive
     other fields gather in chunks of at most CHUNK_BYTES of sector stacks
-    (at least one field), each solved by one sector solve, where a variant
-    without the magnetic coupling is not Hermitian and on-on's sector tops,
-    certified per basis by `assemble`, bound its eigenvalues.  A refusal in
-    assembly first solves the chunk before it, and a failing chunk is solved
-    again field by field, so the refusal is the earliest failing field's."""
+    (at least one field), each solved by one sector solve of fields of k
+    members.  A refusal in assembly first solves the chunk before it, and a
+    failing chunk is solved again field by field, so the refusal is the
+    earliest failing field's."""
     variants = VARIANTS[-k:]
-    hermitian = [vmag for _, _, vmag in variants]
     first = int(variants[0][1])  # at tau1 = 0 a variant's matrix is stack[vc_on - first]
     chunk: list = []  # (tau, sector stacks) of the tau1 != 0 fields not yet solved
 
@@ -221,14 +219,13 @@ def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
         # one field is solved in place: a copy would double its bytes
         blocks = stacks[0] if len(stacks) == 1 else [np.concatenate(s) for s in zip(*stacks)]
         del stacks  # the fields' own stacks are not held while they are solved
-        # on-on, the last variant, bounds the others
         try:
-            grounds = eigensolve_general(blocks, hermitian, basis.sectors, bound=k - 1)
+            grounds = eigensolve_general(blocks, k, basis.sectors)
         except ArithmeticError:
             if len(taus) > 1:  # field by field: the earliest failing one raises
                 for i in range(0, len(blocks[0]), k):
                     field = [b[i:i + k] for b in blocks]
-                    eigensolve_general(field, hermitian, basis.sectors, bound=k - 1)
+                    eigensolve_general(field, k, basis.sectors)
             raise
         del blocks  # not held while the caller reads the grounds
         for i, tau in enumerate(taus):

@@ -371,8 +371,8 @@ def grid_solve(
 
     With refine=True the solve is repeated at doubled n_theta and an
     AccuracyError carrying both ground values is raised if they differ by
-    more than REFINE_TOL.  A field whose grid operator overflows raises
-    OverflowError naming it.
+    more than REFINE_TOL.  An overflowing grid operator raises OverflowError,
+    an unconverged solve ConvergenceError, each naming the field.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -382,6 +382,7 @@ def grid_solve(
             "dropping the magnetic curvature coupling at tau1 != 0 yields a "
             "non-Hermitian variant it cannot discretize"
         )
+    name = f"field tau0={field.tau0:g}, tau1={field.tau1:g}"
     try:
         with np.errstate(over="raise"):
             terms = _grid_terms(alpha, field, grid)
@@ -390,8 +391,9 @@ def grid_solve(
             if field.tau1 != 0.0:
                 ground = _sector_ground(terms, stacks, grid, ground.eps0 + 0.1)
     except (OverflowError, FloatingPointError) as exc:  # a float's or an array's
-        raise OverflowError(f"field tau0={field.tau0:g}, tau1={field.tau1:g} is out of "
-                            "range: the grid operator overflows") from exc
+        raise OverflowError(f"{name} is out of range: the grid operator overflows") from exc
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{name}: {exc}") from exc
     if refine:
         fine = grid_solve(alpha, field, GridSpec(2 * grid.n_theta, grid.n_phi))
         delta = abs(fine.eps0 - ground.eps0)

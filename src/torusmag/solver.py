@@ -12,11 +12,12 @@ and the "on" matrix that on-off and on-on share, checks its split into the
 inversion sectors of `BasisSet.sectors`, and makes one batched whole-matrix
 `eigh` call, in complex arithmetic only because the stored `sweep` and
 `table` outputs pin its rounding byte for byte.  `eigensolve_general` takes
-the sector stacks of a chunk of other fields, each in `hamiltonian.VARIANTS`
-order, whose pieces `assemble` checked per basis.  Per sector, one batched
-`eigvalsh` call gives the Hermitian members' top eigenvalues.  A
-non-Hermitian member's symmetric part is on-on's less the curvature
-potential V, which is positive semidefinite, since the coupling K is
+the sector stacks of a chunk of other fields, each of the last k
+`hamiltonian.VARIANTS`, whose pieces `assemble` checked per basis; on-on,
+last, is each field's one Hermitian member.  Per sector, one batched
+`eigvalsh` call gives on-on's top eigenvalues.  Any other member's
+symmetric part is on-on's, less the curvature potential V where the member
+drops it, which is positive semidefinite, since the coupling K is
 antisymmetric (both checked per basis), so by Bendixson's theorem
 (Re lambda(A) <= lambda_max((A + A^T) / 2)) on-on's top in a sector bounds
 the real parts of its block's eigenvalues there.  Rayleigh-quotient
@@ -119,23 +120,21 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
             for wi, xi in zip(w, x)]
 
 
-def eigensolve_general(blocks, hermitian, sector: np.ndarray, bound=None) -> list[GroundState]:
+def eigensolve_general(blocks, k: int, sector: np.ndarray) -> list[GroundState]:
     """Ground state of each of m matrices given by their sector stacks:
     blocks[s] (m, n_s, n_s) holds the states labelled by the s-th smallest
-    label of sector, for the fields of a chunk in turn, each with the k =
-    len(hermitian) members of a tau1 != 0 field as `assemble` returns it;
-    member j must be Hermitian where hermitian[j].  With bound = j, member j
-    is Hermitian and its top in each sector bounds the real parts of the
-    field's other members there, as `assemble` certifies for on-on: it
-    starts their Rayleigh-quotient iteration and can rule out their other
-    sector.  The whole batch passes each stage before the next, so the
-    ArithmeticError raised is that of the first failing stage: a `check`
-    bound (HermiticityError for a Hermitian member), a complex ground
+    label of sector, for the fields of a chunk in turn, each with the k
+    members of a tau1 != 0 field as `assemble` returns `VARIANTS[-k:]`.
+    Member k - 1, on-on, must be Hermitian, and its top in each sector
+    bounds the real parts of the field's other members there, as `assemble`
+    certifies: it starts their Rayleigh-quotient iteration and can rule out
+    their other sector.  The whole batch passes each stage before the next,
+    so the ArithmeticError raised is that of the first failing stage: a
+    `check` bound (HermiticityError for on-on), a complex ground
     (ComplexGroundError), then per sector an exactly singular shifted block
     and a ground vector's residual above RESIDUAL_TOL times its scale."""
-    hermitian = np.asarray(hermitian, dtype=bool)
-    m, k = len(blocks[0]), len(hermitian)
-    herm = np.tile(hermitian, m // k)
+    m = len(blocks[0])
+    herm = np.arange(m) % k == k - 1
     scale = check(blocks, herm, ())
     tol = RESIDUAL_TOL * scale
     # each block is solved over 2**e ~ scale: exact, and no overflow at huge fields
@@ -143,9 +142,7 @@ def eigensolve_general(blocks, hermitian, sector: np.ndarray, bound=None) -> lis
     top = np.full((m, len(blocks)), -np.inf, dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
         top[herm, s] = np.linalg.eigvalsh(b[herm])[..., -1]
-    # each matrix's bound per sector: its field's member `bound`, or none
-    ceiling = np.full(top.shape, np.inf) if bound is None else np.repeat(
-        top[bound::k].real, k, axis=0)
+    ceiling = np.repeat(top[k - 1::k].real, k, axis=0)  # each matrix's bound per sector
     idx, vectors = sector_index(sector), np.zeros((m, len(sector)))  # Rayleigh's, then the rest
     for nth, rank in enumerate(np.argsort(-ceiling, axis=1, kind="stable").T):
         # sectors in falling order of their bound: the next one is solved unless
@@ -224,7 +221,6 @@ def _rayleigh(a, shift):
     mu, x, done = np.empty(len(a)), np.empty(a.shape[:2]), np.zeros(len(a), dtype=bool)
     live, v = np.arange(len(a)), np.full((*a.shape[:2], 1), a.shape[1] ** -0.5)
     d = np.einsum("...ii->...i", a).copy()
-    shift = np.minimum(shift, np.abs(a).sum(axis=2).max(axis=1))  # |lambda| <= max row sum
     for step in range(RAYLEIGH_STEPS):
         np.einsum("...ii->...i", a)[...] = d - shift[:, None]
         try:

@@ -72,16 +72,17 @@ def break_a_bound(monkeypatch, row: int, at: tuple, entry: float) -> None:
     monkeypatch.setattr(hamiltonian._BasisTerms, "increment", broken)
 
 
-def reference_sector_tops(blocks, hermitian) -> np.ndarray:
-    """Each matrix's top eigenvalue in every sector, (m, sectors), complex:
-    the last of `eigvalsh` for a Hermitian member and the largest of
-    `eigvals` by real part for the others, in both sectors of every matrix,
-    one matrix at a time.  The reference for the certified sector solve,
-    which skips a sector that cannot hold the ground."""
+def reference_sector_tops(blocks, k: int) -> np.ndarray:
+    """Each matrix's top eigenvalue in every sector, (m, sectors), complex,
+    for fields of k members with the Hermitian one last, as the sector solve
+    takes them: the last of `eigvalsh` for a Hermitian member and the
+    largest of `eigvals` by real part for the others, in both sectors of
+    every matrix, one matrix at a time.  The reference for the certified
+    sector solve, which skips a sector that cannot hold the ground."""
     tops = np.empty((len(blocks[0]), len(blocks)), dtype=complex)
     for s, stack in enumerate(blocks):
         for i, h in enumerate(stack):
-            if hermitian[i % len(hermitian)]:
+            if i % k == k - 1:
                 tops[i, s] = np.linalg.eigvalsh(h)[-1]
             else:
                 tops[i, s] = np.sort(np.linalg.eigvals(h))[-1]

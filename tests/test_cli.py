@@ -765,7 +765,7 @@ class TestVerifyCommand:
         assert [len(h) for h, *_ in calls["eigensolve"]] == [1] * 3
         # one stack per sector, each holding the on-on block only
         assert [[len(s) for s in h] for h, *_ in calls["eigensolve_general"]] == [[1, 1]] * 4
-        assert [hermitian for _, hermitian, _ in calls["eigensolve_general"]] == [[True]] * 4
+        assert [k for _, k, _ in calls["eigensolve_general"]] == [1] * 4
 
     def test_assembles_on_on_alone(self, monkeypatch, capsys):
         # verify reads on-on only, so each field builds that one matrix: one

@@ -539,10 +539,21 @@ def test_strong_in_plane_field_ends_in_convergence_error():
 
 
 def test_iteration_cap_raises_convergence_error(alpha, monkeypatch):
+    # the refusal names the field, as the overflow refusal does
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError, match="1 iterations"):
+    with pytest.raises(ConvergenceError, match=r"^field tau0=0\.7, tau1=0\.7: "
+                                               r"LOBPCG did not converge in 1 iterations$"):
         grid_solve(alpha, FieldConfig(0.7, 0.7), GRID)
     assert issubclass(ConvergenceError, ArithmeticError)
+
+
+def test_dependent_ritz_rows_name_the_field(monkeypatch):
+    def dependent(s, hs):
+        raise ConvergenceError("the preconditioned residual lies along the iterate")
+
+    monkeypatch.setattr(oracle, "_ritz_coefficients", dependent)
+    with pytest.raises(ConvergenceError, match=r"^field tau0=0, tau1=1\.5: the preconditioned "):
+        grid_solve(0.5, FieldConfig(0.0, 1.5), GRID)
 
 
 def test_lobpcg_finds_largest_of_diagonal_operator():

@@ -125,9 +125,12 @@ class TestEigensolve:
 
 
 def general_ground(h, sector, hermitian=False):
-    """The sector solve of one whole matrix: its `GroundState`."""
-    [ground] = eigensolve_general(sector_blocks(h[None], sector), [hermitian], sector)
-    return ground
+    """The sector solve of one whole matrix: its `GroundState`.  A Hermitian
+    h is a field of its own; any other is the field [h, (h + h^T) / 2],
+    whose symmetric part bounds the real parts of h's eigenvalues
+    (Bendixson), as on-on bounds the off variants."""
+    field = [h] if hermitian else [h, 0.5 * (h + h.T)]
+    return eigensolve_general(sector_blocks(np.stack(field), sector), len(field), sector)[0]
 
 
 class TestEigensolveGeneral:
@@ -204,14 +207,13 @@ class TestEigensolveGeneral:
         assert general_ground(h, one_block(h)).eps0 == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_member_must_be_hermitian(self, basis):
-        # the on-off variant at tau1 != 0 is not Hermitian; flagged as one it
-        # is refused with its defect, while the stack's other members pass
+        # the on-off variant at tau1 != 0 is not Hermitian; as a field's last
+        # member, on-on's place, it is refused with its defect
         field = FieldConfig(0.0, 1.0, vc_on=True, vmag_on=False)
         h = assemble_variant(field, basis)
         blocks = sector_blocks(np.stack([h, h]), basis.sectors)
-        assert len(eigensolve_general(blocks, [False, False], basis.sectors)) == 2
         with pytest.raises(HermiticityError, match=r"max\|H - H\^dagger\| = "):
-            eigensolve_general(blocks, [False, True], basis.sectors)
+            eigensolve_general(blocks, 2, basis.sectors)
 
     def test_residual_bound_and_singular_block(self, monkeypatch):
         h = toy_matrix(np.diag([1.0, 3.0, 2.0]))
@@ -260,8 +262,7 @@ class TestSectorSplit:
         assert basis.sectors.tolist() == [1, 1, 1]
         [stack] = assemble(0.0, 1.0, basis)
         assert stack.shape == (len(VARIANTS), 3, 3)
-        hermitian = [vmag for _, _, vmag in VARIANTS]
-        grounds = eigensolve_general([stack], hermitian, basis.sectors)
+        grounds = eigensolve_general([stack], 3, basis.sectors)
         assert [g.sector for g in grounds] == [1, 1, 1]
         ini = tmp_path / "b.ini"
         ini.write_text("[basis]\nn_even = 3\nn_odd = 0\nnu_min = 1\nnu_max = 1\n")
@@ -389,10 +390,10 @@ class TestSectorSolveAgainstFullMatrix:
                         want.append((w[top], v[:, top] / np.linalg.norm(v[:, top])))
                     if any(abs(w.imag) > GROUND_IMAG_TOL for w, _ in want):
                         with pytest.raises(ComplexGroundError):
-                            eigensolve_general(stack, hermitian, basis.sectors)
+                            eigensolve_general(stack, 3, basis.sectors)
                         refused += 1
                         continue
-                    got = eigensolve_general(stack, hermitian, basis.sectors)
+                    got = eigensolve_general(stack, 3, basis.sectors)
                     for g, (w, v) in zip(got, want):
                         assert abs(g.eps0 - w.real) <= 1e-12 * max(1.0, abs(w.real))
                         assert 1.0 - abs(np.vdot(v, g.vector)) <= 1e-12
@@ -419,7 +420,6 @@ class TestCertifiedSectorSolve:
         # eps0 within 1e-13 * scale, the same sector, the vector of `eig` to
         # 1e-12 up to sign
         rng = np.random.default_rng(31)
-        hermitian = [vmag for _, _, vmag in VARIANTS]
         counts = {"solved": 0, "certified": 0, "fallback": 0, "skipped": 0}
         rayleigh, bendixson, eigvals = solver._rayleigh, solver._bendixson, np.linalg.eigvals
 
@@ -447,7 +447,7 @@ class TestCertifiedSectorSolve:
                 blocks = [np.concatenate(s) for s in zip(*stacks)]
                 with monkeypatch.context() as m:  # the reference runs unspied
                     m.setattr(np.linalg, "eigvals", eigvals)
-                    tops = reference_sector_tops(blocks, hermitian)
+                    tops = reference_sector_tops(blocks, 3)
                 scale = np.maximum(1.0, np.max([np.abs(b).max(axis=(1, 2)) for b in blocks], 0))
                 onon = np.repeat(tops[2::3].real, 3, axis=0)
                 # Bendixson: no off variant's top exceeds on-on's in its sector
@@ -455,7 +455,7 @@ class TestCertifiedSectorSolve:
                 # no ground is complex, so the chunk solves
                 assert np.all(np.abs(tops.max(axis=1).imag) <= GROUND_IMAG_TOL)
                 before = counts["solved"]
-                got = eigensolve_general(blocks, hermitian, basis.sectors, bound=2)
+                got = eigensolve_general(blocks, 3, basis.sectors)
                 labels = [basis.sectors[i[0]] for i in sector_index(basis.sectors)]
                 for i, g in enumerate(got):
                     s = np.argmax(tops[i].real)
@@ -475,11 +475,11 @@ class TestCertifiedSectorSolve:
 
     def test_certificate_refuses_an_eigenvalue_below_the_top(self, monkeypatch):
         # eigenvalues 2.9 and 3 +/- 5i, turned by an orthogonal Q: 2.9 is the
-        # nearest to the start shift, h's largest row sum (any shift in
-        # [3, 127]), so the iteration converges to it, but the symmetric
-        # part of the block on the complement of its vector, 3 I turned,
-        # exceeds it; `eigvals` then finds the complex ground, as without
-        # the iteration
+        # nearest to the start shift, the top 3 of h's symmetric part (any
+        # shift in [3, 127]), so the iteration converges to it, but the
+        # symmetric part of the block on the complement of its vector, 3 I
+        # turned, exceeds it; `eigvals` then finds the complex ground, as
+        # without the iteration
         q, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((3, 3)))
         h = q @ toy_matrix([[2.9, 0.0, 0.0], [0.0, 3.0, 5.0], [0.0, -5.0, 3.0]]) @ q.T
         verdicts, bendixson = [], solver._bendixson
@@ -498,9 +498,10 @@ class TestCertifiedSectorSolve:
 
     def test_certificate_refuses_a_near_tie(self, monkeypatch):
         # eigenvalues 1, 3 and 3 + 1e-11 of a symmetric h whose 3-vector is
-        # the start of ones: the iteration converges to 3, which RESIDUAL_TOL
-        # times the scale (3e-10 here) could not tell from the top; the
-        # certificate, at rounding level, refuses it and `eigvals` finds the top
+        # the start of ones: from the bound 4 of the field's on-on member
+        # 4 I, the iteration converges to 3, which RESIDUAL_TOL times the
+        # scale (3e-10 here) could not tell from the top; the certificate,
+        # at rounding level, refuses it and `eigvals` finds the top
         q, _ = np.linalg.qr(np.column_stack([np.ones(3), np.eye(3)[:, 1:]]))
         h = q @ np.diag([3.0, 3.0 + 1e-11, 1.0]) @ q.T
         tops, rayleigh = [], solver._rayleigh
@@ -510,7 +511,7 @@ class TestCertifiedSectorSolve:
             return [z.copy() for z in tops[-1]]  # kept as returned
 
         monkeypatch.setattr(solver, "_rayleigh", spied)
-        g = general_ground(h, one_block(h))
+        [g, _] = eigensolve_general([np.stack([h, 4.0 * np.eye(3)])], 2, one_block(h))
         [(mu, _, converged)] = tops
         assert converged[0] and abs(4.0 * mu[0] - 3.0) < 1e-14  # over 2**e = 4
         assert g.eps0 == np.sort(np.linalg.eigvals(h))[-1].real
@@ -532,14 +533,18 @@ class TestCertifiedSectorSolve:
             assert verdicts == [True, False]
 
     def test_sector_tops_closer_than_the_residual_bound(self):
-        # sector 1 holds sector 0's block plus 5e-11 I; with no bound, the
-        # member by member path, sector 1 is solved and holds the ground
+        # sector 1 holds sector 0's block plus 5e-11 I, closer than the
+        # residual bound (2.5e-10 here); the on-on member bounds sector 0
+        # 1e-10 above its top, so sector 0 is solved first, and sector 1,
+        # whose bound is not below the top found less the residual bound, is
+        # solved and holds the ground
         a = toy_matrix([[2.5, 0.5], [0.5, 1.5]])
         h = np.zeros((4, 4))
         h[:2, :2], h[2:, 2:] = a, a + 5e-11 * np.eye(2)
         sector = np.array([0, 0, 1, 1])
-        tops = reference_sector_tops(sector_blocks(h[None], sector), [False])
-        g = general_ground(h, sector)
+        blocks = sector_blocks(np.stack([h, h + 1e-10 * np.diag(sector == 0)]), sector)
+        tops = reference_sector_tops(blocks, 2)
+        g = eigensolve_general(blocks, 2, sector)[0]
         assert g.sector == 1 and tops[0, 1].real > tops[0, 0].real
         assert abs(g.eps0 - tops[0, 1].real) <= 1e-13 * 2.5
 
@@ -547,13 +552,12 @@ class TestCertifiedSectorSolve:
         # the off variants' certified tops at a tilted and an in-plane field
         # of the default basis, against their top refined in mpmath
         pytest.importorskip("mpmath")
-        hermitian = [vmag for _, _, vmag in VARIANTS]
         monkeypatch.setattr(np.linalg, "eigvals", None)  # no fallback
         labels = [basis.sectors[i[0]] for i in sector_index(basis.sectors)]
         for orientation, tau in [("tilted", 1.0), ("in_plane", 2.0)]:
             blocks = assemble(*RunConfig(orientation=orientation).split_tau(tau), basis)
             scale = max(1.0, max(np.abs(b).max() for b in blocks))
-            for g, *member in zip(eigensolve_general(blocks, hermitian, basis.sectors, bound=2),
+            for g, *member in zip(eigensolve_general(blocks, 3, basis.sectors),
                                   *(b[:2] for b in blocks)):
                 h = member[labels.index(g.sector)]
                 assert abs(g.eps0 - refined_top(h)) <= 1e-13 * scale
@@ -617,14 +621,15 @@ class TestCertifiedSectorSolve:
 
     def test_first_failing_stage_of_a_field_is_raised(self, monkeypatch):
         # member 0's shifted block is singular, but member 1's complex
-        # ground, an earlier stage, is raised
+        # ground, an earlier stage, is raised; "diag", symmetric, is also the
+        # on-on member that bounds both, and its shifted block is singular too
         monkeypatch.setattr(solver, "INVERSE_SHIFT", 0.0)
-        blocks = [np.array([self.TOYS["diag"], self.TOYS["pair"]])]
+        blocks = [np.array([self.TOYS["diag"], self.TOYS["pair"], self.TOYS["diag"]])]
         with pytest.raises(ComplexGroundError, match=r"imaginary part 1\.000e\+00"):
-            eigensolve_general(blocks, [False, False], one_block(np.eye(3)))
-        # alone, member 0 raises its singular block
+            eigensolve_general(blocks, 3, one_block(np.eye(3)))
+        # without member 1, member 0 raises its singular block
         with pytest.raises(ArithmeticError, match="shifted ground block is singular"):
-            eigensolve_general([blocks[0][:1]], [False], one_block(np.eye(3)))
+            eigensolve_general([blocks[0][::2]], 2, one_block(np.eye(3)))
 
 
 #: The fields of `verify` with tau1 != 0, and the pi/4 tilt at tau = 2.7,
