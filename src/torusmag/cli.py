@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ MAX_BASIS_DIM = 2048
 #: Largest relative error of the theta rule on the mean of 1/F that a run accepts.
 THETA_RULE_TOL = 1e-13
 
-#: Largest bytes of sector stacks that one sector solve takes from a sweep.
+#: Largest bytes of the sector stacks of one run of fields, assembled and solved at once.
 CHUNK_BYTES = 1 << 19
 
 
@@ -202,56 +203,40 @@ def _field_grounds(cfg: RunConfig, basis: BasisSet, taus, k: int):
     with only those variants.  A tau1 = 0 field is solved at once by the
     whole-matrix solve, whose rounding the stored outputs pin, of off-off
     and the "on" matrix, whose ground on-off and on-on share.  Consecutive
-    other fields gather in chunks of at most CHUNK_BYTES of sector stacks
-    (at least one field), each solved by one sector solve of fields of k
-    members.  A refusal in assembly first solves the chunk before it, and a
-    failing chunk is solved again field by field, so the refusal is the
+    other fields gather in runs of as many as fit in CHUNK_BYTES of sector
+    stacks (at least one field), each assembled by one `assemble` call and
+    solved by one sector solve of fields of k members.  A failing run is
+    assembled and solved again field by field, so the refusal is the
     earliest failing field's."""
     variants = VARIANTS[-k:]
     first = int(variants[0][1])  # at tau1 = 0 a variant's matrix is stack[vc_on - first]
-    chunk: list = []  # (tau, sector stacks) of the tau1 != 0 fields not yet solved
+    # fields per run: a field's sector stacks take 8 k sum(n_s^2) bytes
+    length = max(1, CHUNK_BYTES // (8 * k * np.sum(np.bincount(basis.sectors) ** 2)))
 
-    def solve_chunk():
-        if not chunk:
-            return
-        taus, stacks = zip(*chunk)
-        chunk.clear()
-        # one field is solved in place: a copy would double its bytes
-        blocks = stacks[0] if len(stacks) == 1 else [np.concatenate(s) for s in zip(*stacks)]
-        del stacks  # the fields' own stacks are not held while they are solved
-        try:
-            grounds = eigensolve_general(blocks, k, basis.sectors)
-        except ArithmeticError:
-            if len(taus) > 1:  # field by field: the earliest failing one raises
-                for i in range(0, len(blocks[0]), k):
-                    field = [b[i:i + k] for b in blocks]
-                    eigensolve_general(field, k, basis.sectors)
-            raise
-        del blocks  # not held while the caller reads the grounds
-        for i, tau in enumerate(taus):
-            for (name, _, _), ground in zip(variants, grounds[i * k:(i + 1) * k]):
-                yield tau, name, ground
+    def solve(run):
+        _, tau0, tau1 = zip(*run)
+        return eigensolve_general(assemble(tau0, tau1, basis, variants), k, basis.sectors)
 
-    for tau in taus:
-        tau0, tau1 = cfg.split_tau(tau)
-        try:
-            stack = assemble(tau0, tau1, basis, variants)
-        except ArithmeticError:  # an earlier field's refusal comes first
-            yield from solve_chunk()
-            raise
-        if tau1 == 0.0:
-            yield from solve_chunk()
-            solved = eigensolve(stack, basis.sectors)
-            del stack  # not held while the caller reads the grounds
-            for name, vc, _ in variants:
-                yield tau, name, solved[vc - first]
+    fields = ((tau, *cfg.split_tau(tau)) for tau in taus)
+    for whole, group in groupby(fields, key=lambda field: field[2] == 0.0):
+        if whole:
+            for tau, tau0, tau1 in group:
+                solved = eigensolve(assemble(tau0, tau1, basis, variants), basis.sectors)
+                for name, vc, _ in variants:
+                    yield tau, name, solved[vc - first]
             continue
-        field = sum(s.nbytes for s in stack)
-        chunk.append((tau, stack))
-        del stack  # held by the chunk alone
-        if (len(chunk) + 1) * field > CHUNK_BYTES:
-            yield from solve_chunk()
-    yield from solve_chunk()
+        group = list(group)
+        for start in range(0, len(group), length):
+            run = group[start:start + length]
+            try:
+                grounds = solve(run)
+            except ArithmeticError:
+                if len(run) > 1:  # field by field: the earliest failing one raises
+                    for field in run:
+                        solve([field])
+                raise
+            for i, ground in enumerate(grounds):
+                yield run[i // k][0], variants[i % k][0], ground
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

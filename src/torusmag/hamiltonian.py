@@ -27,12 +27,12 @@ non-Hermitian matrix by construction (`FieldConfig.hermitian` is False).
 The printed `VARIANTS`, off-off, on-off and on-on (curvature potential
 V, magnetic coupling K), are nested prefixes of `_term_table`.
 H = C + V + tau0 A0 + tau1 A1 + tau0^2 Q0 + tau1^2 Q1 + tau0 tau1 X + tau1 K
-exactly, and no piece couples the two inversion sectors.  So at tau1 != 0,
-`assemble` combines the eight real pieces, integrated and checked once per
-basis and kept as sector blocks, into one (k, n_s, n_s) stack per sector of
-the k variants asked for.  The check also holds K antisymmetric and V
-positive semidefinite, which bounds the off variants' eigenvalues by
-on-on's top in each sector for the sector solve.
+exactly, and no piece couples the two inversion sectors.  So for T fields
+with tau1 != 0, `assemble` combines the eight real pieces, integrated,
+checked and kept as sector blocks once per basis, by one product per sector
+with a (T k, 8) table of the k variants' coefficients at each field.  The
+check also holds K antisymmetric and V positive semidefinite, which bounds the
+off variants' eigenvalues by on-on's top in each sector for the sector solve.
 At tau1 = 0, K is zero, so on-off and on-on are one "on" matrix, and the
 stored outputs pin the rounding of an ordered loop: it adds the nonzero rows
 in table order to the on slot of a zero stack, copied to the off-off slot
@@ -73,10 +73,10 @@ VARIANTS = (("off-off", False, False), ("on-off", True, False), ("on-on", True, 
 _CURVATURE, _COUPLING = 10, 11
 _FIELD_FREE = (0, 1, 2, _CURVATURE)
 
-#: The rows of the pieces C, V, A0, A1, Q0, Q1, X and K of H at tau1 != 0,
-#: each at a unit field (tau0, tau1) that leaves its rows their coefficients.
-_PIECES = {(0, 1, 2): (0, 0), (_CURVATURE,): (0, 0), (3,): (1, 0), (4, 5): (0, 1),
-           (6,): (1, 0), (7, 8): (0, 1), (9,): (1, 1), (_COUPLING,): (0, 1)}
+#: The rows of the pieces C, V, A0, A1, Q0, Q1, X and K of H at tau1 != 0;
+#: every row's coefficient is a monomial in (tau0, tau1), so at the field
+#: (1, 1) each row has its piece's unit coefficient.
+_PIECES = ((0, 1, 2), (_CURVATURE,), (3,), (4, 5), (6,), (7, 8), (9,), (_COUPLING,))
 
 
 def _term_table(
@@ -160,13 +160,13 @@ class _BasisTerms:
         ends = np.cumsum([i.size for i in self.index])
         spans = [slice(end - i.size, end) for i, end in zip(self.index, ends)]
         out = [np.empty((len(_PIECES), i.size**2)) for i in self.index]
-        for k, (rows, unit) in enumerate(_PIECES.items()):
-            table = _term_table(self.alpha, *unit, self.theta)
+        table = _term_table(self.alpha, 1.0, 1.0, self.theta)
+        for k, rows in enumerate(_PIECES):
             h = np.zeros((len(self.sectors),) * 2)
             for i in rows:
                 r, c, _ = self.phi[i]
                 h[at[r, :, None], at[c, None, :]] += self.row(i, table)
-            check([h[None, s, s] for s in spans], False,
+            check([h[None, s, s] for s in spans], slice(0),
                   [h[None, s, t] for s, t in permutations(spans, 2)])
             for block, s in zip(out, spans):
                 block[k] = h[s, s].ravel()
@@ -201,24 +201,31 @@ _BASIS_TERMS: weakref.WeakKeyDictionary[BasisSet, _BasisTerms] = (
 )
 
 
-def assemble(tau0: float, tau1: float, basis: BasisSet, variants=VARIANTS):
-    """The real matrices of the surface Hamiltonian at one field, for the
-    variants, a tail of `VARIANTS`: at tau1 = 0 a float64 stack in
-    `basis.labels()` order, off-off if asked, then the "on" matrix that
-    on-off and on-on share, else a list of one (k, n_s, n_s) stack of the k
-    variants per inversion sector, in label order.  The curvature potential
-    enters as 1/(4 F^2), a^2 (h^2 - k) on the torus.
-    Raises OverflowError, naming the field, when a matrix is not finite."""
+def assemble(tau0, tau1, basis: BasisSet, variants=VARIANTS):
+    """The real matrices of the surface Hamiltonian for the variants, a tail
+    of `VARIANTS`: at a scalar tau1 = 0 a float64 stack in `basis.labels()`
+    order, off-off if asked, then the "on" matrix that on-off and on-on share,
+    else, for T fields given as sequences (or scalars, T = 1) of tau0 and of
+    tau1 != 0, a list of one (T k, n_s, n_s) stack per inversion sector, in
+    label order, of the k variants at each field in turn.  The curvature
+    potential enters as 1/(4 F^2), a^2 (h^2 - k) on the torus.
+    Raises OverflowError, naming the first field whose matrices are not finite."""
     terms = _BASIS_TERMS.get(basis)
     if terms is None:
         terms = _BASIS_TERMS[basis] = _BasisTerms(basis)
+    whole = np.ndim(tau1) == 0 and tau1 == 0.0
+    t0, t1 = np.atleast_1d(np.asarray(tau0, float), np.asarray(tau1, float))
     # a non-finite sum stays non-finite, so the last matrix shows an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        if tau1 != 0.0:
-            t0, t1 = np.float64(tau0), np.float64(tau1)
-            field = [t0, t1, t0 * t0, t1 * t1, t0 * t1]  # times A0, A1, Q0, Q1, X
-            coeff = np.array([[1.0, vc, *field, vmag * t1] for _, vc, vmag in variants])
-            out = [(coeff @ p).reshape(len(variants), i.size, i.size)
+        if not whole:
+            # the pieces' coefficients, per field, then per variant; a lone
+            # row goes with a copy, as numpy's one-row product (gemv) rounds
+            # otherwise than a run's (gemm), and a field's bits are its run's
+            coeff = np.array([[1.0, vc, *f, vmag * f[1]]
+                              for f in zip(t0, t1, t0 * t0, t1 * t1, t0 * t1)
+                              for _, vc, vmag in variants])
+            m = len(coeff)
+            out = [(np.resize(coeff, (max(m, 2), 8)) @ p)[:m].reshape(m, i.size, i.size)
                    for p, i in zip(terms.pieces, terms.index)]
         else:
             # two slots when off-off, whose vc_on is off, is asked for
@@ -231,7 +238,9 @@ def assemble(tau0: float, tau1: float, basis: BasisSet, variants=VARIANTS):
                 if rows[i][0].any():  # a zero row, K's among them, changes no bit
                     h[:, r, :, c] += terms.row(i, rows)
             out = [stack.reshape(len(stack), len(basis.sectors), -1)]
-    if not all(np.isfinite(s).all() for s in out):
-        raise OverflowError(f"field tau0={tau0:g}, tau1={tau1:g} is out of range: "
+    finite = np.all([np.isfinite(s).reshape(len(t0), -1).all(1) for s in out], axis=0)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise OverflowError(f"field tau0={t0[i]:g}, tau1={t1[i]:g} is out of range: "
                             "its matrices are not finite")
-    return out if tau1 != 0.0 else out[0]
+    return out[0] if whole else out

@@ -12,7 +12,7 @@ and the "on" matrix that on-off and on-on share, checks its split into the
 inversion sectors of `BasisSet.sectors`, and makes one batched whole-matrix
 `eigh` call, in complex arithmetic only because the stored `sweep` and
 `table` outputs pin its rounding byte for byte.  `eigensolve_general` takes
-the sector stacks of a chunk of other fields, each of the last k
+the sector stacks of a run of other fields, each of the last k
 `hamiltonian.VARIANTS`, whose pieces `assemble` checked per basis; on-on,
 last, is each field's one Hermitian member.  Per sector, one batched
 `eigvalsh` call gives on-on's top eigenvalues.  Any other member's
@@ -26,7 +26,7 @@ shows by the same theorem that the block on the vector's complement has no
 larger real part, else from `eigvals` and inverse iteration; on-on's lower
 sector is solved unless that or the member's own symmetric part there is
 below the top found.  The larger top is the ground, which must be real (high
-levels may pair up).  The chunk passes each stage at once, so a refusal is
+levels may pair up).  The run passes each stage at once, so a refusal is
 that of the first failing stage; `cli._field_grounds` finds the field.
 
 Every error raised here is an ArithmeticError, as are those of `assemble`
@@ -79,21 +79,21 @@ class GroundState(NamedTuple):
     sector: int
 
 
-def check(blocks, hermitian, between) -> np.ndarray:
+def check(blocks, hermitian: slice, between) -> np.ndarray:
     """Each matrix's scale max(1, max|H|) over blocks, stacks (k, m, m) that
     hold k matrices by blocks, and between, stacks (k, m, n) of their entries
     between the inversion sectors, after checking that all are finite and
-    real, that no Hermitian one (hermitian[i]) departs from H^T and that none
-    couples the sectors, by more than HERMITICITY_TOL times its scale
-    (relative, as rounding is)."""
+    real, that no Hermitian one (those the slice hermitian selects) departs
+    from H^T and that none couples the sectors, by more than HERMITICITY_TOL
+    times its scale (relative, as rounding is)."""
     every = [*blocks, *between]
     if any(np.iscomplexobj(b) or not np.isfinite(b).all() for b in every):
         raise ArithmeticError("matrix is not finite and real")
     peak = [np.max(np.abs(b), axis=(1, 2)) for b in every]
     scale = np.maximum(1.0, np.max(peak, 0))
-    defect, herm = 0.0 * scale, np.broadcast_to(hermitian, scale.shape)  # Hermitian alone
-    defect[herm] = np.max([np.max(np.abs(h - h.transpose(0, 2, 1)), axis=(1, 2))
-                           for h in (b if herm.all() else b[herm] for b in blocks)], 0)
+    defect = 0.0 * scale  # of the Hermitian ones alone
+    defect[hermitian] = np.max([np.max(np.abs(h - h.transpose(0, 2, 1)), axis=(1, 2))
+                                for h in (b[hermitian] for b in blocks)], 0)
     leak = np.max([0.0 * scale, *peak[len(blocks):]], 0)
     for i, bound in enumerate(HERMITICITY_TOL * scale):
         if leak[i] > bound:
@@ -112,7 +112,7 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
     Raises ArithmeticError when a `check` bound fails (HermiticityError for
     a matrix that is not Hermitian, instead of silently symmetrizing)."""
     between = permutations(sector_index(sector), 2)
-    check([h], True, [h[:, i[:, None], j] for i, j in between])
+    check([h], slice(None), [h[:, i[:, None], j] for i, j in between])
     # complex only because the stored outputs pin its rounding (ROADMAP item 1)
     w, v = np.linalg.eigh((0.5 * (h + h.transpose(0, 2, 1))).astype(complex))
     x = v[np.arange(len(v)), :, np.argmax(w, axis=1)].real  # a copy; Im x is exactly 0
@@ -123,7 +123,7 @@ def eigensolve(h: np.ndarray, sector: np.ndarray) -> list[GroundState]:
 def eigensolve_general(blocks, k: int, sector: np.ndarray) -> list[GroundState]:
     """Ground state of each of m matrices given by their sector stacks:
     blocks[s] (m, n_s, n_s) holds the states labelled by the s-th smallest
-    label of sector, for the fields of a chunk in turn, each with the k
+    label of sector, for the fields of a run in turn, each with the k
     members of a tau1 != 0 field as `assemble` returns `VARIANTS[-k:]`.
     Member k - 1, on-on, must be Hermitian, and its top in each sector
     bounds the real parts of the field's other members there, as `assemble`
@@ -133,22 +133,21 @@ def eigensolve_general(blocks, k: int, sector: np.ndarray) -> list[GroundState]:
     `check` bound (HermiticityError for on-on), a complex ground
     (ComplexGroundError), then per sector an exactly singular shifted block
     and a ground vector's residual above RESIDUAL_TOL times its scale."""
-    m = len(blocks[0])
-    herm = np.arange(m) % k == k - 1
-    scale = check(blocks, herm, ())
+    m, on_on = len(blocks[0]), slice(k - 1, None, k)
+    scale = check(blocks, on_on, ())
     tol = RESIDUAL_TOL * scale
     # each block is solved over 2**e ~ scale: exact, and no overflow at huge fields
     f = np.ldexp(1.0, -np.rint(np.log2(scale)).astype(int))
     top = np.full((m, len(blocks)), -np.inf, dtype=complex)  # per matrix and sector
     for s, b in enumerate(blocks):
-        top[herm, s] = np.linalg.eigvalsh(b[herm])[..., -1]
-    ceiling = np.repeat(top[k - 1::k].real, k, axis=0)  # each matrix's bound per sector
+        top[on_on, s] = np.linalg.eigvalsh(b[on_on])[..., -1]
+    ceiling = np.repeat(top[on_on].real, k, axis=0)  # each matrix's bound per sector
     idx, vectors = sector_index(sector), np.zeros((m, len(sector)))  # Rayleigh's, then the rest
     for nth, rank in enumerate(np.argsort(-ceiling, axis=1, kind="stable").T):
         # sectors in falling order of their bound: the next one is solved unless
         # the top so far exceeds its bound or the member's own symmetric part there
         best = top.real.max(axis=1)
-        wanted = ~herm & ~(best > ceiling[np.arange(m), rank] + tol)
+        wanted = (np.arange(m) % k != k - 1) & ~(best > ceiling[np.arange(m), rank] + tol)
         for s, b in enumerate(blocks):
             i = np.flatnonzero(wanted & (rank == s))
             if nth:

@@ -291,9 +291,10 @@ class TestSweepCommand:
 
     def test_one_assembly_per_field(self, tmp_path, monkeypatch):
         # the three variants of a field share one assembly; a tau1 = 0 field
-        # reaches the whole-matrix solve alone, and consecutive others share
-        # one sector solve per chunk of at most CHUNK_BYTES of sector stacks;
-        # counted at the names the benchmark's tracer wraps
+        # is assembled alone for the whole-matrix solve, and consecutive others
+        # share one assembly and one sector solve per run of at most
+        # CHUNK_BYTES of sector stacks; counted at the names the benchmark's
+        # tracer wraps
         calls = {"assemble": 0, "eigensolve": 0, "eigensolve_general": 0}
 
         def counter(name):
@@ -311,17 +312,17 @@ class TestSweepCommand:
         assert calls == {"assemble": 13, "eigensolve": 13, "eigensolve_general": 0}
         argv = ["sweep", "--orientation", "in_plane", "--out", str(tmp_path)]
         field = 3 * 2 * 30**2 * 8  # bytes of a default field's two sector stacks
-        # tau = 0 whole, the other 12 fields by sectors: in chunks of
+        # tau = 0 whole, the other 12 fields by sectors: in runs of
         # CHUNK_BYTES // field, or one by one below a field's bytes
         written = set()
         for budget in (cli.CHUNK_BYTES, 5 * field, field - 1):
-            chunks = -(-12 // max(1, budget // field))
+            runs = -(-12 // max(1, budget // field))
             monkeypatch.setattr(cli, "CHUNK_BYTES", budget)
             calls.update(assemble=0, eigensolve=0, eigensolve_general=0)
             assert main(argv) == EXIT_OK
-            assert calls == {"assemble": 13, "eigensolve": 1, "eigensolve_general": chunks}
+            assert calls == {"assemble": 1 + runs, "eigensolve": 1, "eigensolve_general": runs}
             written.add((tmp_path / "sweep_in_plane.csv").read_bytes())
-        assert len(written) == 1  # the chunks change no byte
+        assert len(written) == 1  # the runs change no byte
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--orientation", "in_plane", "--tau-max", "0.5",
@@ -358,7 +359,7 @@ class TestTableCommand:
 
 
     def test_rows_keep_the_order_of_tau(self, capsys):
-        # in plane, tau = 0 is a tau1 = 0 field between two chunked ones
+        # in plane, tau = 0 is a tau1 = 0 field between two runs of one
         assert main(["table", "--orientation", "in_plane",
                      "--tau", "1", "--tau", "0", "--tau", "2"]) == EXIT_OK
         taus = re.findall(r"^\S+ +tau=(\S+)", capsys.readouterr().out, re.MULTILINE)
@@ -632,7 +633,7 @@ class TestErrorPaths:
     def test_earliest_failing_field_is_reported(
         self, argv, config, message, tmp_path, monkeypatch, capsys
     ):
-        # a chunk of fields is refused as a field-by-field solve refuses it
+        # a run of fields is refused as a field-by-field solve refuses it
         monkeypatch.chdir(tmp_path)
         if config:
             (tmp_path / "run.ini").write_text(config)

@@ -276,6 +276,23 @@ class TestSharedAssembly:
                 stack[...] = 7.0
             assert whole_stack(0.6, tau1, basis).tobytes() == want, tau1
 
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_run_of_fields_is_its_fields_in_turn(self, basis, k):
+        # tilted, in plane and negative: a run's stacks are its fields'
+        # stacks one after another, bit for bit
+        variants = hamiltonian.VARIANTS[-k:]
+        fields = [(0.8, 1.1), (0.0, 2.3), (-1.4, -0.6)]
+        run = assemble(*zip(*fields), basis, variants)
+        each = [assemble(tau0, tau1, basis, variants) for tau0, tau1 in fields]
+        assert len(run) == len(each[0])
+        for s, stack in enumerate(run):
+            want = np.concatenate([stacks[s] for stacks in each])
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+        # the first field whose matrices are not finite is named, not the last
+        with pytest.raises(OverflowError, match=r"^field tau0=7\.1e\+154, tau1=7\.1e\+154 is "
+                                                r"out of range: its matrices are not finite$"):
+            assemble((1.0, 7.1e154, 1e200), (1.0, 7.1e154, 1.0), basis, variants)
+
     @pytest.mark.parametrize("shape", list(SHARED_BASES) + ["alpha095-12x12"])
     def test_sector_stacks_match_term_by_term_assembly(self, shape):
         # at tau1 != 0 the stacks combine the per-basis affine pieces, so

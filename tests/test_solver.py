@@ -412,10 +412,10 @@ def seeded_fields(rng, count: int) -> list[tuple[float, float]]:
 
 class TestCertifiedSectorSolve:
     """On-on's sector tops bound the off variants' eigenvalues (Bendixson),
-    so the chunked sector solve skips a sector that cannot hold the ground."""
+    so the batched sector solve skips a sector that cannot hold the ground."""
 
     def test_equals_solving_both_sectors(self, monkeypatch):
-        # a chunk of seeded fields per aspect ratio and basis, the default and
+        # a run of seeded fields per aspect ratio and basis, the default and
         # a 10+10 one, against the tops of both sectors of every matrix:
         # eps0 within 1e-13 * scale, the same sector, the vector of `eig` to
         # 1e-12 up to sign
@@ -452,7 +452,7 @@ class TestCertifiedSectorSolve:
                 onon = np.repeat(tops[2::3].real, 3, axis=0)
                 # Bendixson: no off variant's top exceeds on-on's in its sector
                 assert np.all(tops.real <= onon + RESIDUAL_TOL * scale[:, None])
-                # no ground is complex, so the chunk solves
+                # no ground is complex, so the run solves
                 assert np.all(np.abs(tops.max(axis=1).imag) <= GROUND_IMAG_TOL)
                 before = counts["solved"]
                 got = eigensolve_general(blocks, 3, basis.sectors)
@@ -597,12 +597,18 @@ class TestCertifiedSectorSolve:
         ([["sym", "sym"], ["pair", "sym"], ["sym", "upper"]], ComplexGroundError, 3),
     ], ids=["no-failure", "one-field", "earlier-field", "second-field"])
     def test_earliest_failure_of_a_chunk_is_raised(self, monkeypatch, fields, error, calls):
-        # on-off and on-on of in-plane fields, one chunk: a failing chunk is
-        # solved again field by field up to the first failing field, as a
-        # field-by-field solve raises its refusal
-        stacks = {float(tau): [np.array([self.TOYS[name] for name in field])]
+        # on-off and on-on of in-plane fields, one run: a failing run is
+        # assembled and solved again field by field up to the first failing
+        # field, as a field-by-field solve raises its refusal
+        stacks = {float(tau): np.array([self.TOYS[name] for name in field])
                   for tau, field in enumerate(fields, 1)}
-        monkeypatch.setattr(cli, "assemble", lambda tau0, tau1, basis, variants: stacks[tau1])
+        assembled = []
+
+        def run_of_toys(tau0, tau1, basis, variants):
+            assembled.append(list(tau1))
+            return [np.concatenate([stacks[t] for t in tau1])]
+
+        monkeypatch.setattr(cli, "assemble", run_of_toys)
         solved = []
 
         def spied(blocks, *args, **kwargs):
@@ -618,6 +624,8 @@ class TestCertifiedSectorSolve:
             with pytest.raises(error):
                 list(grounds)
         assert solved == [2 * len(fields)] + [2] * (calls - 1)
+        # the whole run first, then single fields
+        assert assembled == [list(stacks)] + [[tau] for tau in stacks][:calls - 1]
 
     def test_first_failing_stage_of_a_field_is_raised(self, monkeypatch):
         # member 0's shifted block is singular, but member 1's complex
